@@ -109,6 +109,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply")
 
 
 def load_complex_document(path: str) -> ComplexDocument:
@@ -256,10 +258,7 @@ def cmd_partitionable(args) -> int:
     if args.minus:
         minus_doc = load_complex_document(args.minus)
         fam = relative_family(doc.complex, minus_doc.complex)
-    try:
-        partition = find_partitioning(fam, max_members=args.max_faces)
-    except SizeLimitExceeded as exc:
-        raise InputError(f"{exc} (raise with --max-faces)")
+    partition = find_partitioning(fam, max_members=args.max_faces)
     found = partition is not None
     certificates = []
     if found:
@@ -523,10 +522,7 @@ def cmd_shelling_check(args) -> int:
 def cmd_shellable(args) -> int:
     doc = load_complex_document(args.complex)
     small = load_complex_document(args.minus).complex if args.minus else None
-    try:
-        order = find_shelling(doc.complex, small, max_facets=args.max_facets)
-    except SizeLimitExceeded as exc:
-        raise InputError(f"{exc} (raise with --max-facets)")
+    order = find_shelling(doc.complex, small, max_facets=args.max_facets)
     found = order is not None
     report = {
         "command": "shellable",

@@ -6,8 +6,8 @@ together with the full downward closure.  A face family is an arbitrary
 finite set of faces with an explicit ambient dimension; it is used for
 relative complexes and for families that are not closed under subsets.
 
-Every value here is immutable and every operation is a pure function, so
-results can be shared freely between concurrent tasks.
+Every public value here is immutable and every public operation is a pure
+function, so results can be shared freely between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -243,6 +243,22 @@ def facet_depth(x: ComplexOrFamily, s: Iterable[int]) -> int:
     return max(len(t) for t in members if s <= t) - 1
 
 
+def _facet_sizes(members) -> dict[Face, int]:
+    """Map each member to the size of the largest member containing it.
+    Members are visited by decreasing size; one not yet reached is maximal
+    and passes its size to its unreached subsets that are members."""
+    sizes: dict[Face, int] = {}
+    for top in sorted(members, key=len, reverse=True):
+        if top not in sizes:
+            # A wide top in a sparse family: scanning the members is cheaper.
+            below = subsets_of(top) if 2 ** len(top) <= len(members) else (
+                s for s in members if s <= top)
+            for s in below:
+                if s not in sizes and s in members:
+                    sizes[s] = len(top)
+    return sizes
+
+
 def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     """Face counts refined by (largest containing face size, own size).
 
@@ -251,8 +267,7 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     """
     members, d = _members_and_dim(x)
     rows = [[0] * (i + 1) for i in range(d + 2)]
-    for s in members:
-        depth_size = max(len(t) for t in members if s <= t)
+    for s, depth_size in _facet_sizes(members).items():
         rows[depth_size][len(s)] += 1
     return tuple(tuple(row) for row in rows)
 
@@ -315,16 +330,22 @@ def glue_with_map(
                 raise InconsistentIdentification(
                     f"guest face {format_face(f)} maps to {format_face(image)}, "
                     f"which is not a face of the host")
-    mapping = dict(ident)
-    next_label = max(host.vertices, default=-1) + 1
-    for gv in sorted(guest_vertices - domain):
-        mapping[gv] = next_label
-        next_label += 1
-    new_faces = {frozenset(mapping[v] for v in f) for f in guest.faces}
-    faces = host.faces | new_faces
-    new_facets = {frozenset(mapping[v] for v in f) for f in guest.facets}
-    facets = maximal_faces(host.facets | new_facets)
-    return SimplicialComplex(frozenset(facets), frozenset(faces)), mapping
+    faces, facets = set(host.faces), set(host.facets)
+    _merge_relabelled(faces, facets, guest, ident, max(host.vertices, default=-1) + 1)
+    return SimplicialComplex(frozenset(maximal_faces(facets)), frozenset(faces)), ident
+
+
+def _merge_relabelled(faces: set, facets: set, guest: SimplicialComplex,
+                      mapping: dict[int, int], next_label: int) -> tuple[int, ...]:
+    """Add the image of ``guest`` to a face set and a facet-candidate set.
+    Unmapped guest vertices are mapped to consecutive labels from
+    ``next_label`` in increasing guest order; those labels are returned."""
+    unmapped = sorted(guest.vertices - mapping.keys())
+    fresh = tuple(range(next_label, next_label + len(unmapped)))
+    mapping.update(zip(unmapped, fresh))
+    faces.update(frozenset(mapping[v] for v in f) for f in guest.faces)
+    facets.update(frozenset(mapping[v] for v in f) for f in guest.facets)
+    return fresh
 
 
 def glue(
@@ -333,5 +354,4 @@ def glue(
     identification: Mapping[int, int],
 ) -> SimplicialComplex:
     """Glue ``guest`` onto ``host`` along an injective vertex identification."""
-    combined, _ = glue_with_map(host, guest, identification)
-    return combined
+    return glue_with_map(host, guest, identification)[0]

@@ -12,6 +12,10 @@ Whole-complex extenders attach one such gadget per face of the base
 complex, yielding a same-dimension supercomplex together with interval
 partitionings of both the supercomplex and the relative family, verified
 before anything is returned.
+
+Both constructions glue through one mutable builder and differ only in
+which list each mapped piece certificate joins.  The final check validates
+each certificate once; the nonpure checks then read facet-size maps.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _facet_sizes,
+    _merge_relabelled,
     adjoin_face,
     build_complex,
     f_vector,
     face_key,
-    facet_depth,
     format_face,
     h_triangle,
     h_vector,
@@ -47,8 +52,10 @@ from .errors import (
 )
 from .partitions import (
     IntervalPartition,
-    is_h_compatible,
-    is_layer_compatible,
+    PartitionReport,
+    _h_compatible,
+    _layer_compatible,
+    h_from_partitioning,
     verify_partitioning,
 )
 
@@ -95,10 +102,11 @@ class ExtenderResult:
     attachment_log: tuple
 
 
-def _ensure_valid(fam: FaceFamily, partition: IntervalPartition, what: str) -> None:
-    report = verify_partitioning(fam, partition)
+def _ensure_valid(fam: FaceFamily, p: IntervalPartition, what: str) -> PartitionReport:
+    report = verify_partitioning(fam, p)
     if not report.valid:
         raise InternalCheckError(f"{what}: {report.violation}")
+    return report
 
 
 def _check_range(d: int, k: int) -> None:
@@ -153,47 +161,50 @@ def prepartition_h_profile(d: int, k: int) -> tuple[int, ...]:
     if not 0 <= k <= d:
         raise InvalidParameters(f"need 0 <= k <= d, got k={k}, d={d}")
     marked = _prepartition(d, k)
-    counts = [0] * (d + 2)
-    for bottom, _ in marked.with_face_partition:
-        counts[len(bottom)] += 1
-    return tuple(counts)
-
-
-def _map_face(face: Face, mapping: dict[int, int]) -> Face:
-    return frozenset(mapping[v] for v in face)
+    return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
 
 
 def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> IntervalPartition:
-    return IntervalPartition.of(
-        (_map_face(b, mapping), _map_face(t, mapping)) for b, t in p)
+    def image(face):
+        return frozenset(mapping[v] for v in face)
+    return IntervalPartition.of((image(b), image(t)) for b, t in p)
 
 
-def _attach(
-    host: SimplicialComplex,
-    guest: SimplicialComplex,
-    guest_facet: Face,
-    guest_face: Face,
-    host_facet: Face,
-    host_face: Face,
-) -> tuple[dict[int, int], tuple, SimplicialComplex]:
-    """Glue ``guest`` onto ``host``, sending guest_facet onto host_facet so
-    that guest_face lands on host_face; both identifications are
-    order-preserving on sorted labels and all other guest vertices get
-    fresh labels in increasing guest order."""
-    mapping = dict(zip(sorted(guest_face), sorted(host_face)))
-    mapping.update(zip(sorted(guest_facet - guest_face),
-                       sorted(host_facet - host_face)))
-    next_label = max(host.vertices, default=-1) + 1
-    fresh = []
-    for gv in sorted(guest.vertices - set(mapping)):
-        mapping[gv] = next_label
-        fresh.append(next_label)
-        next_label += 1
-    faces = host.faces | {_map_face(f, mapping) for f in guest.faces}
-    facets = maximal_faces(
-        host.facets | {_map_face(f, mapping) for f in guest.facets})
-    combined = SimplicialComplex(frozenset(facets), frozenset(faces))
-    return mapping, tuple(fresh), combined
+class _Builder:
+    """A complex under construction: face set, facet candidates, next free
+    label, with-face and without-face interval lists, attachment log.
+    Facets are reduced to the maximal candidates once, in :meth:`freeze`."""
+
+    def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
+        self.faces = set(host.faces)
+        self.facet_candidates = set(host.facets)
+        self.next_label = max(host.vertices, default=-1) + 1
+        self.with_parts = list(with_parts)
+        self.without_parts = list(without_parts)
+        self.log: list[PieceAttachment] = []
+
+    def attach(self, piece: MarkedComplex, facet: Face, face: Face) -> tuple:
+        """Glue ``piece``'s specified facet onto ``facet`` and its specified
+        face onto ``face``, order-preserving on sorted labels, and return
+        its (with-face, without-face) certificates in the new labels."""
+        inner = piece.specified_face
+        mapping = dict(zip(sorted(inner), sorted(face)))
+        mapping.update(zip(sorted(piece.specified_facet - inner), sorted(facet - face)))
+        fresh = _merge_relabelled(self.faces, self.facet_candidates,
+                                  piece.complex, mapping, self.next_label)
+        self.next_label += len(fresh)
+        mapped_with = _map_partition(piece.with_face_partition, mapping)
+        mapped_without = _map_partition(piece.without_face_partition, mapping)
+        self.log.append(PieceAttachment(face, facet, fresh, mapped_with, mapped_without))
+        return mapped_with, mapped_without
+
+    def freeze(self) -> tuple:
+        """(complex, with-face partition, without-face partition, log)."""
+        return (SimplicialComplex(frozenset(maximal_faces(self.facet_candidates)),
+                                  frozenset(self.faces)),
+                IntervalPartition.of(self.with_parts),
+                IntervalPartition.of(self.without_parts),
+                tuple(self.log))
 
 
 @lru_cache(maxsize=None)
@@ -211,27 +222,17 @@ def _partition_extender(d: int, k: int) -> MarkedComplex:
     seed = _prepartition(d, k)
     sigma = seed.specified_face
     anchor = next(t for b, t in seed.with_face_partition if b <= sigma <= t)
-    complex_ = seed.complex
-    with_parts = list(seed.with_face_partition)
-    without_parts = [iv for iv in seed.with_face_partition
-                     if iv != (sigma, anchor)]
-    attachments = []
+    build = _Builder(
+        seed.complex, seed.with_face_partition,
+        [iv for iv in seed.with_face_partition if iv != (sigma, anchor)])
     for tau in sorted((t for t in subsets_of(anchor) if sigma < t), key=face_key):
-        piece = _partition_extender(d, len(tau) - 1)
-        mapping, fresh, complex_ = _attach(
-            complex_, piece.complex,
-            piece.specified_facet, piece.specified_face, anchor, tau)
-        mapped_with = _map_partition(piece.with_face_partition, mapping)
-        mapped_without = _map_partition(piece.without_face_partition, mapping)
-        with_parts.extend(mapped_without)
-        without_parts.extend(mapped_with)
-        attachments.append(
-            PieceAttachment(tau, anchor, fresh, mapped_with, mapped_without))
-    marked = MarkedComplex(
-        complex_, seed.specified_facet, sigma,
-        IntervalPartition.of(with_parts),
-        IntervalPartition.of(without_parts),
-        tuple(attachments))
+        mapped_with, mapped_without = build.attach(
+            _partition_extender(d, len(tau) - 1), anchor, tau)
+        build.with_parts.extend(mapped_without)
+        build.without_parts.extend(mapped_with)
+    complex_, with_part, without_part, log = build.freeze()
+    marked = MarkedComplex(complex_, seed.specified_facet, sigma,
+                           with_part, without_part, log)
     _ensure_valid(marked.family_with_face(), marked.with_face_partition,
                   f"adjoined certificate for (d={d}, k={k})")
     _ensure_valid(marked.family_without_face(), marked.without_face_partition,
@@ -246,47 +247,34 @@ def partition_extender(d: int, k: int) -> MarkedComplex:
     return _partition_extender(d, k)
 
 
-def _attachment_dim(base: SimplicialComplex, sigma: Face, pure: bool) -> int:
-    return base.dim if pure else facet_depth(base, sigma)
-
-
 def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
-    current = base
-    gamma_parts: list = []
-    relative_parts: list = []
-    log = []
+    depth_sizes = _facet_sizes(base.faces)
+    build = _Builder(base)
     for sigma in base.sorted_faces():
-        k = len(sigma) - 1
-        piece_dim = _attachment_dim(base, sigma, pure)
-        piece = _partition_extender(piece_dim, k)
-        targets = [f for f in base.facets
-                   if sigma <= f and len(f) == piece_dim + 1]
-        target = min(targets, key=lex_key)
-        mapping, fresh, current = _attach(
-            current, piece.complex,
-            piece.specified_facet, piece.specified_face, target, sigma)
-        mapped_with = _map_partition(piece.with_face_partition, mapping)
-        mapped_without = _map_partition(piece.without_face_partition, mapping)
-        gamma_parts.extend(mapped_with)
-        relative_parts.extend(mapped_without)
-        log.append(PieceAttachment(sigma, target, fresh, mapped_with, mapped_without))
-    result = ExtenderResult(
-        current, base,
-        IntervalPartition.of(gamma_parts),
-        IntervalPartition.of(relative_parts),
-        tuple(log))
+        piece_dim = base.dim if pure else depth_sizes[sigma] - 1
+        target = min((f for f in base.facets
+                      if sigma <= f and len(f) == piece_dim + 1), key=lex_key)
+        mapped_with, mapped_without = build.attach(
+            _partition_extender(piece_dim, len(sigma) - 1), target, sigma)
+        build.with_parts.extend(mapped_with)
+        build.without_parts.extend(mapped_without)
+    extender, extender_part, relative_part, log = build.freeze()
+    result = ExtenderResult(extender, base, extender_part, relative_part, log)
     _check_result(result, pure)
     return result
 
 
 def _check_result(result: ExtenderResult, pure: bool) -> None:
+    """Re-verify a result: each certificate is validated once, and the
+    nonpure checks read the facet-size maps of the three families."""
     extender, base = result.extender, result.base
     if extender.dim != base.dim:
         raise InternalCheckError("extender changed the dimension")
     relative = relative_family(extender, base)
-    _ensure_valid(extender.as_family(), result.extender_partition,
-                  "extender certificate")
-    _ensure_valid(relative, result.relative_partition, "relative certificate")
+    certificates = (("extender", extender.as_family(), result.extender_partition),
+                    ("relative", relative, result.relative_partition))
+    reports = [_ensure_valid(fam, p, f"{what} certificate")
+               for what, fam, p in certificates]
     if pure:
         h_base = h_vector(base)
         h_diff = tuple(a - b for a, b in
@@ -295,23 +283,21 @@ def _check_result(result: ExtenderResult, pure: bool) -> None:
             raise InternalCheckError(
                 f"h-vector identity failed: {h_diff} != {h_base}")
         return
+    base_sizes = _facet_sizes(base.faces)
+    sizes = [_facet_sizes(fam.members) for _, fam, _ in certificates]
     for sigma in base.faces:
-        if facet_depth(base, sigma) != facet_depth(extender, sigma):
-            raise InternalCheckError(
-                f"facet depth of {format_face(sigma)} changed")
-    for fam, part, what in (
-        (extender.as_family(), result.extender_partition, "extender"),
-        (relative, result.relative_partition, "relative"),
-    ):
-        if not is_layer_compatible(fam, part):
+        if base_sizes[sigma] != sizes[0][sigma]:  # sizes[0]: the extender's
+            raise InternalCheckError(f"facet depth of {format_face(sigma)} changed")
+    h_tris = [h_triangle(fam) for _, fam, _ in certificates]
+    for (what, _, p), report, fam_sizes, h_tri in zip(
+            certificates, reports, sizes, h_tris):
+        if not _layer_compatible(p, fam_sizes):
             raise InternalCheckError(f"{what} certificate is not layer-compatible")
-        if not is_h_compatible(fam, part):
+        if not _h_compatible(report, h_tri):
             raise InternalCheckError(f"{what} certificate is not h-compatible")
-    tri_base = h_triangle(base)
-    tri_diff = tuple(
-        tuple(a - b for a, b in zip(row_big, row_rel))
-        for row_big, row_rel in zip(h_triangle(extender), h_triangle(relative)))
-    if tri_diff != tri_base:
+    tri_diff = tuple(tuple(a - b for a, b in zip(row_big, row_rel))
+                     for row_big, row_rel in zip(*h_tris))
+    if tri_diff != h_triangle(base):
         raise InternalCheckError("h-triangle identity failed")
 
 
@@ -339,18 +325,15 @@ def h_decomposition(result: ExtenderResult) -> tuple[tuple, tuple, tuple]:
     The difference must reproduce the h-vector of the base complex.
     """
     relative = relative_family(result.extender, result.base)
-    if not verify_partitioning(result.extender.as_family(),
-                               result.extender_partition).valid:
-        raise InvalidResult("extender certificate does not verify")
-    if not verify_partitioning(relative, result.relative_partition).valid:
-        raise InvalidResult("relative certificate does not verify")
+    for what, fam, p in (
+            ("extender", result.extender.as_family(), result.extender_partition),
+            ("relative", relative, result.relative_partition)):
+        if not verify_partitioning(fam, p).valid:
+            raise InvalidResult(f"{what} certificate does not verify")
     h_big = h_vector(result.extender)
     h_rel = h_vector(relative)
     difference = tuple(a - b for a, b in zip(h_big, h_rel))
-    expected = tuple(
-        sum((-1) ** (i - j) * comb(result.base.dim + 1 - j, i - j) * f_j
-            for j, f_j in enumerate(f_vector(result.base)[:i + 1]))
-        for i in range(result.base.dim + 2))
+    expected = h_vector(result.base)
     if difference != expected:
         raise InvalidResult(
             f"difference {difference} does not reproduce the base h-vector "

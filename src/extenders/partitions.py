@@ -6,6 +6,9 @@ set by set; nothing is assumed about the family being closed under
 subsets.  The searches are exhaustive backtracking with fully
 lexicographic tie-breaking, so both witnesses and failure verdicts are
 reproducible.
+
+The layer and h-compatibility checks run on a partitioning validated once,
+plus the family's facet-size map (each member's largest containing member).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _facet_sizes,
     as_family,
     between,
     face_key,
@@ -152,6 +156,19 @@ def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int
     return tuple(counts)
 
 
+def _layer_compatible(p: IntervalPartition, sizes: dict[Face, int]) -> bool:
+    """Layer compatibility of a valid partitioning, given the facet-size map:
+    every face of [b, t] has facet size between ``len(t)`` and ``sizes[b]``."""
+    return all(sizes[b] == len(t) for b, t in p)
+
+
+def _h_compatible(report: PartitionReport, h_tri: tuple) -> bool:
+    """Whether a valid report's (top size, bottom size) counts match ``h_tri``."""
+    counts = report.stats()
+    return all(counts.get((i, j), 0) == expected
+               for i, row in enumerate(h_tri) for j, expected in enumerate(row))
+
+
 def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     """Whether every top-dimension layer of ``p`` partitions its own layer.
 
@@ -161,30 +178,13 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     """
     fam = as_family(fam)
     _require_valid(fam, p)
-    maximal = fam.maximal_members()
-    for r in range(fam.ambient_dim + 1):
-        big_tops = [m for m in maximal if len(m) - 1 >= r]
-        layer = frozenset(
-            s for s in fam.members if any(s <= t for t in big_tops))
-        restriction = IntervalPartition.of(
-            (b, t) for b, t in p if len(t) - 1 >= r)
-        layer_fam = FaceFamily(layer, fam.ambient_dim)
-        if not verify_partitioning(layer_fam, restriction).valid:
-            return False
-    return True
+    return _layer_compatible(p, _facet_sizes(fam.members))
 
 
 def is_h_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     """Whether interval counts by (top size, bottom size) match the h-triangle."""
     fam = as_family(fam)
-    report = _require_valid(fam, p)
-    counts = report.stats()
-    triangle = h_triangle(fam)
-    for i, row in enumerate(triangle):
-        for j, expected in enumerate(row):
-            if counts.get((i, j), 0) != expected:
-                return False
-    return True
+    return _h_compatible(_require_valid(fam, p), h_triangle(fam))
 
 
 def find_partitioning(

@@ -68,6 +68,69 @@ def naive_find_partitioning(members):
     return None
 
 
+def f_triangle_by_definition(members, d):
+    """Literal f-triangle: for every member, scan all members for the
+    largest one containing it."""
+    rows = [[0] * (i + 1) for i in range(d + 2)]
+    for s in members:
+        depth_size = max(len(t) for t in members if s <= t)
+        rows[depth_size][len(s)] += 1
+    return tuple(tuple(row) for row in rows)
+
+
+def is_partitioning_by_definition(members, pairs):
+    """Whether the intervals are members-only, pairwise disjoint, cover the
+    members exactly, and have maximal members as tops."""
+    members = frozenset(members)
+    covered = set()
+    for bottom, top in pairs:
+        if any(top < m for m in members):
+            return False
+        block = cube(bottom, top)
+        if not block <= members or covered & block:
+            return False
+        covered |= block
+    return covered == members
+
+
+def layer_compatible_by_definition(members, d, pairs):
+    """Layer by layer: for each r, the intervals whose tops have dimension
+    at least r partition the members lying under a maximal member of
+    dimension at least r."""
+    members = frozenset(members)
+    maximal = [m for m in members if not any(m < other for other in members)]
+    for r in range(d + 1):
+        big_tops = [m for m in maximal if len(m) - 1 >= r]
+        layer = {s for s in members if any(s <= t for t in big_tops)}
+        restriction = [(b, t) for b, t in pairs if len(t) - 1 >= r]
+        if not is_partitioning_by_definition(layer, restriction):
+            return False
+    return True
+
+
+def all_partitionings(members):
+    """Every partitioning with one interval per maximal member, by plain
+    backtracking over the bottoms of each top in turn."""
+    members = frozenset(frozenset(m) for m in members)
+    tops = sorted((m for m in members if not any(m < other for other in members)),
+                  key=lambda m: (len(m), sorted(m)))
+
+    def walk(idx, covered):
+        if idx == len(tops):
+            if covered == members:
+                yield []
+            return
+        top = tops[idx]
+        for r in range(len(top) + 1):
+            for sel in itertools.combinations(sorted(top), r):
+                block = cube(frozenset(sel), top)
+                if block <= members and not block & covered:
+                    for rest in walk(idx + 1, covered | block):
+                        yield [(frozenset(sel), top)] + rest
+
+    return walk(0, frozenset())
+
+
 def euler_from_f(f):
     """Reduced Euler characteristic: alternating sum of the face counts."""
     return sum((-1) ** (size - 1) * f[size] for size in range(len(f)))
@@ -103,6 +166,16 @@ def pure_complexes(draw, max_dim=2, max_facets=3, labels=6):
     d = draw(st.integers(0, max_dim))
     facet = st.frozensets(st.integers(1, labels), min_size=d + 1, max_size=d + 1)
     return build_complex(draw(st.lists(facet, min_size=1, max_size=max_facets)))
+
+
+@st.composite
+def cycles_with_faces(draw, labels=7):
+    """An n-cycle of edges (n = 3-5) on 1..n plus one or two random small
+    faces; nonpure, so its partitionings are often not layer-compatible."""
+    n = draw(st.integers(3, 5))
+    cycle = [[i, i % n + 1] for i in range(1, n + 1)]
+    face = st.frozensets(st.integers(1, labels), min_size=1, max_size=3)
+    return build_complex(cycle + draw(st.lists(face, min_size=1, max_size=2)))
 
 
 @st.composite

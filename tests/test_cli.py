@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import extenders
 from extenders.cli import main
 
 BOWTIE = {"name": "bowtie", "facets": [[1, 2, 3], [3, 4, 5]]}
@@ -89,6 +93,25 @@ def test_partitionable_size_limit_names_flag(write, capsys):
     status, _, err = run(capsys, "partitionable", bowtie, "--max-faces", "3")
     assert status == 2
     assert "--max-faces" in err
+
+
+def test_shellable_size_limit_names_flag(write, capsys):
+    triangle = write("triangle.json", TRIANGLE)
+    status, _, err = run(capsys, "shellable", triangle, "--max-facets", "1")
+    assert status == 2
+    assert "--max-facets" in err
+
+
+def test_deeply_nested_json_is_input_error(write):
+    deep = write("deep.json", "[" * 100000)
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-m", "extenders.cli", "info", deep],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_verify_partition_files(write, capsys):

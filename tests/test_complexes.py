@@ -161,6 +161,14 @@ def test_f_triangle_triangle_plus_vertex():
     assert tri == ((0,), (0, 1), (1, 3, 3))
 
 
+def test_f_triangle_sparse_family_with_wide_member():
+    # 2**40 subsets of the wide member must not be walked for two members.
+    wide = frozenset(range(40))
+    tri = f_triangle(FaceFamily(frozenset({wide, frozenset([1])}), 39))
+    assert tri[40][40] == 1 and tri[40][1] == 1
+    assert sum(map(sum, tri)) == 2
+
+
 @settings(max_examples=60)
 @given(small_complexes(min_facets=1))
 def test_f_triangle_columns_sum_to_f_vector(c):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from extenders import (
     ExtenderResult,
     IntervalPartition,
+    InternalCheckError,
     InvalidParameters,
     InvalidResult,
     NotPure,
@@ -29,6 +30,7 @@ from extenders import (
     total_size_estimate,
     verify_partitioning,
 )
+from extenders.construct import _check_result
 from _oracles import poly_h, pure_complexes, random_nonpure_complex
 
 fs = frozenset
@@ -311,6 +313,44 @@ def test_h_decomposition_rejects_bad_certificates():
                             IntervalPartition.of([]), ())
     with pytest.raises(InvalidResult):
         h_decomposition(broken)
+
+
+def _handmade(extender, base, extender_pairs, relative_pairs):
+    return ExtenderResult(extender, base, IntervalPartition.of(extender_pairs),
+                          IntervalPartition.of(relative_pairs), ())
+
+
+TRIANGLE_PLUS_VERTEX = build_complex([[1, 2], [1, 3], [2, 3], [4]])
+LAYERED = [([], [1, 2]), ([3], [1, 3]), ([2, 3], [2, 3]), ([4], [4])]
+UNLAYERED = [([], [4]), ([1], [1, 2]), ([3], [1, 3]), ([2], [2, 3])]
+
+
+def test_check_result_accepts_handmade_results():
+    _check_result(_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED, []),
+                  pure=False)
+    path = build_complex([[1, 2], [2, 3]])
+    _check_result(_handmade(path, build_complex([[1, 2]]),
+                            [([], [1, 2]), ([3], [2, 3])], [([3], [2, 3])]), pure=True)
+
+
+@pytest.mark.parametrize("result, pure, message", [
+    (_handmade(build_complex([[1, 2, 3]]), build_complex([[1, 2]]),
+               [([], [1, 2, 3])], [([3], [1, 2, 3])]),
+     False, "extender changed the dimension"),
+    (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED[:3], []),
+     False, "extender certificate: face {4} is not covered"),
+    (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED, [([4], [4])]),
+     False, "relative certificate: top of [{4}, {4}] is not a member"),
+    (_handmade(build_complex([[1, 2], [2, 3]]), build_complex([[1, 2], [3]]),
+               [([], [1, 2]), ([3], [2, 3])], [([2, 3], [2, 3])]),
+     False, "facet depth of {3} changed"),
+    (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, UNLAYERED, []),
+     False, "extender certificate is not layer-compatible"),
+])
+def test_check_result_names_the_failed_check(result, pure, message):
+    with pytest.raises(InternalCheckError) as excinfo:
+        _check_result(result, pure)
+    assert str(excinfo.value) == message
 
 
 def test_size_estimate_base_values():

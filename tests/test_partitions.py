@@ -1,3 +1,6 @@
+import itertools
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +14,7 @@ from extenders import (
     adjoin_face,
     build_complex,
     check_shelling_order,
+    f_triangle,
     find_partitioning,
     find_shelling,
     h_from_partitioning,
@@ -20,7 +24,14 @@ from extenders import (
     relative_family,
     verify_partitioning,
 )
-from _oracles import naive_find_partitioning, small_complexes
+from _oracles import (
+    all_partitionings,
+    cycles_with_faces,
+    f_triangle_by_definition,
+    layer_compatible_by_definition,
+    naive_find_partitioning,
+    small_complexes,
+)
 
 fs = frozenset
 
@@ -223,6 +234,36 @@ def test_layer_compatible_implies_h_compatible(c):
     p = find_partitioning(c)
     if p is not None and is_layer_compatible(c, p):
         assert is_h_compatible(c, p)
+
+
+def _oracle_families(c, small_faces):
+    """The complex itself and its relative family over a subcomplex."""
+    return c.as_family(), relative_family(c, build_complex(small_faces))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cycles_with_faces(), st.data())
+def test_f_triangle_and_layer_check_match_oracles(c, data):
+    faces = c.sorted_faces()
+    small_faces = data.draw(st.lists(st.sampled_from(faces), max_size=2))
+    for fam in _oracle_families(c, small_faces):
+        members, d = fam.members, fam.ambient_dim
+        assert f_triangle(fam) == f_triangle_by_definition(members, d)
+        for pairs in itertools.islice(all_partitionings(members), 12):
+            p = IntervalPartition.of(pairs)
+            assert is_layer_compatible(fam, p) == \
+                layer_compatible_by_definition(members, d, pairs)
+
+
+def test_cycle_with_vertex_has_both_layer_verdicts():
+    # The empty face may top out at the vertex 5 instead of at an edge.
+    c = build_complex([[1, 2], [2, 3], [3, 4], [4, 1], [5]])
+    verdicts = set()
+    for pairs in all_partitionings(c.faces):
+        verdict = is_layer_compatible(c, IntervalPartition.of(pairs))
+        assert verdict == layer_compatible_by_definition(c.faces, c.dim, pairs)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_check_shelling_order_triangle_boundary():

@@ -5,8 +5,16 @@ facet per line, whitespace-separated labels, a lone "-" for the empty
 facet, an empty file for the void complex), runs constructions and
 checks, and emits human-readable text or canonical JSON reports.
 
+Every command returns a :class:`_Report`; :func:`emit` alone wraps it in
+the ``{command, input, result, certificates}`` envelope and prints it, and
+the text lines are rendered from the same ``result``.
+
 Exit status: 0 for success / true, 1 for false / not partitionable /
-no extender / not shellable, 2 for input errors.
+no extender / not shellable, 2 when no answer can be given.  Each failure
+prints exactly one line on stderr: ``error: ...`` for bad input (missing,
+undecodable, unparsable or out of domain), ``internal error: ...`` when a
+construction's self-check fails, which is a bug in the library, not in the
+input.  Both exit with status 2.
 """
 
 from __future__ import annotations
@@ -15,13 +23,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
     build_complex,
     f_triangle,
     f_vector,
+    face_key,
     face_of,
     format_face,
     h_triangle,
@@ -29,13 +38,12 @@ from .complexes import (
     relative_family,
 )
 from .construct import (
-    ExtenderResult,
     extender_for_complex,
     nonpure_extender_for_complex,
     size_estimate,
     total_size_estimate,
 )
-from .errors import ExtendersError, SizeLimitExceeded
+from .errors import ExtendersError, InternalCheckError, SizeLimitExceeded
 from .homology import (
     FieldSpec,
     NoExtender,
@@ -69,8 +77,15 @@ class ComplexDocument:
     name: str
     path: str
 
-    def facets_json(self):
-        return [sorted(f) for f in self.complex.sorted_facets()]
+
+class _Report(NamedTuple):
+    """What a command found; :func:`emit` adds the command name."""
+
+    status: int
+    input: dict
+    result: dict
+    lines: list
+    certificates: Sequence = ()
 
 
 def _parse_text_complex(text: str, path: str) -> list:
@@ -100,44 +115,61 @@ def _parse_text_complex(text: str, path: str) -> list:
     return facets
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-    except RecursionError:
-        raise InputError(f"{path}: invalid JSON: nested too deeply")
-
-
-def load_complex_document(path: str) -> ComplexDocument:
+def _read(path: str, text_ok: bool = True):
+    """Read ``path`` once, as UTF-8 text, and return its JSON value; with
+    ``text_ok``, text that does not open with ``{`` or ``[`` is returned
+    as it is, for the plain-text face format."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        data = _load_json(path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    if text_ok and not text.lstrip().startswith(("{", "[")):
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply")
+    except ValueError as exc:  # an integer beyond the conversion limit
+        raise InputError(f"{path}: invalid JSON: {exc}")
+
+
+def _faces(raw, path: str) -> list:
+    """Faces from a list of label lists: a complex, an order, or the
+    ``facets`` and ``minus`` lists of a certificate."""
+    try:
+        return [face_of(f) for f in raw]
+    except ExtendersError as exc:
+        raise InputError(f"{path}: {exc}")
+    except TypeError:
+        raise InputError(f"{path}: faces must be arrays of integer labels")
+
+
+def _intervals(records, path: str) -> IntervalPartition:
+    try:
+        return IntervalPartition.from_records(records)
+    except (ExtendersError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: bad interval record: {exc}")
+
+
+def load_complex_document(path: str) -> ComplexDocument:
+    data = _read(path)
+    name = _stem(path)
+    if isinstance(data, str):
+        raw_facets = _parse_text_complex(data, path)
+    else:
         if isinstance(data, list):
             data = {"facets": data}
         if not isinstance(data, dict) or "facets" not in data:
             raise InputError(f"{path}: expected an object with a 'facets' key")
         raw_facets = data["facets"]
-        name = data.get("name") or _stem(path)
-    else:
-        raw_facets = _parse_text_complex(text, path)
-        name = _stem(path)
-    try:
-        facets = [face_of(f) for f in raw_facets]
-    except ExtendersError as exc:
-        raise InputError(f"{path}: {exc}")
-    except TypeError:
-        raise InputError(f"{path}: facets must be arrays of integer labels")
-    return ComplexDocument(build_complex(facets), name, path)
+        name = data.get("name") or name
+    return ComplexDocument(build_complex(_faces(raw_facets, path)), name, path)
 
 
 def _stem(path: str) -> str:
@@ -146,43 +178,44 @@ def _stem(path: str) -> str:
 
 
 def load_intervals(path: str) -> IntervalPartition:
-    data = _load_json(path)
+    data = _read(path, text_ok=False)
     if isinstance(data, dict):
         data = data.get("intervals")
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a list of bottom/top records")
-    try:
-        return IntervalPartition.from_records(data)
-    except (ExtendersError, KeyError, TypeError) as exc:
-        raise InputError(f"{path}: bad interval record: {exc}")
+    return _intervals(data, path)
 
 
 def load_face_order(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        data = _load_json(path)
-        if isinstance(data, dict):
-            data = data.get("facets")
-        if not isinstance(data, list):
-            raise InputError(f"{path}: expected a list of faces")
-        return [face_of(f) for f in data]
-    return [face_of(f) for f in _parse_text_complex(text, path)]
+    data = _read(path)
+    if isinstance(data, str):
+        data = _parse_text_complex(data, path)
+    elif isinstance(data, dict):
+        data = data.get("facets")
+    if not isinstance(data, list):
+        raise InputError(f"{path}: expected a list of faces")
+    return _faces(data, path)
 
 
-def _field(args) -> FieldSpec:
-    try:
-        return FieldSpec(args.char)
-    except ExtendersError as exc:
-        raise InputError(str(exc))
+def _minus(args) -> Optional[SimplicialComplex]:
+    return load_complex_document(args.minus).complex if args.minus else None
+
+
+def _family(c: SimplicialComplex, minus: Optional[SimplicialComplex]):
+    return c.as_family() if minus is None else relative_family(c, minus)
+
+
+def _face_lists(faces) -> list:
+    """Faces as sorted label lists, by size and then lexicographically."""
+    return [sorted(f) for f in sorted(faces, key=face_key)]
 
 
 def _triangle_json(triangle):
     return [list(row) for row in triangle]
+
+
+def _triangle_text(triangle) -> str:
+    return "; ".join(f"row {i}: {tuple(row)}" for i, row in enumerate(triangle))
 
 
 def _complex_summary(doc: ComplexDocument) -> dict:
@@ -190,36 +223,38 @@ def _complex_summary(doc: ComplexDocument) -> dict:
     return {
         "name": doc.name,
         "path": doc.path,
-        "facets": doc.facets_json(),
+        "facets": _face_lists(c.facets),
         "dimension": c.dim,
         "void": c.is_void,
         "pure": c.is_pure,
     }
 
 
-def emit(args, report: dict, text_lines: list) -> None:
+def emit(args, report: _Report) -> None:
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        envelope = {"command": args.subcommand, "input": report.input,
+                    "result": report.result, "certificates": report.certificates}
+        print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
+        for line in report.lines:
             print(line)
 
 
-def _certificate(label: str, facets, minus, partition: IntervalPartition) -> dict:
+def _certificate(label: str, facets, minus, records: list) -> dict:
     return {
         "label": label,
-        "facets": [sorted(f) for f in sorted(facets, key=lambda x: (len(x), sorted(x)))],
-        "minus": None if minus is None else [
-            sorted(f) for f in sorted(minus, key=lambda x: (len(x), sorted(x)))],
-        "intervals": partition.to_records(),
+        "facets": _face_lists(facets),
+        "minus": None if minus is None else _face_lists(minus),
+        "intervals": records,
     }
 
 
-def _format_intervals(partition: IntervalPartition) -> list:
-    return ["  [%s, %s]" % (format_face(b), format_face(t)) for b, t in partition]
+def _format_intervals(records: list) -> list:
+    return ["  [%s, %s]" % (format_face(r["bottom"]), format_face(r["top"]))
+            for r in records]
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> _Report:
     doc = load_complex_document(args.complex)
     c = doc.complex
     result = {
@@ -232,126 +267,92 @@ def cmd_info(args) -> int:
         "h_triangle": _triangle_json(h_triangle(c)),
         "num_faces": len(c.faces),
     }
-    report = {"command": "info", "input": _complex_summary(doc),
-              "result": result, "certificates": []}
     lines = [
         f"name: {doc.name}",
-        f"dimension: {c.dim}",
-        f"pure: {'yes' if c.is_pure else 'no'}",
-        f"void: {'yes' if c.is_void else 'no'}",
-        f"faces: {len(c.faces)}",
-        f"f-vector: {f_vector(c)}",
-        f"h-vector: {h_vector(c)}",
-        "f-triangle: " + "; ".join(
-            f"row {i}: {row}" for i, row in enumerate(f_triangle(c))),
-        "h-triangle: " + "; ".join(
-            f"row {i}: {row}" for i, row in enumerate(h_triangle(c))),
+        f"dimension: {result['dimension']}",
+        f"pure: {'yes' if result['pure'] else 'no'}",
+        f"void: {'yes' if result['void'] else 'no'}",
+        f"faces: {result['num_faces']}",
+        f"f-vector: {tuple(result['f_vector'])}",
+        f"h-vector: {tuple(result['h_vector'])}",
+        "f-triangle: " + _triangle_text(result["f_triangle"]),
+        "h-triangle: " + _triangle_text(result["h_triangle"]),
     ]
-    emit(args, report, lines)
-    return OK
+    return _Report(OK, _complex_summary(doc), result, lines)
 
 
-def cmd_partitionable(args) -> int:
+def cmd_partitionable(args) -> _Report:
     doc = load_complex_document(args.complex)
-    fam = doc.complex.as_family()
-    minus_doc = None
-    if args.minus:
-        minus_doc = load_complex_document(args.minus)
-        fam = relative_family(doc.complex, minus_doc.complex)
-    partition = find_partitioning(fam, max_members=args.max_faces)
+    minus = _minus(args)
+    partition = find_partitioning(_family(doc.complex, minus), max_members=args.max_faces)
     found = partition is not None
+    result = {"partitionable": found,
+              "intervals": partition.to_records() if found else None}
+    lines = [f"{doc.name}: " + ("partitionable" if found else "not partitionable")]
     certificates = []
     if found:
+        lines.extend(_format_intervals(result["intervals"]))
         certificates.append(_certificate(
             "partitioning", doc.complex.facets,
-            minus_doc.complex.facets if minus_doc else None, partition))
-    report = {
-        "command": "partitionable",
-        "input": _complex_summary(doc),
-        "result": {
-            "partitionable": found,
-            "intervals": partition.to_records() if found else None,
-        },
-        "certificates": certificates,
-    }
-    lines = [f"{doc.name}: " + ("partitionable" if found else "not partitionable")]
-    if found:
-        lines.extend(_format_intervals(partition))
-    emit(args, report, lines)
-    return OK if found else FALSE
+            None if minus is None else minus.facets, result["intervals"]))
+    return _Report(OK if found else FALSE, _complex_summary(doc), result, lines,
+                   certificates)
 
 
-def cmd_verify_partition(args) -> int:
+def cmd_verify_partition(args) -> _Report:
     if args.intervals is None:
-        return _verify_report_document(args)
+        return _verify_report_document(args.complex)
     doc = load_complex_document(args.complex)
     partition = load_intervals(args.intervals)
-    if args.minus:
-        fam = relative_family(doc.complex, load_complex_document(args.minus).complex)
-    else:
-        fam = doc.complex.as_family()
-    outcome = verify_partitioning(fam, partition)
-    report = {
-        "command": "verify-partition",
-        "input": _complex_summary(doc),
-        "result": {
-            "valid": outcome.valid,
-            "violation": outcome.violation,
-            "interval_stats": [
-                {"top_size": i, "bottom_size": j, "count": n}
-                for (i, j), n in outcome.interval_stats],
-        },
-        "certificates": [],
+    outcome = verify_partitioning(_family(doc.complex, _minus(args)), partition)
+    result = {
+        "valid": outcome.valid,
+        "violation": outcome.violation,
+        "interval_stats": [
+            {"top_size": i, "bottom_size": j, "count": n}
+            for (i, j), n in outcome.interval_stats],
     }
-    lines = ["valid" if outcome.valid else f"invalid: {outcome.violation}"]
-    emit(args, report, lines)
-    return OK if outcome.valid else FALSE
+    lines = ["valid" if result["valid"] else f"invalid: {result['violation']}"]
+    return _Report(OK if outcome.valid else FALSE, _complex_summary(doc), result, lines)
 
 
-def _verify_report_document(args) -> int:
-    data = _load_json(args.complex)
+def _verify_report_document(path: str) -> _Report:
+    data = _read(path, text_ok=False)
     if not isinstance(data, dict) or not isinstance(data.get("certificates"), list):
         raise InputError(
-            f"{args.complex}: expected a report with a 'certificates' list "
+            f"{path}: expected a report with a 'certificates' list "
             f"(or pass an intervals file as the second argument)")
     results = []
-    all_valid = True
     for cert in data["certificates"]:
         try:
-            big = build_complex([face_of(f) for f in cert["facets"]])
-            minus = cert.get("minus")
-            partition = IntervalPartition.from_records(cert["intervals"])
-        except (ExtendersError, KeyError, TypeError) as exc:
-            raise InputError(f"{args.complex}: bad certificate: {exc}")
-        if minus is None:
-            fam = big.as_family()
-        else:
-            fam = relative_family(big, build_complex([face_of(f) for f in minus]))
-        outcome = verify_partitioning(fam, partition)
-        all_valid = all_valid and outcome.valid
+            facets, records, minus = cert["facets"], cert["intervals"], cert.get("minus")
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"{path}: bad certificate: {exc}")
+        big = build_complex(_faces(facets, path))
+        partition = _intervals(records, path)
+        small = None if minus is None else build_complex(_faces(minus, path))
+        outcome = verify_partitioning(_family(big, small), partition)
         results.append({
             "label": cert.get("label"),
             "valid": outcome.valid,
             "violation": outcome.violation,
         })
-    report = {
-        "command": "verify-partition",
-        "input": {"path": args.complex},
-        "result": {"valid": all_valid, "certificates_checked": results},
-        "certificates": [],
-    }
+    all_valid = all(r["valid"] for r in results)
+    result = {"valid": all_valid, "certificates_checked": results}
     lines = [
         f"{r['label'] or 'certificate'}: "
         + ("valid" if r["valid"] else f"invalid: {r['violation']}")
         for r in results]
     lines.append("all valid" if all_valid else "invalid")
-    emit(args, report, lines)
-    return OK if all_valid else FALSE
+    return _Report(OK if all_valid else FALSE, {"path": path}, result, lines)
 
 
-def _extender_report(doc: ComplexDocument, res: ExtenderResult) -> dict:
+def cmd_build_extender(args) -> _Report:
+    doc = load_complex_document(args.complex)
+    build = nonpure_extender_for_complex if args.nonpure else extender_for_complex
+    res = build(doc.complex)
     base, extender = res.base, res.extender
-    relative = relative_family(extender, base)
+    families = {"base": base, "extender": extender, "relative": res.relative}
     log = []
     for entry in res.attachment_log:
         log.append({
@@ -361,197 +362,121 @@ def _extender_report(doc: ComplexDocument, res: ExtenderResult) -> dict:
             "extender_intervals": entry.with_face_intervals.to_records(),
             "relative_intervals": entry.without_face_intervals.to_records(),
         })
-    return {
-        "command": "build-extender",
-        "input": _complex_summary(doc),
-        "result": {
-            "base_facets": [sorted(f) for f in base.sorted_facets()],
-            "extender_facets": [sorted(f) for f in extender.sorted_facets()],
-            "extender_partition": res.extender_partition.to_records(),
-            "relative_partition": res.relative_partition.to_records(),
-            "h": {
-                "base": list(h_vector(base)),
-                "extender": list(h_vector(extender)),
-                "relative": list(h_vector(relative)),
-            },
-            "h_triangle": {
-                "base": _triangle_json(h_triangle(base)),
-                "extender": _triangle_json(h_triangle(extender)),
-                "relative": _triangle_json(h_triangle(relative)),
-            },
-            "added_vertices": len(extender.vertices) - len(base.vertices),
-            "added_faces": len(extender.faces) - len(base.faces),
-            "estimated_added_faces": total_size_estimate(base),
-            "attachment_log": log,
-        },
-        "certificates": [
-            _certificate("extender", extender.facets, None, res.extender_partition),
-            _certificate("relative", extender.facets, base.facets,
-                         res.relative_partition),
-        ],
+    result = {
+        "base_facets": _face_lists(base.facets),
+        "extender_facets": _face_lists(extender.facets),
+        "extender_partition": res.extender_partition.to_records(),
+        "relative_partition": res.relative_partition.to_records(),
+        "h": {name: list(h_vector(x)) for name, x in families.items()},
+        "h_triangle": {name: _triangle_json(tri)
+                       for name, tri in zip(families, res.h_triangles)},
+        "added_vertices": len(extender.vertices) - len(base.vertices),
+        "added_faces": len(extender.faces) - len(base.faces),
+        "estimated_added_faces": total_size_estimate(base),
+        "attachment_log": log,
     }
-
-
-def cmd_build_extender(args) -> int:
-    doc = load_complex_document(args.complex)
-    if args.nonpure:
-        res = nonpure_extender_for_complex(doc.complex)
-    else:
-        res = extender_for_complex(doc.complex)
-    report = _extender_report(doc, res)
-    result = report["result"]
     lines = [
         f"base: {doc.name}, dimension {doc.complex.dim}",
-        f"extender facets: {len(res.extender.facets)}",
+        f"extender facets: {len(result['extender_facets'])}",
         f"added vertices: {result['added_vertices']}",
         f"added faces: {result['added_faces']}",
-        f"h(base) = {h_vector(res.base)}",
-        f"h(extender) = {tuple(result['h']['extender'])}",
-        f"h(relative) = {tuple(result['h']['relative'])}",
+        *(f"h({name}) = {tuple(h)}" for name, h in result["h"].items()),
         "extender partitioning:",
-        *_format_intervals(res.extender_partition),
+        *_format_intervals(result["extender_partition"]),
         "relative partitioning:",
-        *_format_intervals(res.relative_partition),
+        *_format_intervals(result["relative_partition"]),
     ]
-    emit(args, report, lines)
-    return OK
+    certificates = [
+        _certificate("extender", extender.facets, None, result["extender_partition"]),
+        _certificate("relative", extender.facets, base.facets,
+                     result["relative_partition"]),
+    ]
+    return _Report(OK, _complex_summary(doc), result, lines, certificates)
 
 
-def cmd_depth(args) -> int:
+def cmd_depth(args) -> _Report:
     doc = load_complex_document(args.complex)
-    field = _field(args)
+    field = FieldSpec(args.char)
     value = depth(doc.complex, field)
-    report = {
-        "command": "depth",
-        "input": _complex_summary(doc),
-        "result": {
-            "depth": value,
-            "homology": homology_report(reduced_betti(doc.complex, field), field),
-        },
-        "certificates": [],
+    result = {
+        "depth": value,
+        "homology": homology_report(reduced_betti(doc.complex, field), field),
     }
-    emit(args, report, [f"depth: {value}"])
-    return OK
+    return _Report(OK, _complex_summary(doc), result, [f"depth: {value}"])
 
 
-def cmd_cm_check(args) -> int:
+def cmd_cm_check(args) -> _Report:
     doc = load_complex_document(args.complex)
-    field = _field(args)
+    field = FieldSpec(args.char)
     verdict = is_cohen_macaulay(doc.complex, field)
-    report = {
-        "command": "cm-check",
-        "input": _complex_summary(doc),
-        "result": {
-            "cohen_macaulay": verdict,
-            "homology": homology_report(reduced_betti(doc.complex, field), field),
-        },
-        "certificates": [],
+    result = {
+        "cohen_macaulay": verdict,
+        "homology": homology_report(reduced_betti(doc.complex, field), field),
     }
-    emit(args, report,
-         ["Cohen-Macaulay" if verdict else "not Cohen-Macaulay"])
-    return OK if verdict else FALSE
+    return _Report(OK if verdict else FALSE, _complex_summary(doc), result,
+                   ["Cohen-Macaulay" if verdict else "not Cohen-Macaulay"])
 
 
-def cmd_rel_cm_check(args) -> int:
+def cmd_rel_cm_check(args) -> _Report:
     big_doc = load_complex_document(args.complex)
     small_doc = load_complex_document(args.subcomplex)
-    verdict = is_relative_cm(big_doc.complex, small_doc.complex, _field(args))
-    report = {
-        "command": "rel-cm-check",
-        "input": {"pair": [_complex_summary(big_doc), _complex_summary(small_doc)]},
-        "result": {"relative_cohen_macaulay": verdict,
-                   "field_characteristic": args.char},
-        "certificates": [],
-    }
-    emit(args, report,
-         ["relative Cohen-Macaulay" if verdict else "not relative Cohen-Macaulay"])
-    return OK if verdict else FALSE
+    verdict = is_relative_cm(big_doc.complex, small_doc.complex, FieldSpec(args.char))
+    summary = {"pair": [_complex_summary(big_doc), _complex_summary(small_doc)]}
+    result = {"relative_cohen_macaulay": verdict, "field_characteristic": args.char}
+    return _Report(OK if verdict else FALSE, summary, result,
+                   ["relative Cohen-Macaulay" if verdict else "not relative Cohen-Macaulay"])
 
 
-def cmd_cm_extender(args) -> int:
+def cmd_cm_extender(args) -> _Report:
     doc = load_complex_document(args.complex)
-    outcome = cm_extender(doc.complex, _field(args))
+    outcome = cm_extender(doc.complex, FieldSpec(args.char))
     if isinstance(outcome, NoExtender):
-        report = {
-            "command": "cm-extender",
-            "input": _complex_summary(doc),
-            "result": {
-                "exists": False,
-                "witness_face": sorted(outcome.witness_face),
-                "witness_degree": outcome.witness_degree,
-            },
-            "certificates": [],
+        result = {
+            "exists": False,
+            "witness_face": sorted(outcome.witness_face),
+            "witness_degree": outcome.witness_degree,
         }
-        emit(args, report, [
-            "no Cohen-Macaulay extender: link of "
-            f"{format_face(outcome.witness_face)} has homology in degree "
-            f"{outcome.witness_degree}"])
-        return FALSE
-    report = {
-        "command": "cm-extender",
-        "input": _complex_summary(doc),
-        "result": {
-            "exists": True,
-            "extender_facets": [sorted(f) for f in outcome.extender.sorted_facets()],
-            "relative_members": len(outcome.relative.members),
-        },
-        "certificates": [],
+        lines = ["no Cohen-Macaulay extender: link of "
+                 f"{format_face(result['witness_face'])} has homology in degree "
+                 f"{result['witness_degree']}"]
+        return _Report(FALSE, _complex_summary(doc), result, lines)
+    result = {
+        "exists": True,
+        "extender_facets": _face_lists(outcome.extender.facets),
+        "relative_members": len(outcome.relative.members),
     }
-    lines = [f"Cohen-Macaulay extender with {len(outcome.extender.facets)} facets",
-             f"relative members: {len(outcome.relative.members)}"]
-    emit(args, report, lines)
-    return OK
+    lines = [f"Cohen-Macaulay extender with {len(result['extender_facets'])} facets",
+             f"relative members: {result['relative_members']}"]
+    return _Report(OK, _complex_summary(doc), result, lines)
 
 
-def cmd_shelling_check(args) -> int:
+def cmd_shelling_check(args) -> _Report:
     doc = load_complex_document(args.complex)
     order = load_face_order(args.order)
-    small = load_complex_document(args.minus).complex if args.minus else None
-    verdict = check_shelling_order(doc.complex, order, small)
-    report = {
-        "command": "shelling-check",
-        "input": _complex_summary(doc),
-        "result": {"shelling_order": verdict,
-                   "order": [sorted(f) for f in order]},
-        "certificates": [],
-    }
-    emit(args, report, ["valid shelling order" if verdict else "not a shelling order"])
-    return OK if verdict else FALSE
+    verdict = check_shelling_order(doc.complex, order, _minus(args))
+    result = {"shelling_order": verdict, "order": [sorted(f) for f in order]}
+    return _Report(OK if verdict else FALSE, _complex_summary(doc), result,
+                   ["valid shelling order" if verdict else "not a shelling order"])
 
 
-def cmd_shellable(args) -> int:
+def cmd_shellable(args) -> _Report:
     doc = load_complex_document(args.complex)
-    small = load_complex_document(args.minus).complex if args.minus else None
-    order = find_shelling(doc.complex, small, max_facets=args.max_facets)
+    order = find_shelling(doc.complex, _minus(args), max_facets=args.max_facets)
     found = order is not None
-    report = {
-        "command": "shellable",
-        "input": _complex_summary(doc),
-        "result": {"shellable": found,
-                   "order": [sorted(f) for f in order] if found else None},
-        "certificates": [],
-    }
+    result = {"shellable": found,
+              "order": [sorted(f) for f in order] if found else None}
     lines = [f"{doc.name}: " + ("shellable" if found else "not shellable")]
     if found:
-        lines.append("order: " + " ".join(format_face(f) for f in order))
-    emit(args, report, lines)
-    return OK if found else FALSE
+        lines.append("order: " + " ".join(format_face(f) for f in result["order"]))
+    return _Report(OK if found else FALSE, _complex_summary(doc), result, lines)
 
 
-def cmd_estimate_size(args) -> int:
-    try:
-        exact, bound = size_estimate(args.d, args.k)
-    except ExtendersError as exc:
-        raise InputError(str(exc))
-    report = {
-        "command": "estimate-size",
-        "input": {"d": args.d, "k": args.k},
-        "result": {"recurrence": exact, "upper_bound": bound},
-        "certificates": [],
-    }
-    emit(args, report, [f"recurrence g({args.k}) = {exact}",
-                        f"upper bound 2^(2^{args.k}-1+{args.d}) = {bound}"])
-    return OK
+def cmd_estimate_size(args) -> _Report:
+    exact, bound = size_estimate(args.d, args.k)
+    result = {"recurrence": exact, "upper_bound": bound}
+    lines = [f"recurrence g({args.k}) = {exact}",
+             f"upper bound 2^(2^{args.k}-1+{args.d}) = {bound}"]
+    return _Report(OK, {"d": args.d, "k": args.k}, result, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,88 +486,80 @@ def build_parser() -> argparse.ArgumentParser:
                     "Cohen-Macaulay checks for simplicial complexes.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true",
-                       help="emit a canonical JSON report")
+    shared = {name: argparse.ArgumentParser(add_help=False)
+              for name in ("json", "char", "minus")}
+    shared["json"].add_argument("--json", action="store_true",
+                                help="emit a canonical JSON report")
+    shared["char"].add_argument("--char", type=int, default=0,
+                                help="field characteristic")
+    shared["minus"].add_argument("--minus",
+                                 help="subcomplex for a relative family or pair")
+
+    def add(name, func, help, positionals=("complex",), flags=()):
+        p = sub.add_parser(name, help=help,
+                           parents=[shared["json"], *(shared[f] for f in flags)])
+        for positional in positionals:
+            p.add_argument(positional)
         p.set_defaults(func=func)
         return p
 
-    p = add("info", cmd_info, help="f/h-vectors, triangles, purity, dimension")
-    p.add_argument("complex")
+    add("info", cmd_info, "f/h-vectors, triangles, purity, dimension")
 
-    p = add("partitionable", cmd_partitionable,
-            help="search for an interval partitioning")
-    p.add_argument("complex")
-    p.add_argument("--minus", help="subcomplex for a relative family")
+    p = add("partitionable", cmd_partitionable, "search for an interval partitioning",
+            flags=["minus"])
     p.add_argument("--max-faces", type=int, default=DEFAULT_MAX_MEMBERS,
                    help="search bound on family members")
 
     p = add("verify-partition", cmd_verify_partition,
-            help="verify an interval file against a complex or pair, or "
-                 "re-verify an emitted report")
-    p.add_argument("complex")
+            "verify an interval file against a complex or pair, or "
+            "re-verify an emitted report", flags=["minus"])
     p.add_argument("intervals", nargs="?")
-    p.add_argument("--minus", help="subcomplex for a relative family")
 
     p = add("build-extender", cmd_build_extender,
-            help="construct a verified partition extender")
-    p.add_argument("complex")
+            "construct a verified partition extender")
     p.add_argument("--nonpure", action="store_true",
                    help="depth-preserving construction for nonpure complexes")
 
-    p = add("depth", cmd_depth, help="homological depth of the face ring")
-    p.add_argument("complex")
-    p.add_argument("--char", type=int, default=0, help="field characteristic")
+    add("depth", cmd_depth, "homological depth of the face ring", flags=["char"])
+    add("cm-check", cmd_cm_check, "Cohen-Macaulay test", flags=["char"])
+    add("rel-cm-check", cmd_rel_cm_check, "relative Cohen-Macaulay test",
+        positionals=("complex", "subcomplex"), flags=["char"])
+    add("cm-extender", cmd_cm_extender,
+        "Cohen-Macaulay extender or obstruction witness", flags=["char"])
+    add("shelling-check", cmd_shelling_check, "verify a shelling order",
+        positionals=("complex", "order"), flags=["minus"])
 
-    p = add("cm-check", cmd_cm_check, help="Cohen-Macaulay test")
-    p.add_argument("complex")
-    p.add_argument("--char", type=int, default=0, help="field characteristic")
-
-    p = add("rel-cm-check", cmd_rel_cm_check, help="relative Cohen-Macaulay test")
-    p.add_argument("complex")
-    p.add_argument("subcomplex")
-    p.add_argument("--char", type=int, default=0, help="field characteristic")
-
-    p = add("cm-extender", cmd_cm_extender,
-            help="Cohen-Macaulay extender or obstruction witness")
-    p.add_argument("complex")
-    p.add_argument("--char", type=int, default=0, help="field characteristic")
-
-    p = add("shelling-check", cmd_shelling_check, help="verify a shelling order")
-    p.add_argument("complex")
-    p.add_argument("order")
-    p.add_argument("--minus", help="subcomplex for a relative pair")
-
-    p = add("shellable", cmd_shellable, help="search for a shelling order")
-    p.add_argument("complex")
-    p.add_argument("--minus", help="subcomplex for a relative pair")
+    p = add("shellable", cmd_shellable, "search for a shelling order", flags=["minus"])
     p.add_argument("--max-facets", type=int, default=DEFAULT_MAX_FACETS,
                    help="search bound on facet count")
 
     p = add("estimate-size", cmd_estimate_size,
-            help="face-count recurrence and bound for one gadget")
+            "face-count recurrence and bound for one gadget", positionals=())
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
 
     return parser
 
 
+def _error_line(exc: Exception) -> str:
+    if isinstance(exc, InternalCheckError):
+        return f"internal error: {exc}"
+    if isinstance(exc, SizeLimitExceeded):
+        flag = "--max-facets" if exc.parameter == "max_facets" else "--max-faces"
+        return f"error: {exc} (raise with {flag})"
+    return f"error: {exc}"
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        report = args.func(args)
+    except (InputError, ExtendersError) as exc:
+        print(_error_line(exc), file=sys.stderr)
         return INPUT_ERROR
-    except SizeLimitExceeded as exc:
-        flag = "--max-facets" if exc.parameter == "max_facets" else "--max-faces"
-        print(f"error: {exc} (raise with {flag})", file=sys.stderr)
-        return INPUT_ERROR
-    except ExtendersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    emit(args, report)
+    return report.status
 
 
 if __name__ == "__main__":

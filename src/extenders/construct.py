@@ -21,7 +21,7 @@ each certificate once; the nonpure checks then read facet-size maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional
 
@@ -100,6 +100,16 @@ class ExtenderResult:
     extender_partition: IntervalPartition
     relative_partition: IntervalPartition
     attachment_log: tuple
+
+    @cached_property
+    def relative(self) -> FaceFamily:
+        """The relative family: faces of the extender not in the base."""
+        return relative_family(self.extender, self.base)
+
+    @cached_property
+    def h_triangles(self) -> tuple:
+        """h-triangles of the base, the extender and the relative family."""
+        return tuple(h_triangle(x) for x in (self.base, self.extender, self.relative))
 
 
 def _ensure_valid(fam: FaceFamily, p: IntervalPartition, what: str) -> PartitionReport:
@@ -266,19 +276,19 @@ def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
 
 def _check_result(result: ExtenderResult, pure: bool) -> None:
     """Re-verify a result: each certificate is validated once, and the
-    nonpure checks read the facet-size maps of the three families."""
+    nonpure checks read the facet-size maps of the three families and the
+    result's h-triangles."""
     extender, base = result.extender, result.base
     if extender.dim != base.dim:
         raise InternalCheckError("extender changed the dimension")
-    relative = relative_family(extender, base)
     certificates = (("extender", extender.as_family(), result.extender_partition),
-                    ("relative", relative, result.relative_partition))
+                    ("relative", result.relative, result.relative_partition))
     reports = [_ensure_valid(fam, p, f"{what} certificate")
                for what, fam, p in certificates]
     if pure:
         h_base = h_vector(base)
         h_diff = tuple(a - b for a, b in
-                       zip(h_vector(extender), h_vector(relative)))
+                       zip(h_vector(extender), h_vector(result.relative)))
         if h_diff != h_base:
             raise InternalCheckError(
                 f"h-vector identity failed: {h_diff} != {h_base}")
@@ -288,7 +298,7 @@ def _check_result(result: ExtenderResult, pure: bool) -> None:
     for sigma in base.faces:
         if base_sizes[sigma] != sizes[0][sigma]:  # sizes[0]: the extender's
             raise InternalCheckError(f"facet depth of {format_face(sigma)} changed")
-    h_tris = [h_triangle(fam) for _, fam, _ in certificates]
+    base_tri, *h_tris = result.h_triangles
     for (what, _, p), report, fam_sizes, h_tri in zip(
             certificates, reports, sizes, h_tris):
         if not _layer_compatible(p, fam_sizes):
@@ -297,7 +307,7 @@ def _check_result(result: ExtenderResult, pure: bool) -> None:
             raise InternalCheckError(f"{what} certificate is not h-compatible")
     tri_diff = tuple(tuple(a - b for a, b in zip(row_big, row_rel))
                      for row_big, row_rel in zip(*h_tris))
-    if tri_diff != h_triangle(base):
+    if tri_diff != base_tri:
         raise InternalCheckError("h-triangle identity failed")
 
 
@@ -324,14 +334,13 @@ def h_decomposition(result: ExtenderResult) -> tuple[tuple, tuple, tuple]:
 
     The difference must reproduce the h-vector of the base complex.
     """
-    relative = relative_family(result.extender, result.base)
     for what, fam, p in (
             ("extender", result.extender.as_family(), result.extender_partition),
-            ("relative", relative, result.relative_partition)):
+            ("relative", result.relative, result.relative_partition)):
         if not verify_partitioning(fam, p).valid:
             raise InvalidResult(f"{what} certificate does not verify")
     h_big = h_vector(result.extender)
-    h_rel = h_vector(relative)
+    h_rel = h_vector(result.relative)
     difference = tuple(a - b for a, b in zip(h_big, h_rel))
     expected = h_vector(result.base)
     if difference != expected:

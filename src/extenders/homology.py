@@ -218,14 +218,7 @@ def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
     its top allowed degree."""
     if c.is_void:
         raise VoidComplex("the void complex is outside this criterion")
-    d = c.dim
-    for sigma in c.faces:
-        profile = reduced_betti(link(c, sigma), field)
-        allowed = d - (len(sigma) - 1) - 1
-        for idx, value in enumerate(profile.betti):
-            if value and idx - 1 != allowed:
-                return False
-    return True
+    return is_relative_cm(c, None, field)
 
 
 def is_relative_cm(

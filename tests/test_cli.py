@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import extenders
+from extenders import cli, complexes
 from extenders.cli import main
+from extenders.errors import InternalCheckError
 
 BOWTIE = {"name": "bowtie", "facets": [[1, 2, 3], [3, 4, 5]]}
 TRIANGLE = {"facets": [[1, 2], [1, 3], [2, 3]]}
@@ -278,3 +284,106 @@ def test_build_extender_on_void_is_input_error(write, capsys):
     void = write("void.txt", "")
     status, _, err = run(capsys, "build-extender", void)
     assert status == 2 and "void" in err.lower()
+
+
+def _single_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "{bad}"],
+    ["info", "{bad_json}"],
+    ["verify-partition", "{triangle}", "{bad_json}"],
+    ["shelling-check", "{triangle}", "{bad}"],
+])
+def test_undecodable_file_is_input_error(argv, write, capsys, tmp_path):
+    paths = {"triangle": write("triangle.json", TRIANGLE)}
+    for name in ("bad", "bad_json"):
+        target = tmp_path / ("f.txt" if name == "bad" else "f.json")
+        target.write_bytes(b"\xff\xfe[[1, 2]]")
+        paths[name] = str(target)
+    status, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and "not UTF-8" in err
+
+
+def test_order_of_bare_labels_is_input_error(write, capsys):
+    triangle = write("triangle.json", TRIANGLE)
+    order = write("order.json", [1, 2])
+    status, out, err = run(capsys, "shelling-check", triangle, order)
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and err.startswith(f"error: {order}: ")
+
+
+def test_certificate_with_scalar_minus_is_input_error(write, capsys):
+    report = write("rep.json", {"certificates": [
+        {"facets": [[1, 2]], "minus": 5, "intervals": [{"bottom": [], "top": [1, 2]}]}]})
+    status, out, err = run(capsys, "verify-partition", report)
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and err.startswith(f"error: {report}: ")
+
+
+def test_oversized_json_integer_is_input_error(write, capsys):
+    path = write("big.json", "[[" + "1" * 5000 + "]]")
+    status, out, err = run(capsys, "info", path)
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and "invalid JSON" in err
+
+
+def test_internal_check_error_is_not_reported_as_input_error(write, capsys, monkeypatch):
+    def broken(c, field):
+        raise InternalCheckError("depth readings disagree")
+    monkeypatch.setattr(cli, "depth", broken)
+    status, out, err = run(capsys, "depth", write("bowtie.json", BOWTIE))
+    assert (status, out, err) == (2, "", "internal error: depth readings disagree\n")
+
+
+def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch):
+    calls = []
+    original = complexes.f_triangle
+    monkeypatch.setattr(complexes, "f_triangle", lambda x: calls.append(x) or original(x))
+    mixed = write("mixed.json", {"facets": [[1, 2, 3], [3, 4], [5]]})
+    status, _, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
+    assert status == 0 and len(calls) == 3
+
+
+# Faces have at most 5 labels: a wide facet makes build_complex exponential.
+# Bad labels come from the arbitrary JSON values.
+_face = st.lists(st.integers(min_value=0, max_value=5), max_size=5)
+_faces = st.lists(_face, max_size=5)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["facets", "minus", "intervals", "certificates",
+                         "bottom", "top", "label", "name"]), inner, max_size=4),
+    max_leaves=20)
+_records = st.lists(st.fixed_dictionaries({"bottom": _face, "top": _face}), max_size=5)
+_certificate = st.fixed_dictionaries(
+    {"facets": _faces, "intervals": _records},
+    optional={"minus": st.none() | _faces | _json, "label": _json})
+_documents = st.one_of(
+    _json, _faces, _records,
+    st.fixed_dictionaries({"facets": _faces}, optional={"name": _json}),
+    st.fixed_dictionaries({"certificates": st.lists(_certificate, max_size=2)}))
+_contents = st.binary(max_size=24) | _documents.map(lambda v: json.dumps(v).encode())
+_commands = st.sampled_from([
+    ["info", "a"], ["partitionable", "a"], ["partitionable", "a", "--minus", "b"],
+    ["verify-partition", "a"], ["verify-partition", "a", "b"],
+    ["shelling-check", "a", "b"]])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=_commands, first=_contents, second=_contents, as_json=st.booleans())
+def test_cli_is_total(command, first, second, as_json, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").write_bytes(first)
+    (tmp_path / "b").write_bytes(second)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(command + (["--json"] if as_json else []))
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert out.getvalue() == "" and _single_error_line(err.getvalue())
+    else:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")

@@ -366,6 +366,10 @@ def size_estimate(d: int, k: int) -> tuple[int, int]:
     """
     if not 0 <= k <= d:
         raise InvalidParameters(f"need 0 <= k <= d, got k={k}, d={d}")
+    # 2**14284 is the largest power of two that Python prints by default
+    # (4300 digits); d is tested first, so 2**k is never huge.
+    if d > 14284 or 2 ** k - 1 + d > 14284:
+        raise InvalidParameters(f"the bound 2^(2^{k}-1+{d}) has more than 4300 digits")
     return _growth_sequence(d, k)[k], 2 ** (2 ** k - 1 + d)
 
 

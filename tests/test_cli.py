@@ -260,6 +260,19 @@ def test_estimate_size(capsys):
     assert run(capsys, "estimate-size", "2", "5")[0] == 2
 
 
+@pytest.mark.parametrize("d,k", [("14", "14"), ("200", "200"), ("14285", "0")])
+def test_estimate_size_refuses_unprintable_bound(capsys, d, k):
+    status, out, err = run(capsys, "estimate-size", d, k)
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and "more than 4300 digits" in err
+
+
+def test_estimate_size_prints_largest_bound(capsys):
+    status, out, _ = run(capsys, "estimate-size", "14284", "0", "--json")
+    assert status == 0
+    assert len(str(json.loads(out)["result"]["upper_bound"])) == 4300
+
+
 def test_partitionable_report_read_back(write, capsys, tmp_path):
     triangle = write("triangle.json", TRIANGLE)
     status, out, _ = run(capsys, "partitionable", triangle, "--json")
@@ -369,7 +382,10 @@ _contents = st.binary(max_size=24) | _documents.map(lambda v: json.dumps(v).enco
 _commands = st.sampled_from([
     ["info", "a"], ["partitionable", "a"], ["partitionable", "a", "--minus", "b"],
     ["verify-partition", "a"], ["verify-partition", "a", "b"],
-    ["shelling-check", "a", "b"]])
+    ["shelling-check", "a", "b"],
+    *(command + char for command in (["depth", "a"], ["cm-check", "a"],
+                                     ["cm-extender", "a"], ["rel-cm-check", "a", "b"])
+      for char in ([], ["--char", "2"]))])
 
 
 @settings(max_examples=200, deadline=None,

@@ -1,15 +1,18 @@
 """Exact reduced simplicial homology and Cohen-Macaulay machinery.
 
-Chain complexes are augmented (the empty face spans degree -1) and ranks
-are computed exactly: fraction-free integer elimination over the
-rationals, modular elimination over a prime field.  Floating point never
-enters, so every Betti number and every depth verdict is exact.
+Chain complexes are augmented (the empty face spans degree -1), with
+sparse boundary columns built straight from the faces.  One column
+reduction ranks them exactly: integer combinations over the rationals,
+arithmetic mod p over a prime field.  Floating point never enters, so every
+Betti number and every depth verdict is exact.  Every Cohen-Macaulay
+reading takes link homology from one walk over the faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from math import gcd
+from typing import Iterator, Optional, Union
 
 from .complexes import (
     Face,
@@ -76,23 +79,23 @@ class HomologyProfile:
 
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Ordered face bases by cardinality and the boundary matrices between
-    them; ``boundaries[t]`` maps the size-t basis to the size-(t-1) basis."""
+    """Ordered face bases by cardinality and the boundary maps between
+    them; ``boundaries[t]`` maps the size-t basis to the size-(t-1) basis as
+    one sparse ``{row: +-1}`` column per size-t face."""
 
     bases: tuple
     boundaries: tuple
 
     def boundary_squares_to_zero(self) -> bool:
         for t in range(2, len(self.bases)):
-            high, mid = self.boundaries[t], self.boundaries[t - 1]
-            if not high or not mid:
-                continue
-            for col in range(len(self.bases[t])):
-                for row in range(len(self.bases[t - 2])):
-                    total = sum(mid[row][m] * high[m][col]
-                                for m in range(len(self.bases[t - 1])))
-                    if total != 0:
-                        return False
+            lower = self.boundaries[t - 1]
+            for column in self.boundaries[t]:
+                total: dict[int, int] = {}
+                for mid, a in column.items():
+                    for row, b in lower[mid].items():
+                        total[row] = total.get(row, 0) + a * b
+                if any(total.values()):
+                    return False
         return True
 
 
@@ -103,78 +106,58 @@ def chain_complex(
     small_faces = small.faces if small is not None else frozenset()
     if not small_faces <= big.faces:
         raise NotASubcomplex("the second complex is not a subcomplex of the first")
-    top = big.dim + 1
-    bases = []
-    for size in range(top + 1):
-        bases.append(tuple(sorted(
-            (f for f in big.faces - small_faces if len(f) == size),
-            key=lex_key)))
+    by_size: list[list[Face]] = [[] for _ in range(big.dim + 2)]
+    for f in big.faces - small_faces:
+        by_size[len(f)].append(f)
+    bases = tuple(tuple(sorted(faces, key=lex_key)) for faces in by_size)
     boundaries = [()]
-    for t in range(1, top + 1):
+    for t in range(1, len(bases)):
         index = {f: i for i, f in enumerate(bases[t - 1])}
-        matrix = [[0] * len(bases[t]) for _ in bases[t - 1]]
-        for col, f in enumerate(bases[t]):
+        columns = []
+        for f in bases[t]:
+            column = {}
             for pos, v in enumerate(sorted(f)):
                 row = index.get(f - {v})
                 if row is not None:
-                    matrix[row][col] = -1 if pos % 2 else 1
-        boundaries.append(tuple(tuple(r) for r in matrix))
-    return ChainComplexData(tuple(bases), tuple(boundaries))
+                    column[row] = -1 if pos % 2 else 1
+            columns.append(column)
+        boundaries.append(tuple(columns))
+    return ChainComplexData(bases, tuple(boundaries))
 
 
-def _rank_fraction_free(matrix) -> int:
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pval = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row = m[r]
-            lead = m[rank]
-            for c in range(col, ncols):
-                row[c] = (pval * row[c] - factor * lead[c]) // prev
-        prev = pval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
+    """Rank of an integer matrix given as sparse ``{row: entry}`` columns.
 
-
-def _rank_mod(matrix, p: int) -> int:
-    m = [[x % p for x in row] for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            if factor:
-                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def matrix_rank(matrix, field: FieldSpec = RATIONALS) -> int:
-    if field.characteristic == 0:
-        return _rank_fraction_free(matrix)
-    return _rank_mod(matrix, field.characteristic)
+    While an earlier column owns a column's lowest row, the column becomes
+    ``a*column - b*pivot``, which clears that row.  Over Q the entries stay
+    integers and each combination is divided by its content; over GF(p)
+    they are kept mod p."""
+    p = field.characteristic
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        column = {r: x % p if p else x for r, x in column.items()}
+        column = {r: x for r, x in column.items() if x}
+        while column:
+            low = max(column)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = column
+                break
+            a, b = pivot[low], column[low]
+            if a != 1:
+                column = {r: a * x % p if p else a * x for r, x in column.items()}
+            for r, y in pivot.items():
+                x = column.get(r, 0) - b * y
+                if p:
+                    x %= p
+                if x:
+                    column[r] = x
+                else:
+                    column.pop(r, None)
+            g = 0 if p else gcd(*column.values())
+            if g > 1:
+                column = {r: x // g for r, x in column.items()}
+    return len(pivots)
 
 
 def _betti_of_chain(cc: ChainComplexData, field: FieldSpec) -> tuple[int, ...]:
@@ -221,6 +204,16 @@ def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
     return is_relative_cm(c, None, field)
 
 
+def _link_betti(
+    big: SimplicialComplex, small: SimplicialComplex, field: FieldSpec
+) -> Iterator[tuple[Face, tuple[int, ...]]]:
+    """Yield ``(sigma, Betti numbers of the pair's link at sigma)`` for every
+    face of ``big`` in ``face_key`` order, degrees indexed from -1."""
+    for sigma in sorted(big.faces, key=face_key):
+        link_small = link(small, sigma) if sigma in small.faces else VOID
+        yield sigma, _betti_of_chain(chain_complex(link(big, sigma), link_small), field)
+
+
 def is_relative_cm(
     big: SimplicialComplex,
     small: Optional[SimplicialComplex] = None,
@@ -231,14 +224,31 @@ def is_relative_cm(
     if not small.faces <= big.faces:
         raise NotASubcomplex("the second complex is not a subcomplex of the first")
     d = big.dim
-    for sigma in big.faces:
-        link_big = link(big, sigma)
-        link_small = link(small, sigma) if sigma in small.faces else VOID
-        profile = relative_betti(link_big, link_small, field)
-        for idx, value in enumerate(profile.betti):
-            if value and len(sigma) + (idx - 1) != d:
-                return False
-    return True
+    return all(not value or len(sigma) + idx - 1 == d
+               for sigma, betti in _link_betti(big, small, field)
+               for idx, value in enumerate(betti))
+
+
+def _depth_and_witness(
+    c: SimplicialComplex, field: FieldSpec
+) -> tuple[int, Optional[tuple[Face, int]]]:
+    """Depth by the link criterion, cross-checked against the skeleton
+    criterion, and the first (face, degree), in ``face_key`` then degree
+    order, whose link homology attains it; None when the depth is dim + 1."""
+    d = c.dim
+    value, witness = d + 1, None
+    for sigma, betti in _link_betti(c, VOID, field):
+        for i, b in enumerate(betti[1:d + 1]):
+            if b and len(sigma) + i + 1 < value:
+                value, witness = len(sigma) + i + 1, (sigma, i)
+    oracle = next(
+        r for r in range(d, -2, -1)
+        if is_cohen_macaulay(skeleton(c, r), field)) + 1
+    if value != oracle:
+        raise InternalCheckError(
+            f"depth readings disagree: link criterion gives {value}, "
+            f"skeleton criterion gives {oracle}")
+    return value, witness
 
 
 def depth(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> int:
@@ -251,21 +261,7 @@ def depth(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> int:
     """
     if c.is_void:
         raise VoidComplex("the void complex has no depth")
-    d = c.dim
-    value = d + 1
-    for sigma in c.faces:
-        profile = reduced_betti(link(c, sigma), field)
-        for i in range(0, d):
-            if profile.degree(i):
-                value = min(value, len(sigma) + i + 1)
-    oracle = next(
-        r for r in range(d, -2, -1)
-        if is_cohen_macaulay(skeleton(c, r), field)) + 1
-    if value != oracle:
-        raise InternalCheckError(
-            f"depth readings disagree: link criterion gives {value}, "
-            f"skeleton criterion gives {oracle}")
-    return value
+    return _depth_and_witness(c, field)[0]
 
 
 @dataclass(frozen=True)
@@ -294,7 +290,7 @@ def cm_extender(
     if c.is_void:
         raise VoidComplex("the void complex has no extender")
     d = c.dim
-    dep = depth(c, field)
+    dep, witness = _depth_and_witness(c, field)
     if dep >= d:  # depth >= dim of the face ring minus one
         vertices = sorted(c.vertices)
         gamma = skeleton(build_complex([vertices]), d)
@@ -303,10 +299,4 @@ def cm_extender(
         if not is_relative_cm(gamma, c, field):
             raise InternalCheckError("skeleton extender pair is not relative CM")
         return CmExtender(gamma, c, relative_family(gamma, c))
-    for sigma in sorted(c.faces, key=face_key):
-        profile = reduced_betti(link(c, sigma), field)
-        for i in range(0, d):
-            if profile.degree(i) and len(sigma) + i + 1 == dep:
-                return NoExtender(sigma, i)
-    raise InternalCheckError(
-        f"no witness found for depth {dep} below {d}")
+    return NoExtender(*witness)

@@ -131,6 +131,101 @@ def all_partitionings(members):
     return walk(0, frozenset())
 
 
+def boundary_matrix(rows, cols):
+    """Dense matrix of the boundary map from the faces ``cols`` to the faces
+    ``rows``: a column's face meets the row of the face left by deleting
+    its vertex at sorted position pos, with sign (-1)**pos."""
+    return [[(-1) ** sorted(c).index(min(c - r)) if r < c else 0 for c in cols]
+            for r in rows]
+
+
+def rank_fraction_free(matrix):
+    """Rank over Q by dense fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pval = m[rank][col]
+        for r in range(rank + 1, nrows):
+            factor = m[r][col]
+            row = m[r]
+            lead = m[rank]
+            for c in range(col, ncols):
+                row[c] = (pval * row[c] - factor * lead[c]) // prev
+        prev = pval
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def rank_mod(matrix, p):
+    """Rank over GF(p) by dense Gaussian elimination."""
+    m = [[x % p for x in row] for row in matrix]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [(x * inv) % p for x in m[rank]]
+        for r in range(rank + 1, nrows):
+            factor = m[r][col]
+            if factor:
+                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+# Dense rank oracle by field characteristic.
+DENSE_RANKS = {0: rank_fraction_free,
+               2: lambda m: rank_mod(m, 2),
+               3: lambda m: rank_mod(m, 3)}
+
+
+def betti_by_elimination(faces, levels, rank):
+    """Reduced Betti numbers, degrees -1 through levels - 2, of the chain
+    complex spanned by ``faces`` (a complex's faces, or those of a pair's
+    big complex outside the small one), ranking dense boundary matrices
+    with ``rank``."""
+    bases = [sorted((f for f in faces if len(f) == t), key=sorted)
+             for t in range(levels)]
+    ranks = [0] * (levels + 1)
+    for t in range(1, levels):
+        ranks[t] = rank(boundary_matrix(bases[t - 1], bases[t]))
+    return tuple(len(bases[t]) - ranks[t] - ranks[t + 1] for t in range(levels))
+
+
+def depth_and_witness_by_definition(c, rank):
+    """Depth read literally from the link criterion: the least
+    |s| + i + 1 over faces s and degrees 0 <= i < dim whose link has
+    reduced homology in degree i, capped at dim + 1.  The witness is the
+    first such (s, i) attaining it, faces by size and then
+    lexicographically, degrees upward; None when the cap is the depth."""
+    d = c.dim
+    reached = []
+    for s in sorted(c.faces, key=lambda f: (len(f), sorted(f))):
+        lk = link_by_definition(c, s)
+        betti = betti_by_elimination(lk, max(len(t) for t in lk) + 1, rank)
+        reached += [(len(s) + i + 1, s, i)
+                    for i in range(d) if i + 1 < len(betti) and betti[i + 1]]
+    value = min([d + 1] + [r for r, _, _ in reached])
+    return value, next(((s, i) for r, s, i in reached if r == value), None)
+
+
 def euler_from_f(f):
     """Reduced Euler characteristic: alternating sum of the face counts."""
     return sum((-1) ** (size - 1) * f[size] for size in range(len(f)))
@@ -183,3 +278,12 @@ def small_complexes(draw, labels=5, max_facets=4, max_size=3, min_facets=0):
     facet = st.frozensets(st.integers(1, labels), min_size=1, max_size=max_size)
     return build_complex(draw(st.lists(facet, min_size=min_facets,
                                        max_size=max_facets)))
+
+
+@st.composite
+def complex_pairs(draw):
+    """A nonvoid complex from ``small_complexes`` and the subcomplex that
+    some of its faces generate (possibly void or just the empty face)."""
+    big = draw(small_complexes(min_facets=1))
+    faces = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
+    return big, build_complex(draw(st.lists(st.sampled_from(faces), max_size=3)))

@@ -1,7 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from extenders import (
     CmExtender,
@@ -22,7 +23,17 @@ from extenders import (
     relative_betti,
     skeleton,
 )
-from _oracles import euler_from_betti, euler_from_f, small_complexes
+from extenders.homology import ChainComplexData, matrix_rank
+from _oracles import (
+    DENSE_RANKS,
+    betti_by_elimination,
+    complex_pairs,
+    depth_and_witness_by_definition,
+    euler_from_betti,
+    euler_from_f,
+    rank_mod,
+    small_complexes,
+)
 
 fs = frozenset
 
@@ -95,6 +106,49 @@ def test_boundary_squares_to_zero_on_corpus():
     assert chain_complex(TETRA_BOUNDARY, TRIANGLE_BOUNDARY).boundary_squares_to_zero()
 
 
+def test_boundary_squares_to_zero_detects_one_flipped_sign():
+    cc = chain_complex(build_complex([[1, 2, 3]]))
+    column = dict(cc.boundaries[2][0])
+    column[0] = -column[0]
+    edges = (column,) + cc.boundaries[2][1:]
+    flipped = ChainComplexData(cc.bases, cc.boundaries[:2] + (edges,) + cc.boundaries[3:])
+    assert cc.boundary_squares_to_zero()
+    assert not flipped.boundary_squares_to_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_pairs())
+def test_betti_numbers_match_dense_elimination(pair):
+    big, small = pair
+    for p, rank in DENSE_RANKS.items():
+        field = FieldSpec(p)
+        assert reduced_betti(big, field).betti \
+            == betti_by_elimination(big.faces, big.dim + 2, rank)
+        assert relative_betti(big, small, field).betti \
+            == betti_by_elimination(big.faces - small.faces, big.dim + 2, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=5))
+def test_matrix_rank_matches_dense_elimination(rows):
+    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(4)]
+    for p, rank in {**DENSE_RANKS, 5: lambda m: rank_mod(m, 5)}.items():
+        assert matrix_rank(columns, FieldSpec(p)) == rank(rows)
+
+
+@pytest.mark.parametrize("big,small", [
+    (TRIANGLE_BOUNDARY, None), (BOWTIE, None), (TWO_TRIANGLES, None),
+    (TETRA_BOUNDARY, None), (PROJECTIVE_PLANE, None),
+    (BOWTIE_LID, BOWTIE), (TETRA_BOUNDARY, TRIANGLE_BOUNDARY)])
+def test_rational_betti_numbers_match_sympy(big, small):
+    sympy = pytest.importorskip("sympy")
+    faces = big.faces - (small.faces if small is not None else frozenset())
+    expected = betti_by_elimination(
+        faces, big.dim + 2, lambda m: sympy.Matrix(m).rank() if m and m[0] else 0)
+    assert relative_betti(big, small).betti == expected
+
+
 def test_relative_betti_disk_rel_boundary():
     disk = build_complex([[1, 2, 3]])
     profile = relative_betti(disk, TRIANGLE_BOUNDARY)
@@ -153,6 +207,27 @@ def test_depth_golden():
 def test_depth_void_rejected():
     with pytest.raises(VoidComplex):
         depth(build_complex([]))
+
+
+# Seven (face, degree) pairs reach depth 3 here: the vertices 3 and 4 in
+# degree 1 and five edges in degree 0.  The witness must be {3}, the first in
+# face_key order, although the edge {1,3} comes first lexicographically.
+WITNESS_TIES = build_complex([[1, 2, 4, 5, 9], [2, 4, 6, 7, 8], [1, 3, 4, 9, 10],
+                              [1, 3, 6, 11, 12], [3, 4, 6, 13, 14]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(labels=6, max_size=4, min_facets=1))
+@example(WITNESS_TIES)
+def test_depth_and_witness_match_literal_reading(c):
+    for p in (0, 2):
+        value, witness = depth_and_witness_by_definition(c, DENSE_RANKS[p])
+        assert depth(c, FieldSpec(p)) == value
+        outcome = cm_extender(c, FieldSpec(p))
+        if value >= c.dim:
+            assert isinstance(outcome, CmExtender)
+        else:
+            assert outcome == NoExtender(*witness)
 
 
 def test_cm_extender_bowtie():

@@ -367,7 +367,7 @@ def cmd_build_extender(args) -> _Report:
         "extender_facets": _face_lists(extender.facets),
         "extender_partition": res.extender_partition.to_records(),
         "relative_partition": res.relative_partition.to_records(),
-        "h": {name: list(h_vector(x)) for name, x in families.items()},
+        "h": {name: list(h) for name, h in zip(families, res.h_vectors)},
         "h_triangle": {name: _triangle_json(tri)
                        for name, tri in zip(families, res.h_triangles)},
         "added_vertices": len(extender.vertices) - len(base.vertices),

@@ -259,6 +259,15 @@ def _facet_sizes(members) -> dict[Face, int]:
     return sizes
 
 
+def _f_triangle(sizes: dict[Face, int], d: int) -> tuple[tuple[int, ...], ...]:
+    """The f-triangle of a family of ambient dimension ``d``, read from its
+    facet-size map."""
+    rows = [[0] * (i + 1) for i in range(d + 2)]
+    for s, depth_size in sizes.items():
+        rows[depth_size][len(s)] += 1
+    return tuple(tuple(row) for row in rows)
+
+
 def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     """Face counts refined by (largest containing face size, own size).
 
@@ -266,20 +275,21 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     member has i vertices.  Column sums reproduce the f-vector.
     """
     members, d = _members_and_dim(x)
-    rows = [[0] * (i + 1) for i in range(d + 2)]
-    for s, depth_size in _facet_sizes(members).items():
-        rows[depth_size][len(s)] += 1
-    return tuple(tuple(row) for row in rows)
+    return _f_triangle(_facet_sizes(members), d)
 
 
-def h_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
-    """Row-wise binomial transform of the f-triangle."""
-    f_tri = f_triangle(x)
+def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Row-wise binomial transform of an f-triangle."""
     return tuple(
         tuple(
             sum((-1) ** (j - k) * comb(i - k, j - k) * row[k] for k in range(j + 1))
             for j in range(i + 1))
         for i, row in enumerate(f_tri))
+
+
+def h_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
+    """Row-wise binomial transform of the f-triangle."""
+    return _h_from_f_triangle(f_triangle(x))
 
 
 def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFamily:
@@ -343,8 +353,9 @@ def _merge_relabelled(faces: set, facets: set, guest: SimplicialComplex,
     unmapped = sorted(guest.vertices - mapping.keys())
     fresh = tuple(range(next_label, next_label + len(unmapped)))
     mapping.update(zip(unmapped, fresh))
-    faces.update(frozenset(mapping[v] for v in f) for f in guest.faces)
-    facets.update(frozenset(mapping[v] for v in f) for f in guest.facets)
+    image = mapping.__getitem__
+    faces.update(frozenset(map(image, f)) for f in guest.faces)
+    facets.update(frozenset(map(image, f)) for f in guest.facets)
     return fresh
 
 

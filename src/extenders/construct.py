@@ -14,8 +14,12 @@ partitionings of both the supercomplex and the relative family, verified
 before anything is returned.
 
 Both constructions glue through one mutable builder and differ only in
-which list each mapped piece certificate joins.  The final check validates
-each certificate once; the nonpure checks then read facet-size maps.
+which list each mapped piece certificate joins.  A result validates its
+two certificates once and caches the reports, h-vectors, facet-size maps
+and h-triangles on itself; the final check and :func:`h_decomposition`
+both read those caches.  A result is frozen, so the cached reports stay
+true of it; a hand-built or copied result starts with empty caches and is
+validated in full on first use.
 """
 
 from __future__ import annotations
@@ -29,14 +33,15 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _f_triangle,
     _facet_sizes,
+    _h_from_f_triangle,
     _merge_relabelled,
     adjoin_face,
     build_complex,
     f_vector,
     face_key,
     format_face,
-    h_triangle,
     h_vector,
     lex_key,
     maximal_faces,
@@ -91,9 +96,16 @@ class MarkedComplex:
         return adjoin_face(self.family_without_face(), self.specified_face)
 
 
+_CERTIFICATES = ("extender", "relative")
+
+
 @dataclass(frozen=True)
 class ExtenderResult:
-    """A verified partition extender for a whole complex."""
+    """A verified partition extender for a whole complex.
+
+    The derived values below are computed on first use and cached; the
+    fields are immutable, so each is computed once per result.
+    """
 
     extender: SimplicialComplex
     base: SimplicialComplex
@@ -107,9 +119,28 @@ class ExtenderResult:
         return relative_family(self.extender, self.base)
 
     @cached_property
+    def reports(self) -> tuple[PartitionReport, PartitionReport]:
+        """Verification reports of the extender and relative certificates."""
+        return (verify_partitioning(self.extender.as_family(), self.extender_partition),
+                verify_partitioning(self.relative, self.relative_partition))
+
+    @cached_property
+    def h_vectors(self) -> tuple:
+        """h-vectors of the base, the extender and the relative family."""
+        return tuple(h_vector(x) for x in (self.base, self.extender, self.relative))
+
+    @cached_property
+    def facet_sizes(self) -> tuple:
+        """Facet-size maps of the base, the extender and the relative family."""
+        return tuple(_facet_sizes(members) for members in
+                     (self.base.faces, self.extender.faces, self.relative.members))
+
+    @cached_property
     def h_triangles(self) -> tuple:
         """h-triangles of the base, the extender and the relative family."""
-        return tuple(h_triangle(x) for x in (self.base, self.extender, self.relative))
+        dims = (self.base.dim, self.extender.dim, self.relative.ambient_dim)
+        return tuple(_h_from_f_triangle(_f_triangle(sizes, d))
+                     for sizes, d in zip(self.facet_sizes, dims))
 
 
 def _ensure_valid(fam: FaceFamily, p: IntervalPartition, what: str) -> PartitionReport:
@@ -175,9 +206,9 @@ def prepartition_h_profile(d: int, k: int) -> tuple[int, ...]:
 
 
 def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> IntervalPartition:
-    def image(face):
-        return frozenset(mapping[v] for v in face)
-    return IntervalPartition.of((image(b), image(t)) for b, t in p)
+    image = mapping.__getitem__
+    return IntervalPartition.of((frozenset(map(image, b)), frozenset(map(image, t)))
+                                for b, t in p)
 
 
 class _Builder:
@@ -258,14 +289,14 @@ def partition_extender(d: int, k: int) -> MarkedComplex:
 
 
 def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
-    depth_sizes = _facet_sizes(base.faces)
     build = _Builder(base)
     for sigma in base.sorted_faces():
-        piece_dim = base.dim if pure else depth_sizes[sigma] - 1
-        target = min((f for f in base.facets
-                      if sigma <= f and len(f) == piece_dim + 1), key=lex_key)
+        # The largest facet containing sigma, lexicographically first among
+        # equals; its size is sigma's facet depth.
+        target = min((f for f in base.facets if sigma <= f),
+                     key=lambda f: (-len(f), lex_key(f)))
         mapped_with, mapped_without = build.attach(
-            _partition_extender(piece_dim, len(sigma) - 1), target, sigma)
+            _partition_extender(len(target) - 1, len(sigma) - 1), target, sigma)
         build.with_parts.extend(mapped_with)
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
@@ -275,32 +306,28 @@ def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
 
 
 def _check_result(result: ExtenderResult, pure: bool) -> None:
-    """Re-verify a result: each certificate is validated once, and the
-    nonpure checks read the facet-size maps of the three families and the
-    result's h-triangles."""
-    extender, base = result.extender, result.base
-    if extender.dim != base.dim:
+    """Re-verify a result from its cached reports, h-vectors, facet-size
+    maps and h-triangles, so each certificate is validated once."""
+    if result.extender.dim != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
-    certificates = (("extender", extender.as_family(), result.extender_partition),
-                    ("relative", result.relative, result.relative_partition))
-    reports = [_ensure_valid(fam, p, f"{what} certificate")
-               for what, fam, p in certificates]
+    for what, report in zip(_CERTIFICATES, result.reports):
+        if not report.valid:
+            raise InternalCheckError(f"{what} certificate: {report.violation}")
     if pure:
-        h_base = h_vector(base)
-        h_diff = tuple(a - b for a, b in
-                       zip(h_vector(extender), h_vector(result.relative)))
+        h_base, h_big, h_rel = result.h_vectors
+        h_diff = tuple(a - b for a, b in zip(h_big, h_rel))
         if h_diff != h_base:
             raise InternalCheckError(
                 f"h-vector identity failed: {h_diff} != {h_base}")
         return
-    base_sizes = _facet_sizes(base.faces)
-    sizes = [_facet_sizes(fam.members) for _, fam, _ in certificates]
-    for sigma in base.faces:
+    base_sizes, *sizes = result.facet_sizes
+    for sigma in result.base.faces:
         if base_sizes[sigma] != sizes[0][sigma]:  # sizes[0]: the extender's
             raise InternalCheckError(f"facet depth of {format_face(sigma)} changed")
     base_tri, *h_tris = result.h_triangles
-    for (what, _, p), report, fam_sizes, h_tri in zip(
-            certificates, reports, sizes, h_tris):
+    partitions = (result.extender_partition, result.relative_partition)
+    for what, p, report, fam_sizes, h_tri in zip(
+            _CERTIFICATES, partitions, result.reports, sizes, h_tris):
         if not _layer_compatible(p, fam_sizes):
             raise InternalCheckError(f"{what} certificate is not layer-compatible")
         if not _h_compatible(report, h_tri):
@@ -330,19 +357,19 @@ def nonpure_extender_for_complex(base: SimplicialComplex) -> ExtenderResult:
 
 
 def h_decomposition(result: ExtenderResult) -> tuple[tuple, tuple, tuple]:
-    """Re-verify a result and return (h(extender), h(relative), difference).
+    """Check a result and return (h(extender), h(relative), difference).
 
-    The difference must reproduce the h-vector of the base complex.
+    Both certificates must verify, and the difference must reproduce the
+    h-vector of the base complex.  The verification reports are cached on
+    the result: a result returned by this package was validated before it
+    was returned and is not validated again, while a hand-built result is
+    validated in full here.
     """
-    for what, fam, p in (
-            ("extender", result.extender.as_family(), result.extender_partition),
-            ("relative", result.relative, result.relative_partition)):
-        if not verify_partitioning(fam, p).valid:
+    for what, report in zip(_CERTIFICATES, result.reports):
+        if not report.valid:
             raise InvalidResult(f"{what} certificate does not verify")
-    h_big = h_vector(result.extender)
-    h_rel = h_vector(result.relative)
+    expected, h_big, h_rel = result.h_vectors
     difference = tuple(a - b for a, b in zip(h_big, h_rel))
-    expected = h_vector(result.base)
     if difference != expected:
         raise InvalidResult(
             f"difference {difference} does not reproduce the base h-vector "

@@ -64,7 +64,8 @@ class IntervalPartition:
                     f"interval bottom {format_face(b)} is not contained in "
                     f"top {format_face(t)}")
             normalized.append((b, t))
-        normalized.sort(key=lambda bt: (lex_key(bt[1]), lex_key(bt[0])))
+        # Sorted lists order as lex_key tuples do: by top, then by bottom.
+        normalized.sort(key=lambda bt: (sorted(bt[1]), sorted(bt[0])))
         return cls(tuple(normalized))
 
     def __iter__(self) -> Iterator[tuple[Face, Face]]:
@@ -282,7 +283,12 @@ def find_shelling(
     small: Optional[SimplicialComplex] = None,
     max_facets: int = DEFAULT_MAX_FACETS,
 ) -> Optional[tuple[Face, ...]]:
-    """Backtracking search for a shelling order; ``None`` proves none exists."""
+    """Backtracking search for a shelling order; ``None`` proves none exists.
+
+    Whether a prefix extends depends only on the set of facets it placed,
+    so each set that failed once is skipped when another order reaches it;
+    that cuts only failing subtrees, and the witness is unchanged.
+    """
     members, small_faces = _relative_members(big, small)
     facets = sorted(maximal_faces(members), key=lambda f: (-len(f), lex_key(f)))
     if len(facets) > max_facets:
@@ -290,10 +296,14 @@ def find_shelling(
             f"pair has {len(facets)} facets, above the search bound of "
             f"{max_facets}",
             limit=max_facets, parameter="max_facets")
+    failed: set[frozenset] = set()
 
     def extend(prefix: list[Face], closed: frozenset) -> Optional[list[Face]]:
         if len(prefix) == len(facets):
             return prefix
+        placed = frozenset(prefix)
+        if placed in failed:
+            return None
         for facet in facets:
             if facet in prefix:
                 continue
@@ -304,6 +314,7 @@ def find_shelling(
             result = extend(prefix + [facet], closed | frozenset(subsets_of(facet)))
             if result is not None:
                 return result
+        failed.add(placed)
         return None
 
     found = extend([], frozenset(small_faces))

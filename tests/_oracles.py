@@ -68,6 +68,36 @@ def naive_find_partitioning(members):
     return None
 
 
+def first_shelling_by_backtracking(big, small_faces=frozenset()):
+    """The first relative shelling order of a plain backtracking search with
+    no memo, or None.  Facets are tried by decreasing size, then
+    lexicographically; a facet may come next when the faces it adds have a
+    unique minimal element."""
+    members = big.faces - small_faces
+    facets = sorted((m for m in members if not any(m < other for other in members)),
+                    key=lambda f: (-len(f), sorted(f)))
+
+    def closure(facet):
+        return {frozenset(sel) for r in range(len(facet) + 1)
+                for sel in itertools.combinations(sorted(facet), r)}
+
+    def extend(prefix, closed):
+        if len(prefix) == len(facets):
+            return tuple(prefix)
+        for facet in facets:
+            if facet in prefix:
+                continue
+            new = closure(facet) - closed
+            if sum(1 for s in new if not any(t < s for t in new)) != 1:
+                continue
+            found = extend(prefix + [facet], closed | closure(facet))
+            if found is not None:
+                return found
+        return None
+
+    return extend([], set(small_faces))
+
+
 def f_triangle_by_definition(members, d):
     """Literal f-triangle: for every member, scan all members for the
     largest one containing it."""

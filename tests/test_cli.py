@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import extenders
-from extenders import cli, complexes
+from extenders import cli, complexes, construct
 from extenders.cli import main
 from extenders.errors import InternalCheckError
 
@@ -118,6 +119,17 @@ def test_deeply_nested_json_is_input_error(write):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("script", [["certificate_demo.py"], ["growth_table.py", "3"]])
+def test_script_runs(script):
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    path = os.path.join(os.path.dirname(package_root), "scripts", script[0])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, path, *script[1:]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_partition_files(write, capsys):
@@ -352,12 +364,18 @@ def test_internal_check_error_is_not_reported_as_input_error(write, capsys, monk
 
 
 def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch):
-    calls = []
-    original = complexes.f_triangle
-    monkeypatch.setattr(complexes, "f_triangle", lambda x: calls.append(x) or original(x))
+    # Each h-triangle is read from one facet-size map, built once per family.
+    calls = Counter()
+    original = complexes._facet_sizes
+
+    def counted(members):
+        calls[frozenset(members)] += 1
+        return original(members)
+    for module in (complexes, construct):
+        monkeypatch.setattr(module, "_facet_sizes", counted)
     mixed = write("mixed.json", {"facets": [[1, 2, 3], [3, 4], [5]]})
     status, _, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
-    assert status == 0 and len(calls) == 3
+    assert status == 0 and len(calls) == 3 and set(calls.values()) == {1}
 
 
 # Faces have at most 5 labels: a wide facet makes build_complex exponential.

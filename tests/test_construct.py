@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from extenders import (
     total_size_estimate,
     verify_partitioning,
 )
+from extenders import construct
 from extenders.construct import _check_result
 from _oracles import poly_h, pure_complexes, random_nonpure_complex
 
@@ -313,6 +315,25 @@ def test_h_decomposition_rejects_bad_certificates():
                             IntervalPartition.of([]), ())
     with pytest.raises(InvalidResult):
         h_decomposition(broken)
+
+
+def test_library_result_is_validated_once(monkeypatch):
+    bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
+    extender_for_complex(bowtie)  # builds the gadgets
+    calls = []
+    original = construct.verify_partitioning
+    monkeypatch.setattr(construct, "verify_partitioning",
+                        lambda fam, p: calls.append(p) or original(fam, p))
+    h_decomposition(extender_for_complex(bowtie))
+    assert len(calls) == 2
+
+
+def test_copied_result_is_validated_again():
+    res = extender_for_complex(build_complex([[1, 2, 3], [3, 4, 5]]))
+    h_decomposition(res)
+    short = IntervalPartition(res.relative_partition.intervals[1:])
+    with pytest.raises(InvalidResult, match="relative certificate"):
+        h_decomposition(dataclasses.replace(res, relative_partition=short))
 
 
 def _handmade(extender, base, extender_pairs, relative_pairs):

@@ -24,12 +24,16 @@ from extenders import (
     relative_family,
     verify_partitioning,
 )
+from extenders.complexes import lex_key
 from _oracles import (
     all_partitionings,
+    complex_pairs,
     cycles_with_faces,
     f_triangle_by_definition,
+    first_shelling_by_backtracking,
     layer_compatible_by_definition,
     naive_find_partitioning,
+    pure_complexes,
     small_complexes,
 )
 
@@ -71,6 +75,18 @@ def test_interval_partition_canonical_order_and_records():
     assert p.to_records() == [{"bottom": [2], "top": [2, 3]},
                               {"bottom": [3], "top": [3, 4]}]
     assert IntervalPartition.from_records(p.to_records()) == p
+
+
+# Few labels, so tops repeat; two-digit labels, so digit order is tested.
+_label_sets = st.frozensets(st.sampled_from([1, 2, 3, 9, 10, 12]), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_label_sets, _label_sets), max_size=8))
+def test_interval_partition_sorts_by_top_then_bottom(pairs):
+    pairs = [(bottom, bottom | extra) for bottom, extra in pairs]
+    expected = sorted(pairs, key=lambda bt: (lex_key(bt[1]), lex_key(bt[0])))
+    assert IntervalPartition.of(pairs).intervals == tuple(expected)
 
 
 def test_verify_square_tail_family_with_vertex():
@@ -301,6 +317,25 @@ def test_find_shelling():
     assert check_shelling_order(TRIANGLE_BOUNDARY, order)
     assert find_shelling(BOWTIE) is None
     assert find_shelling(build_complex([[1, 2, 3]])) == (fs([1, 2, 3]),)
+
+
+OCTAHEDRON = [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+
+
+@pytest.mark.parametrize("pinched", [1, 2, 3, 4])
+def test_find_shelling_refutes_octahedron_with_pinched_triangles(pinched):
+    # A triangle meeting the rest in one vertex can never be shelled on.
+    c = build_complex(OCTAHEDRON + [[1, 7 + 2 * i, 8 + 2 * i] for i in range(pinched)])
+    assert len(c.facets) == 8 + pinched
+    assert find_shelling(c) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(complex_pairs(),
+                 pure_complexes(max_facets=6).map(lambda c: (c, build_complex([])))))
+def test_find_shelling_witness_matches_unmemoized_search(pair):
+    big, small = pair
+    assert find_shelling(big, small) == first_shelling_by_backtracking(big, small.faces)
 
 
 def test_find_shelling_size_limit():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -66,6 +67,9 @@ from .partitions import (
 
 OK, FALSE, INPUT_ERROR = 0, 1, 2
 
+# Text-format tokens split as str.split() does; a label has ASCII digits only.
+_TOKEN, _LABEL = re.compile(r"\S+"), re.compile(r"[+-]?[0-9]+")
+
 
 class InputError(Exception):
     """File-level problem: unreadable, unparsable, or out of domain."""
@@ -98,19 +102,13 @@ def _parse_text_complex(text: str, path: str) -> list:
             facets.append([])
             continue
         labels = []
-        for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                column = raw.index(token) + 1
-                raise InputError(
-                    f"{path}:{lineno}:{column}: expected an integer label, "
-                    f"got {token!r}")
-            if value < 0:
-                column = raw.index(token) + 1
-                raise InputError(
-                    f"{path}:{lineno}:{column}: labels must be nonnegative")
-            labels.append(value)
+        for token in _TOKEN.finditer(raw):
+            where = f"{path}:{lineno}:{token.start() + 1}"
+            if not _LABEL.fullmatch(token[0]):
+                raise InputError(f"{where}: expected an integer label, got {token[0]!r}")
+            if int(token[0]) < 0:
+                raise InputError(f"{where}: labels must be nonnegative")
+            labels.append(int(token[0]))
         facets.append(labels)
     return facets
 

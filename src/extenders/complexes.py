@@ -1,10 +1,11 @@
 """Simplicial complexes, face families, and their counting statistics.
 
 A face is a frozenset of nonnegative integer vertex labels; the empty
-frozenset is the empty face, of dimension -1.  A complex stores its facets
-together with the full downward closure.  A face family is an arbitrary
-finite set of faces with an explicit ambient dimension; it is used for
-relative complexes and for families that are not closed under subsets.
+frozenset is the empty face, of dimension -1.  A complex is its face set,
+which is closed under subsets; its facets and dimension are derived from
+the faces in one place and cached.  A face family is an arbitrary finite
+set of faces with an explicit ambient dimension; it is used for relative
+complexes and for families that are not closed under subsets.
 
 Every public value here is immutable and every public operation is a pure
 function, so results can be shared freely between concurrent tasks.
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     AlreadyPresent,
@@ -68,34 +70,32 @@ def between(bottom: Face, top: Face) -> Iterator[Face]:
 
 
 def maximal_faces(faces: Iterable[Face]) -> set[Face]:
-    """Inclusion-maximal elements of a finite set of faces."""
-    by_size: dict[int, list[Face]] = {}
-    for f in faces:
-        by_size.setdefault(len(f), []).append(f)
-    sizes = sorted(by_size, reverse=True)
-    kept: set[Face] = set()
-    for size in sizes:
-        for f in by_size[size]:
-            if not any(f < g for big in sizes if big > size for g in by_size[big]):
-                kept.add(f)
-    return kept
+    """Inclusion-maximal elements of a finite set of faces: those that no
+    larger member contains."""
+    return {f for f, size in _facet_sizes(frozenset(faces)).items() if size == len(f)}
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite simplicial complex: facets plus their downward closure.
+    """A finite simplicial complex, held as its face set, which is closed
+    under subsets.  Facets and dimension are derived from the faces.
 
     The void complex has ``facets == faces == frozenset()``; the complex
     whose only face is the empty face has ``facets == {frozenset()}``.
     Both report dimension -1.
     """
 
-    facets: frozenset
     faces: frozenset
 
-    @property
+    @cached_property
+    def facets(self) -> frozenset:
+        """The faces that are not a codimension-one face of another face;
+        in a set closed under subsets these are the maximal faces."""
+        return self.faces - {t - {v} for t in self.faces for v in t}
+
+    @cached_property
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max(map(len, self.faces), default=0) - 1
 
     @property
     def is_void(self) -> bool:
@@ -168,19 +168,13 @@ def _members_and_dim(x: ComplexOrFamily) -> tuple[frozenset, int]:
 
 
 def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Build a complex from candidate facets, discarding non-maximal ones."""
-    candidates = {face_of(f) for f in facet_list}
-    facets = maximal_faces(candidates)
+    """The complex the candidate facets generate.  Candidates are closed
+    largest first, so one already present adds nothing."""
     faces: set[Face] = set()
-    for f in facets:
-        faces.update(subsets_of(f))
-    return SimplicialComplex(frozenset(facets), frozenset(faces))
-
-
-def _from_closed_faces(faces: Iterable[Face]) -> SimplicialComplex:
-    """Wrap an already downward-closed face set without re-closing it."""
-    faces = frozenset(faces)
-    return SimplicialComplex(frozenset(maximal_faces(faces)), faces)
+    for f in sorted({face_of(f) for f in facet_list}, key=len, reverse=True):
+        if f not in faces:
+            faces.update(subsets_of(f))
+    return SimplicialComplex(frozenset(faces))
 
 
 def simplex_complex(vertices: Iterable[int]) -> SimplicialComplex:
@@ -222,7 +216,7 @@ def link(c: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
     s = frozenset(s)
     if s not in c.faces:
         raise FaceNotPresent(f"face {format_face(s)} is not in the complex")
-    return _from_closed_faces(t - s for t in c.faces if s <= t)
+    return SimplicialComplex(frozenset(t - s for t in c.faces if s <= t))
 
 
 def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
@@ -231,7 +225,7 @@ def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
         raise InvalidParameters(f"skeleton dimension must be >= -1, got {r}")
     if r >= c.dim:
         return c
-    return _from_closed_faces(f for f in c.faces if len(f) <= r + 1)
+    return SimplicialComplex(frozenset(f for f in c.faces if len(f) <= r + 1))
 
 
 def facet_depth(x: ComplexOrFamily, s: Iterable[int]) -> int:
@@ -302,6 +296,17 @@ def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFam
     return FaceFamily(big.faces - small.faces, big.dim)
 
 
+def _relative_members(
+    big: SimplicialComplex, small: Optional[SimplicialComplex]
+) -> tuple[frozenset, frozenset]:
+    """The faces of ``big`` outside ``small`` and those of ``small`` (none
+    when it is None), after checking that ``small`` lies in ``big``."""
+    small_faces = small.faces if small is not None else frozenset()
+    if not small_faces <= big.faces:
+        raise NotASubcomplex("the second complex is not a subcomplex of the first")
+    return big.faces - small_faces, small_faces
+
+
 def adjoin_face(fam: FaceFamily, s: Iterable[int]) -> FaceFamily:
     """Add one face to a family."""
     s = frozenset(s)
@@ -340,14 +345,15 @@ def glue_with_map(
                 raise InconsistentIdentification(
                     f"guest face {format_face(f)} maps to {format_face(image)}, "
                     f"which is not a face of the host")
-    faces, facets = set(host.faces), set(host.facets)
-    _merge_relabelled(faces, facets, guest, ident, max(host.vertices, default=-1) + 1)
-    return SimplicialComplex(frozenset(maximal_faces(facets)), frozenset(faces)), ident
+    faces = set(host.faces)
+    _merge_relabelled(faces, guest, ident, max(host.vertices, default=-1) + 1)
+    return SimplicialComplex(frozenset(faces)), ident
 
 
-def _merge_relabelled(faces: set, facets: set, guest: SimplicialComplex,
+def _merge_relabelled(faces: set, guest: SimplicialComplex,
                       mapping: dict[int, int], next_label: int) -> tuple[int, ...]:
-    """Add the image of ``guest`` to a face set and a facet-candidate set.
+    """Add the image of ``guest``'s faces to a face set; the union of two
+    sets closed under subsets is closed, so it stays a complex's face set.
     Unmapped guest vertices are mapped to consecutive labels from
     ``next_label`` in increasing guest order; those labels are returned."""
     unmapped = sorted(guest.vertices - mapping.keys())
@@ -355,7 +361,6 @@ def _merge_relabelled(faces: set, facets: set, guest: SimplicialComplex,
     mapping.update(zip(unmapped, fresh))
     image = mapping.__getitem__
     faces.update(frozenset(map(image, f)) for f in guest.faces)
-    facets.update(frozenset(map(image, f)) for f in guest.facets)
     return fresh
 
 

@@ -44,7 +44,6 @@ from .complexes import (
     format_face,
     h_vector,
     lex_key,
-    maximal_faces,
     relative_family,
     subsets_of,
 )
@@ -212,13 +211,13 @@ def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> IntervalPar
 
 
 class _Builder:
-    """A complex under construction: face set, facet candidates, next free
-    label, with-face and without-face interval lists, attachment log.
-    Facets are reduced to the maximal candidates once, in :meth:`freeze`."""
+    """A complex under construction: face set, next free label, with-face
+    and without-face interval lists, attachment log.  Each attachment adds
+    a closed face set, so the face set stays closed and :meth:`freeze`
+    wraps it as it is."""
 
     def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
         self.faces = set(host.faces)
-        self.facet_candidates = set(host.facets)
         self.next_label = max(host.vertices, default=-1) + 1
         self.with_parts = list(with_parts)
         self.without_parts = list(without_parts)
@@ -231,8 +230,7 @@ class _Builder:
         inner = piece.specified_face
         mapping = dict(zip(sorted(inner), sorted(face)))
         mapping.update(zip(sorted(piece.specified_facet - inner), sorted(facet - face)))
-        fresh = _merge_relabelled(self.faces, self.facet_candidates,
-                                  piece.complex, mapping, self.next_label)
+        fresh = _merge_relabelled(self.faces, piece.complex, mapping, self.next_label)
         self.next_label += len(fresh)
         mapped_with = _map_partition(piece.with_face_partition, mapping)
         mapped_without = _map_partition(piece.without_face_partition, mapping)
@@ -241,8 +239,7 @@ class _Builder:
 
     def freeze(self) -> tuple:
         """(complex, with-face partition, without-face partition, log)."""
-        return (SimplicialComplex(frozenset(maximal_faces(self.facet_candidates)),
-                                  frozenset(self.faces)),
+        return (SimplicialComplex(frozenset(self.faces)),
                 IntervalPartition.of(self.with_parts),
                 IntervalPartition.of(self.without_parts),
                 tuple(self.log))

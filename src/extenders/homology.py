@@ -5,23 +5,25 @@ sparse boundary columns built straight from the faces.  One column
 reduction ranks them exactly: integer combinations over the rationals,
 arithmetic mod p over a prime field.  Floating point never enters, so every
 Betti number and every depth verdict is exact.  Every Cohen-Macaulay
-reading takes link homology from one walk over the faces.
+reading builds each link's chain complex straight from the face sets,
+with no complex object per link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _relative_members,
     build_complex,
     face_key,
     lex_key,
-    link,
     relative_family,
     skeleton,
 )
@@ -31,8 +33,6 @@ from .errors import (
     NotASubcomplex,
     VoidComplex,
 )
-
-VOID = build_complex([])
 
 
 def _is_prime(n: int) -> bool:
@@ -103,13 +103,16 @@ def chain_complex(
     big: SimplicialComplex, small: Optional[SimplicialComplex] = None
 ) -> ChainComplexData:
     """Augmented chain complex of a complex or of a pair (quotient basis)."""
-    small_faces = small.faces if small is not None else frozenset()
-    if not small_faces <= big.faces:
-        raise NotASubcomplex("the second complex is not a subcomplex of the first")
-    by_size: list[list[Face]] = [[] for _ in range(big.dim + 2)]
-    for f in big.faces - small_faces:
+    return _chain(_relative_members(big, small)[0], big.dim + 2)
+
+
+def _chain(faces: Iterable[Face], levels: int) -> ChainComplexData:
+    """Chain complex spanned by ``faces``, with one basis per face size
+    below ``levels``, each in ``lex_key`` order."""
+    by_size: list[list[Face]] = [[] for _ in range(levels)]
+    for f in faces:
         by_size[len(f)].append(f)
-    bases = tuple(tuple(sorted(faces, key=lex_key)) for faces in by_size)
+    bases = tuple(tuple(sorted(group, key=lex_key)) for group in by_size)
     boundaries = [()]
     for t in range(1, len(bases)):
         index = {f: i for i, f in enumerate(bases[t - 1])}
@@ -205,13 +208,17 @@ def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
 
 
 def _link_betti(
-    big: SimplicialComplex, small: SimplicialComplex, field: FieldSpec
+    big: SimplicialComplex, small_faces: frozenset, field: FieldSpec
 ) -> Iterator[tuple[Face, tuple[int, ...]]]:
     """Yield ``(sigma, Betti numbers of the pair's link at sigma)`` for every
-    face of ``big`` in ``face_key`` order, degrees indexed from -1."""
+    face of ``big`` in ``face_key`` order, degrees indexed from -1 up to the
+    dimension of ``big``'s link.  The pair's link is ``t - sigma`` over the
+    faces ``t`` of ``big`` outside ``small_faces`` that contain sigma."""
     for sigma in sorted(big.faces, key=face_key):
-        link_small = link(small, sigma) if sigma in small.faces else VOID
-        yield sigma, _betti_of_chain(chain_complex(link(big, sigma), link_small), field)
+        star = [t for t in big.faces if sigma <= t]
+        levels = max(map(len, star)) - len(sigma) + 1
+        relative = (t - sigma for t in star if t not in small_faces)
+        yield sigma, _betti_of_chain(_chain(relative, levels), field)
 
 
 def is_relative_cm(
@@ -220,12 +227,10 @@ def is_relative_cm(
     field: FieldSpec = RATIONALS,
 ) -> bool:
     """Whether pair link homology vanishes away from degree d - |face|."""
-    small = small if small is not None else VOID
-    if not small.faces <= big.faces:
-        raise NotASubcomplex("the second complex is not a subcomplex of the first")
+    small_faces = _relative_members(big, small)[1]
     d = big.dim
     return all(not value or len(sigma) + idx - 1 == d
-               for sigma, betti in _link_betti(big, small, field)
+               for sigma, betti in _link_betti(big, small_faces, field)
                for idx, value in enumerate(betti))
 
 
@@ -237,7 +242,7 @@ def _depth_and_witness(
     order, whose link homology attains it; None when the depth is dim + 1."""
     d = c.dim
     value, witness = d + 1, None
-    for sigma, betti in _link_betti(c, VOID, field):
+    for sigma, betti in _link_betti(c, frozenset(), field):
         for i, b in enumerate(betti[1:d + 1]):
             if b and len(sigma) + i + 1 < value:
                 value, witness = len(sigma) + i + 1, (sigma, i)
@@ -292,8 +297,8 @@ def cm_extender(
     d = c.dim
     dep, witness = _depth_and_witness(c, field)
     if dep >= d:  # depth >= dim of the face ring minus one
-        vertices = sorted(c.vertices)
-        gamma = skeleton(build_complex([vertices]), d)
+        # The d-skeleton of the simplex on c's vertices, built from its d-faces.
+        gamma = build_complex(combinations(sorted(c.vertices), d + 1))
         if not is_cohen_macaulay(gamma, field):
             raise InternalCheckError("skeleton extender is not Cohen-Macaulay")
         if not is_relative_cm(gamma, c, field):

@@ -23,6 +23,7 @@ from .complexes import (
     FaceFamily,
     SimplicialComplex,
     _facet_sizes,
+    _relative_members,
     as_family,
     between,
     face_key,
@@ -36,7 +37,6 @@ from .errors import (
     InvalidParameters,
     InvalidPartitioning,
     NotAPermutation,
-    NotASubcomplex,
     SizeLimitExceeded,
 )
 
@@ -242,13 +242,11 @@ def find_partitioning(
     return IntervalPartition.of(solution)
 
 
-def _relative_members(
-    big: SimplicialComplex, small: Optional[SimplicialComplex]
-) -> tuple[frozenset, frozenset]:
-    small_faces = small.faces if small is not None else frozenset()
-    if not small_faces <= big.faces:
-        raise NotASubcomplex("the second complex is not a subcomplex of the first")
-    return big.faces - small_faces, small_faces
+def _shelling_step(facet: Face, closed) -> bool:
+    """Whether the subsets of ``facet`` outside ``closed`` have a unique
+    minimal element."""
+    step = {s for s in subsets_of(facet) if s not in closed}
+    return sum(1 for s in step if not any(t < s for t in step)) == 1
 
 
 def check_shelling_order(
@@ -270,9 +268,7 @@ def check_shelling_order(
             "order is not a permutation of the maximal members of the pair")
     closed = set(small_faces)
     for facet in ordered:
-        step = {s for s in subsets_of(facet) if s not in closed}
-        minimal = [s for s in step if not any(t < s for t in step)]
-        if len(minimal) != 1:
+        if not _shelling_step(facet, closed):
             return False
         closed.update(subsets_of(facet))
     return True
@@ -305,11 +301,7 @@ def find_shelling(
         if placed in failed:
             return None
         for facet in facets:
-            if facet in prefix:
-                continue
-            step = {s for s in subsets_of(facet) if s not in closed}
-            minimal = [s for s in step if not any(t < s for t in step)]
-            if len(minimal) != 1:
+            if facet in prefix or not _shelling_step(facet, closed):
                 continue
             result = extend(prefix + [facet], closed | frozenset(subsets_of(facet)))
             if result is not None:

@@ -256,6 +256,21 @@ def depth_and_witness_by_definition(c, rank):
     return value, next(((s, i) for r, s, i in reached if r == value), None)
 
 
+def relative_cm_by_definition(big, small, rank):
+    """Relative Cohen-Macaulayness read literally: for every face s of big,
+    the link of s in big, minus the link of s in small when s is a face of
+    small, has reduced homology only in degree dim(big) - |s|."""
+    d = big.dim
+    for s in big.faces:
+        lk = link_by_definition(big, s)
+        if s in small.faces:
+            lk -= link_by_definition(small, s)
+        betti = betti_by_elimination(lk, max(map(len, lk), default=0) + 1, rank)
+        if any(b and len(s) + idx - 1 != d for idx, b in enumerate(betti)):
+            return False
+    return True
+
+
 def euler_from_f(f):
     """Reduced Euler characteristic: alternating sum of the face counts."""
     return sum((-1) ** (size - 1) * f[size] for size in range(len(f)))

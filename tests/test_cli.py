@@ -79,6 +79,22 @@ def test_parse_error_reports_position(write, capsys):
     assert ":2:3:" in err
 
 
+@pytest.mark.parametrize("text, where, message", [
+    # int() reads 1_2 as 12 and the Arabic-Indic digit three as 3.
+    ("1 2\n1_2 _\n", "2:1", "expected an integer label, got '1_2'"),
+    ("1 2\n٣\n", "2:1", "expected an integer label, got '٣'"),
+    # The bad token's text also starts an earlier, valid token.
+    ("1 2\n+1 +\n", "2:4", "expected an integer label, got '+'"),
+    ("1 2\n 4  -3\n", "2:5", "labels must be nonnegative"),
+])
+def test_text_label_errors_name_the_token(tmp_path, capsys, text, where, message):
+    target = tmp_path / "bad.txt"
+    target.write_text(text, encoding="utf-8")
+    status, out, err = run(capsys, "info", str(target))
+    assert (status, out) == (2, "")
+    assert err == f"error: {target}:{where}: {message}\n"
+
+
 def test_bad_json_reports_position(write, capsys):
     path = write("bad.json", "{\"facets\": [[1, 2]")
     status, _, err = run(capsys, "info", path)

@@ -17,6 +17,7 @@ from extenders import (
     h_triangle,
     h_vector,
     link,
+    partition_extender,
     relative_family,
     skeleton,
 )
@@ -59,6 +60,31 @@ def test_closure_and_facet_invariants(c):
             assert face - {v} in c.faces
     maximal = {f for f in c.faces if not any(f < g for g in c.faces)}
     assert c.facets == maximal
+
+
+def _check_facets_and_dim(c):
+    """Facets and dimension against their literal definitions: the faces
+    with no proper superset, and the largest face size minus one."""
+    assert c.facets == {f for f in c.faces if not any(f < g for g in c.faces)}
+    assert c.dim == max((len(f) for f in c.faces), default=0) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(min_facets=1), small_complexes(min_facets=1))
+def test_facets_and_dim_match_definition(c, other):
+    _check_facets_and_dim(c)
+    for s in c.faces:
+        _check_facets_and_dim(link(c, s))
+    for r in range(-1, c.dim + 1):
+        _check_facets_and_dim(skeleton(c, r))
+    _check_facets_and_dim(glue(c, other, {}))
+    # Identifying one vertex can absorb a facet of either side.
+    _check_facets_and_dim(glue(c, other, {min(other.vertices): min(c.vertices)}))
+
+
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(4) for k in range(-1, d + 1)])
+def test_gadget_facets_and_dim_match_definition(d, k):
+    _check_facets_and_dim(partition_extender(d, k).complex)
 
 
 def test_f_vector_golden():

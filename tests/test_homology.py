@@ -23,12 +23,14 @@ from extenders import (
     relative_betti,
     skeleton,
 )
+from extenders import homology
 from extenders.homology import ChainComplexData, matrix_rank
 from _oracles import (
     DENSE_RANKS,
     betti_by_elimination,
     complex_pairs,
     depth_and_witness_by_definition,
+    relative_cm_by_definition,
     euler_from_betti,
     euler_from_f,
     rank_mod,
@@ -197,6 +199,15 @@ def test_is_relative_cm_golden():
     assert not is_relative_cm(big, TWO_TRIANGLES)
 
 
+@settings(max_examples=60, deadline=None)
+@given(complex_pairs())
+def test_is_relative_cm_matches_literal_reading(pair):
+    big, small = pair
+    for p in (0, 2):
+        assert is_relative_cm(big, small, FieldSpec(p)) \
+            == relative_cm_by_definition(big, small, DENSE_RANKS[p])
+
+
 def test_depth_golden():
     assert depth(BOWTIE) == 2
     assert depth(TWO_TRIANGLES) == 1
@@ -237,6 +248,23 @@ def test_cm_extender_bowtie():
     assert outcome.extender == expected
     assert is_cohen_macaulay(outcome.extender)
     assert is_relative_cm(outcome.extender, BOWTIE)
+
+
+def test_cm_extender_builds_no_complex_beyond_its_extender(monkeypatch):
+    # On a path with 18 vertices the extender is the complete graph: 1 + 18
+    # + 153 = 172 faces, while the whole simplex on 18 vertices has 2**18.
+    path = build_complex([[i, i + 1] for i in range(1, 18)])
+    sizes = []
+
+    def counted(facets):
+        c = build_complex(facets)
+        sizes.append(len(c.faces))
+        return c
+
+    monkeypatch.setattr(homology, "build_complex", counted)
+    outcome = cm_extender(path)
+    assert isinstance(outcome, CmExtender) and len(outcome.extender.faces) == 172
+    assert sizes and max(sizes) <= 172
 
 
 def test_cm_extender_two_triangles_obstructed():

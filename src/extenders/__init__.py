@@ -11,7 +11,6 @@ from .complexes import (
     FaceFamily,
     SimplicialComplex,
     adjoin_face,
-    as_family,
     build_complex,
     f_from_h,
     f_triangle,

@@ -200,7 +200,7 @@ def _minus(args) -> Optional[SimplicialComplex]:
 
 
 def _family(c: SimplicialComplex, minus: Optional[SimplicialComplex]):
-    return c.as_family() if minus is None else relative_family(c, minus)
+    return c if minus is None else relative_family(c, minus)
 
 
 def _face_lists(faces) -> list:
@@ -357,8 +357,11 @@ def cmd_build_extender(args) -> _Report:
             "face": sorted(entry.face),
             "attachment_facet": sorted(entry.attachment_facet),
             "fresh_vertices": list(entry.fresh_vertices),
-            "extender_intervals": entry.with_face_intervals.to_records(),
-            "relative_intervals": entry.without_face_intervals.to_records(),
+            # The log holds pairs in gadget order; only the report sorts them.
+            "extender_intervals":
+                IntervalPartition.of(entry.with_face_intervals).to_records(),
+            "relative_intervals":
+                IntervalPartition.of(entry.without_face_intervals).to_records(),
         })
     result = {
         "base_facets": _face_lists(base.facets),
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared["json"].add_argument("--json", action="store_true",
                                 help="emit a canonical JSON report")
     shared["char"].add_argument("--char", type=int, default=0,
-                                help="field characteristic")
+                                help="field characteristic: 0 or a prime below 2^31")
     shared["minus"].add_argument("--minus",
                                  help="subcomplex for a relative family or pair")
 

@@ -147,21 +147,12 @@ class FaceFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def maximal_members(self) -> set[Face]:
-        return maximal_faces(self.members)
-
-    def sorted_members(self) -> list[Face]:
-        return sorted(self.members, key=face_key)
-
 
 ComplexOrFamily = Union[SimplicialComplex, FaceFamily]
 
 
-def as_family(x: ComplexOrFamily) -> FaceFamily:
-    return x.as_family() if isinstance(x, SimplicialComplex) else x
-
-
 def _members_and_dim(x: ComplexOrFamily) -> tuple[frozenset, int]:
+    """The face set and ambient dimension of a complex or a family."""
     if isinstance(x, SimplicialComplex):
         return x.faces, x.dim
     return x.members, x.ambient_dim

@@ -14,12 +14,14 @@ partitionings of both the supercomplex and the relative family, verified
 before anything is returned.
 
 Both constructions glue through one mutable builder and differ only in
-which list each mapped piece certificate joins.  A result validates its
-two certificates once and caches the reports, h-vectors, facet-size maps
-and h-triangles on itself; the final check and :func:`h_decomposition`
-both read those caches.  A result is frozen, so the cached reports stay
-true of it; a hand-built or copied result starts with empty caches and is
-validated in full on first use.
+which list each mapped piece certificate joins.  A mapped certificate is a
+tuple of (bottom, top) pairs in the gadget certificate's order; only
+:meth:`_Builder.freeze` canonicalises, once per built certificate.  A
+result validates its two certificates once and caches the reports,
+h-vectors, facet-size maps and h-triangles on itself; the final check and
+:func:`h_decomposition` both read those caches.  A result is frozen, so
+the cached reports stay true of it; a hand-built or copied result starts
+with empty caches and is validated in full on first use.
 """
 
 from __future__ import annotations
@@ -66,13 +68,14 @@ from .partitions import (
 
 @dataclass(frozen=True)
 class PieceAttachment:
-    """One glued gadget: where it went and what it contributed."""
+    """One glued gadget: where it went and what it contributed.  The
+    intervals are (bottom, top) pairs in the new labels, in gadget order."""
 
     face: Face
     attachment_facet: Face
     fresh_vertices: tuple
-    with_face_intervals: IntervalPartition
-    without_face_intervals: IntervalPartition
+    with_face_intervals: tuple
+    without_face_intervals: tuple
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class ExtenderResult:
     @cached_property
     def reports(self) -> tuple[PartitionReport, PartitionReport]:
         """Verification reports of the extender and relative certificates."""
-        return (verify_partitioning(self.extender.as_family(), self.extender_partition),
+        return (verify_partitioning(self.extender, self.extender_partition),
                 verify_partitioning(self.relative, self.relative_partition))
 
     @cached_property
@@ -204,10 +207,9 @@ def prepartition_h_profile(d: int, k: int) -> tuple[int, ...]:
     return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
 
 
-def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> IntervalPartition:
+def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> tuple:
     image = mapping.__getitem__
-    return IntervalPartition.of((frozenset(map(image, b)), frozenset(map(image, t)))
-                                for b, t in p)
+    return tuple((frozenset(map(image, b)), frozenset(map(image, t))) for b, t in p)
 
 
 class _Builder:
@@ -226,7 +228,8 @@ class _Builder:
     def attach(self, piece: MarkedComplex, facet: Face, face: Face) -> tuple:
         """Glue ``piece``'s specified facet onto ``facet`` and its specified
         face onto ``face``, order-preserving on sorted labels, and return
-        its (with-face, without-face) certificates in the new labels."""
+        its (with-face, without-face) certificates in the new labels, as
+        pair tuples in the piece's order; :meth:`freeze` sorts them."""
         inner = piece.specified_face
         mapping = dict(zip(sorted(inner), sorted(face)))
         mapping.update(zip(sorted(piece.specified_facet - inner), sorted(facet - face)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Union
 
 from .complexes import (
@@ -36,26 +36,22 @@ from .errors import (
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    """Trial division, for n below 2^31 only, so at most about 46k steps."""
+    return 2 <= n < 2 ** 31 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 (exact rationals) or a prime."""
+    """Coefficient field: characteristic 0 (exact rationals) or a prime
+    below 2^31."""
 
     characteristic: int = 0
 
     def __post_init__(self):
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise InvalidParameters(
-                f"characteristic must be 0 or prime, got {self.characteristic}")
+                f"characteristic must be 0 or a prime below 2^31, "
+                f"got {self.characteristic}")
 
 
 RATIONALS = FieldSpec(0)

@@ -7,6 +7,10 @@ subsets.  The searches are exhaustive backtracking with fully
 lexicographic tie-breaking, so both witnesses and failure verdicts are
 reproducible.
 
+Every function here reads a face set and an ambient dimension, whether
+it is given a complex (its faces and dimension) or a family (its members
+and ambient dimension); no complex is copied into a family first.
+
 The layer and h-compatibility checks run on a partitioning validated once,
 plus the family's facet-size map (each member's largest containing member).
 """
@@ -20,11 +24,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .complexes import (
     ComplexOrFamily,
     Face,
-    FaceFamily,
     SimplicialComplex,
     _facet_sizes,
+    _members_and_dim,
     _relative_members,
-    as_family,
     between,
     face_key,
     format_face,
@@ -101,8 +104,7 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
     """
-    fam = as_family(fam)
-    members = fam.members
+    members, _ = _members_and_dim(fam)
     stats = Counter((len(t), len(b)) for b, t in p)
     stats_out = tuple(sorted(stats.items()))
 
@@ -123,9 +125,10 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
                 continue
             for m in by_size[size]:
                 if t < m:
+                    above = min((m for m in members if t < m), key=face_key)
                     return report(
                         f"top of {_interval_label(b, t)} is not maximal: it is "
-                        f"contained in {format_face(m)}")
+                        f"contained in {format_face(above)}")
         for s in between(b, t):
             if s not in members:
                 return report(
@@ -140,7 +143,7 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     return PartitionReport(True, None, stats_out)
 
 
-def _require_valid(fam: FaceFamily, p: IntervalPartition) -> PartitionReport:
+def _require_valid(fam: ComplexOrFamily, p: IntervalPartition) -> PartitionReport:
     report = verify_partitioning(fam, p)
     if not report.valid:
         raise InvalidPartitioning(report.violation)
@@ -149,9 +152,8 @@ def _require_valid(fam: FaceFamily, p: IntervalPartition) -> PartitionReport:
 
 def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int, ...]:
     """Interval counts by bottom size; equals the h-vector for pure families."""
-    fam = as_family(fam)
     _require_valid(fam, p)
-    counts = [0] * (fam.ambient_dim + 2)
+    counts = [0] * (_members_and_dim(fam)[1] + 2)
     for b, _ in p:
         counts[len(b)] += 1
     return tuple(counts)
@@ -177,14 +179,12 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     a valid partitioning of the members lying under a maximal member of
     dimension at least r.
     """
-    fam = as_family(fam)
     _require_valid(fam, p)
-    return _layer_compatible(p, _facet_sizes(fam.members))
+    return _layer_compatible(p, _facet_sizes(_members_and_dim(fam)[0]))
 
 
 def is_h_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     """Whether interval counts by (top size, bottom size) match the h-triangle."""
-    fam = as_family(fam)
     return _h_compatible(_require_valid(fam, p), h_triangle(fam))
 
 
@@ -198,8 +198,7 @@ def find_partitioning(
     then lexicographically; candidate bottoms are tried in lexicographic
     order, so the returned witness is deterministic.
     """
-    fam = as_family(fam)
-    members = fam.members
+    members, _ = _members_and_dim(fam)
     if len(members) > max_members:
         raise SizeLimitExceeded(
             f"family has {len(members)} members, above the search bound of "
@@ -207,7 +206,7 @@ def find_partitioning(
             limit=max_members, parameter="max_members")
     if not members:
         return IntervalPartition.of([])
-    tops = sorted(fam.maximal_members(), key=lambda f: (-len(f), lex_key(f)))
+    tops = sorted(maximal_faces(members), key=lambda f: (-len(f), lex_key(f)))
     options = []
     for top in tops:
         choices = []

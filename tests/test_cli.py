@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -216,6 +217,20 @@ def test_depth_and_char_flag(write, capsys):
     assert status == 0 and "depth: 2" in out
     status, _, err = run(capsys, "depth", bowtie, "--char", "4")
     assert status == 2
+    status, out, _ = run(capsys, "depth", bowtie, "--char", str(2 ** 31 - 1))
+    assert status == 0 and "depth: 2" in out
+
+
+# Trial division up to the square root of the first two would take minutes;
+# every characteristic from 2^31 up is refused by its size alone.
+@pytest.mark.parametrize("char", [2 ** 61 - 1, 4294967291 * 2147483647, 2 ** 31])
+def test_char_at_or_above_2_31_is_refused_at_once(write, capsys, char):
+    bowtie = write("bowtie.json", BOWTIE)
+    start = time.perf_counter()
+    status, out, err = run(capsys, "depth", bowtie, "--char", str(char))
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (2, "")
+    assert _single_error_line(err) and "prime below 2^31" in err
 
 
 def test_depth_json_includes_homology_block(write, capsys):
@@ -419,7 +434,7 @@ _commands = st.sampled_from([
     ["shelling-check", "a", "b"],
     *(command + char for command in (["depth", "a"], ["cm-check", "a"],
                                      ["cm-extender", "a"], ["rel-cm-check", "a", "b"])
-      for char in ([], ["--char", "2"]))])
+      for char in ([], ["--char", "2"], ["--char", str(2 ** 61 - 1)]))])
 
 
 @settings(max_examples=200, deadline=None,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from extenders import (
     ExtenderResult,
+    FaceFamily,
     IntervalPartition,
     InternalCheckError,
     InvalidParameters,
@@ -422,3 +423,24 @@ def test_total_size_estimate_order_of_magnitude():
         estimate = total_size_estimate(base)
         assert estimate / 4 <= added <= estimate * 4
     assert total_size_estimate(build_complex([])) == 0
+
+
+def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
+    bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
+    h_decomposition(extender_for_complex(bowtie))  # warm the gadgets
+    counts = {"of": 0, "family": 0}
+    of, post_init = IntervalPartition.of.__func__, FaceFamily.__post_init__
+
+    def counted_of(cls, pairs):
+        counts["of"] += 1
+        return of(cls, pairs)
+
+    def counted_post_init(self):
+        counts["family"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(IntervalPartition, "of", classmethod(counted_of))
+    monkeypatch.setattr(FaceFamily, "__post_init__", counted_post_init)
+    h_decomposition(extender_for_complex(bowtie))
+    # The two certificates of freeze; the relative family alone is a family.
+    assert counts == {"of": 2, "family": 1}

@@ -56,14 +56,19 @@ GF2 = FieldSpec(2)
 def test_field_spec_validation():
     FieldSpec(0)
     FieldSpec(7)
-    with pytest.raises(InvalidParameters):
-        FieldSpec(6)
-    with pytest.raises(InvalidParameters):
-        FieldSpec(1)
+    FieldSpec(2 ** 31 - 1)
+    for bad in (6, 1, -3, 2 ** 31, 2 ** 61 - 1):
+        with pytest.raises(InvalidParameters):
+            FieldSpec(bad)
 
 
 def test_reduced_betti_circle():
     assert reduced_betti(TRIANGLE_BOUNDARY).betti == (0, 0, 1)
+
+
+def test_profile_degree_reads_betti_from_degree_minus_one():
+    profile = reduced_betti(TRIANGLE_BOUNDARY)
+    assert [profile.degree(i) for i in range(-2, 3)] == [0, 0, 0, 1, 0]
 
 
 def test_reduced_betti_irrelevant_complex():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from extenders import (
+    ExtendersError,
     FaceFamily,
     IntervalPartition,
     InvalidParameters,
@@ -128,6 +129,14 @@ def test_verify_reports_double_cover_and_non_maximal_top():
                                 ([2, 3], [2, 3])))
     assert not low_top.valid
     assert "not maximal" in low_top.violation
+
+
+def test_non_maximal_top_names_the_first_containing_member():
+    # Many triangles contain {1,2}; the message names the face_key-first.
+    skeleton_2 = build_complex(itertools.combinations(range(1, 9), 3))
+    report = verify_partitioning(skeleton_2, part(([], [1, 2])))
+    assert report.violation == (
+        "top of [{}, {1,2}] is not maximal: it is contained in {1,2,3}")
 
 
 def test_verify_stats_account_for_every_member():
@@ -351,3 +360,29 @@ def test_shellable_implies_partitionable(pure):
     order = find_shelling(c)
     if order is not None and len(c.faces) <= 40:
         assert find_partitioning(c) is not None
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ExtendersError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes(), st.data())
+def test_complex_and_its_family_give_the_same_answers(c, data):
+    """Each check reads the same face set from a complex as from the family
+    it copies into, on valid witnesses and on those of a relative family."""
+    fam = c.as_family()
+    small = build_complex(data.draw(st.lists(st.sampled_from(c.sorted_faces()),
+                                             max_size=3)) if c.faces else [])
+    witnesses = [_outcome(find_partitioning, x) for x in (c, fam)]
+    assert witnesses[0] == witnesses[1]
+    candidates = [witnesses[0], find_partitioning(relative_family(c, small))]
+    for p in candidates:
+        if not isinstance(p, IntervalPartition):
+            continue
+        for check in (verify_partitioning, h_from_partitioning,
+                      is_layer_compatible, is_h_compatible):
+            assert _outcome(check, c, p) == _outcome(check, fam, p)

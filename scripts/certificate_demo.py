@@ -15,7 +15,6 @@ from extenders import (
     h_decomposition,
     h_vector,
     nonpure_extender_for_complex,
-    relative_family,
 )
 
 EXAMPLES = {
@@ -61,9 +60,8 @@ def main():
         else:
             res = nonpure_extender_for_complex(c)
         h_big, h_rel, diff = h_decomposition(res)
-        relative = relative_family(res.extender, res.base)
         print(f"  partition extender: {len(res.extender.faces)} faces, "
-              f"{len(relative.members)} relative members")
+              f"{len(res.relative.faces)} relative members")
         print(f"  h identity: {h_big} - {h_rel} = {diff}")
         print()
 

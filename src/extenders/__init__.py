@@ -19,13 +19,11 @@ from .complexes import (
     facet_depth,
     format_face,
     glue,
-    glue_with_map,
     h_from_f,
     h_triangle,
     h_vector,
     link,
     relative_family,
-    simplex_complex,
     skeleton,
 )
 from .construct import (

@@ -12,9 +12,9 @@ the text lines are rendered from the same ``result``.
 Exit status: 0 for success / true, 1 for false / not partitionable /
 no extender / not shellable, 2 when no answer can be given.  Each failure
 prints exactly one line on stderr: ``error: ...`` for bad input (missing,
-undecodable, unparsable or out of domain), ``internal error: ...`` when a
-construction's self-check fails, which is a bug in the library, not in the
-input.  Both exit with status 2.
+undecodable, unparsable or out of domain, or a malformed command line),
+``internal error: ...`` when a construction's self-check fails, which is a
+bug in the library, not in the input.  Both exit with status 2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .complexes import (
     format_face,
     h_triangle,
     h_vector,
-    relative_family,
+    pair_family,
 )
 from .construct import (
     extender_for_complex,
@@ -72,7 +72,14 @@ _TOKEN, _LABEL = re.compile(r"\S+"), re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(Exception):
-    """File-level problem: unreadable, unparsable, or out of domain."""
+    """Input problem: unreadable, unparsable, or out of domain, in a file
+    or on the command line."""
+
+
+def _usage_error(message: str):
+    """Stands in for ``ArgumentParser.error``: a usage error is an input
+    error, which :func:`main` reports in one line."""
+    raise InputError(message)
 
 
 @dataclass
@@ -199,10 +206,6 @@ def _minus(args) -> Optional[SimplicialComplex]:
     return load_complex_document(args.minus).complex if args.minus else None
 
 
-def _family(c: SimplicialComplex, minus: Optional[SimplicialComplex]):
-    return c if minus is None else relative_family(c, minus)
-
-
 def _face_lists(faces) -> list:
     """Faces as sorted label lists, by size and then lexicographically."""
     return [sorted(f) for f in sorted(faces, key=face_key)]
@@ -282,7 +285,8 @@ def cmd_info(args) -> _Report:
 def cmd_partitionable(args) -> _Report:
     doc = load_complex_document(args.complex)
     minus = _minus(args)
-    partition = find_partitioning(_family(doc.complex, minus), max_members=args.max_faces)
+    partition = find_partitioning(pair_family(doc.complex, minus),
+                                  max_members=args.max_faces)
     found = partition is not None
     result = {"partitionable": found,
               "intervals": partition.to_records() if found else None}
@@ -299,10 +303,13 @@ def cmd_partitionable(args) -> _Report:
 
 def cmd_verify_partition(args) -> _Report:
     if args.intervals is None:
+        if args.minus is not None:
+            raise InputError("--minus needs an intervals file; each certificate "
+                             "of a report carries its own minus")
         return _verify_report_document(args.complex)
     doc = load_complex_document(args.complex)
     partition = load_intervals(args.intervals)
-    outcome = verify_partitioning(_family(doc.complex, _minus(args)), partition)
+    outcome = verify_partitioning(pair_family(doc.complex, _minus(args)), partition)
     result = {
         "valid": outcome.valid,
         "violation": outcome.violation,
@@ -329,7 +336,7 @@ def _verify_report_document(path: str) -> _Report:
         big = build_complex(_faces(facets, path))
         partition = _intervals(records, path)
         small = None if minus is None else build_complex(_faces(minus, path))
-        outcome = verify_partitioning(_family(big, small), partition)
+        outcome = verify_partitioning(pair_family(big, small), partition)
         results.append({
             "label": cert.get("label"),
             "valid": outcome.valid,
@@ -350,7 +357,7 @@ def cmd_build_extender(args) -> _Report:
     build = nonpure_extender_for_complex if args.nonpure else extender_for_complex
     res = build(doc.complex)
     base, extender = res.base, res.extender
-    families = {"base": base, "extender": extender, "relative": res.relative}
+    names = ("base", "extender", "relative")
     log = []
     for entry in res.attachment_log:
         log.append({
@@ -368,9 +375,9 @@ def cmd_build_extender(args) -> _Report:
         "extender_facets": _face_lists(extender.facets),
         "extender_partition": res.extender_partition.to_records(),
         "relative_partition": res.relative_partition.to_records(),
-        "h": {name: list(h) for name, h in zip(families, res.h_vectors)},
+        "h": {name: list(h) for name, h in zip(names, res.h_vectors)},
         "h_triangle": {name: _triangle_json(tri)
-                       for name, tri in zip(families, res.h_triangles)},
+                       for name, tri in zip(names, res.h_triangles)},
         "added_vertices": len(extender.vertices) - len(base.vertices),
         "added_faces": len(extender.faces) - len(base.faces),
         "estimated_added_faces": total_size_estimate(base),
@@ -444,7 +451,7 @@ def cmd_cm_extender(args) -> _Report:
     result = {
         "exists": True,
         "extender_facets": _face_lists(outcome.extender.facets),
-        "relative_members": len(outcome.relative.members),
+        "relative_members": len(outcome.relative.faces),
     }
     lines = [f"Cohen-Macaulay extender with {len(result['extender_facets'])} facets",
              f"relative members: {result['relative_members']}"]
@@ -485,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="extenders",
         description="Partition extenders, interval certificates, and "
                     "Cohen-Macaulay checks for simplicial complexes.")
+    parser.error = _usage_error
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     shared = {name: argparse.ArgumentParser(add_help=False)
@@ -499,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help, positionals=("complex",), flags=()):
         p = sub.add_parser(name, help=help,
                            parents=[shared["json"], *(shared[f] for f in flags)])
+        p.error = _usage_error
         for positional in positionals:
             p.add_argument(positional)
         p.set_defaults(func=func)
@@ -552,9 +561,8 @@ def _error_line(exc: Exception) -> str:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.func(args)
     except (InputError, ExtendersError) as exc:
         print(_error_line(exc), file=sys.stderr)

@@ -4,8 +4,11 @@ A face is a frozenset of nonnegative integer vertex labels; the empty
 frozenset is the empty face, of dimension -1.  A complex is its face set,
 which is closed under subsets; its facets and dimension are derived from
 the faces in one place and cached.  A face family is an arbitrary finite
-set of faces with an explicit ambient dimension; it is used for relative
-complexes and for families that are not closed under subsets.
+set of faces with an explicit dimension; it holds a relative complex
+(Gamma, Delta), or any family that is not closed under subsets.  Both
+expose ``faces`` and ``dim``, the only two things every statistic reads.
+:func:`relative_family` is the one place that checks a subcomplex lies in
+its complex.
 
 Every public value here is immutable and every public operation is a pure
 function, so results can be shared freely between concurrent tasks.
@@ -128,34 +131,27 @@ class FaceFamily:
 
     Unlike a complex, a family need not be closed under subsets, so
     statistics that depend on the ambient dimension cannot be derived
-    from the members alone; ``ambient_dim`` supplies it.
+    from its faces alone; ``dim`` supplies it.
     """
 
-    members: frozenset
-    ambient_dim: int
+    faces: frozenset
+    dim: int
 
     def __post_init__(self):
-        top = max((len(f) for f in self.members), default=0) - 1
-        if self.ambient_dim < top:
+        top = max((len(f) for f in self.faces), default=0) - 1
+        if self.dim < top:
             raise InvalidParameters(
-                f"ambient dimension {self.ambient_dim} is below a member of "
+                f"ambient dimension {self.dim} is below a member of "
                 f"dimension {top}")
 
     def __contains__(self, face) -> bool:
-        return frozenset(face) in self.members
+        return frozenset(face) in self.faces
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.faces)
 
 
 ComplexOrFamily = Union[SimplicialComplex, FaceFamily]
-
-
-def _members_and_dim(x: ComplexOrFamily) -> tuple[frozenset, int]:
-    """The face set and ambient dimension of a complex or a family."""
-    if isinstance(x, SimplicialComplex):
-        return x.faces, x.dim
-    return x.members, x.ambient_dim
 
 
 def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -168,16 +164,10 @@ def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(faces))
 
 
-def simplex_complex(vertices: Iterable[int]) -> SimplicialComplex:
-    """The full simplex on a vertex set (the complex {vertices} generates)."""
-    return build_complex([vertices])
-
-
 def f_vector(x: ComplexOrFamily) -> tuple[int, ...]:
     """Face counts by cardinality; entry i counts faces of i vertices."""
-    members, d = _members_and_dim(x)
-    counts = [0] * (d + 2)
-    for f in members:
+    counts = [0] * (x.dim + 2)
+    for f in x.faces:
         counts[len(f)] += 1
     return tuple(counts)
 
@@ -221,11 +211,10 @@ def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
 
 def facet_depth(x: ComplexOrFamily, s: Iterable[int]) -> int:
     """Largest dimension of a face of ``x`` containing ``s``."""
-    members, _ = _members_and_dim(x)
     s = frozenset(s)
-    if s not in members:
+    if s not in x.faces:
         raise FaceNotPresent(f"face {format_face(s)} is not in the complex")
-    return max(len(t) for t in members if s <= t) - 1
+    return max(len(t) for t in x.faces if s <= t) - 1
 
 
 def _facet_sizes(members) -> dict[Face, int]:
@@ -259,8 +248,7 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     Row i lists, by cardinality j, the faces whose largest containing
     member has i vertices.  Column sums reproduce the f-vector.
     """
-    members, d = _members_and_dim(x)
-    return _f_triangle(_facet_sizes(members), d)
+    return _f_triangle(_facet_sizes(x.faces), x.dim)
 
 
 def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -278,7 +266,8 @@ def h_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
 
 
 def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFamily:
-    """Faces of ``big`` not in ``small``, with ``big``'s ambient dimension."""
+    """Faces of ``big`` not in ``small``, with ``big``'s dimension, after
+    checking that ``small`` lies in ``big``."""
     if not small.faces <= big.faces:
         extra = min(small.faces - big.faces, key=face_key)
         raise NotASubcomplex(
@@ -287,31 +276,28 @@ def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFam
     return FaceFamily(big.faces - small.faces, big.dim)
 
 
-def _relative_members(
+def pair_family(
     big: SimplicialComplex, small: Optional[SimplicialComplex]
-) -> tuple[frozenset, frozenset]:
-    """The faces of ``big`` outside ``small`` and those of ``small`` (none
-    when it is None), after checking that ``small`` lies in ``big``."""
-    small_faces = small.faces if small is not None else frozenset()
-    if not small_faces <= big.faces:
-        raise NotASubcomplex("the second complex is not a subcomplex of the first")
-    return big.faces - small_faces, small_faces
+) -> ComplexOrFamily:
+    """``big`` itself when ``small`` is None, else the relative family of
+    the pair; either way its ``dim`` is ``big``'s."""
+    return big if small is None else relative_family(big, small)
 
 
 def adjoin_face(fam: FaceFamily, s: Iterable[int]) -> FaceFamily:
     """Add one face to a family."""
     s = frozenset(s)
-    if s in fam.members:
+    if s in fam.faces:
         raise AlreadyPresent(f"face {format_face(s)} is already a member")
-    return FaceFamily(fam.members | {s}, fam.ambient_dim)
+    return FaceFamily(fam.faces | {s}, fam.dim)
 
 
-def glue_with_map(
+def glue(
     host: SimplicialComplex,
     guest: SimplicialComplex,
     identification: Mapping[int, int],
-) -> tuple[SimplicialComplex, dict[int, int]]:
-    """Glue ``guest`` onto ``host`` and return the full vertex relabeling.
+) -> SimplicialComplex:
+    """Glue ``guest`` onto ``host`` along an injective vertex identification.
 
     Identified guest vertices map per ``identification``; the remaining
     guest vertices receive fresh labels, consecutive integers above the
@@ -338,7 +324,7 @@ def glue_with_map(
                     f"which is not a face of the host")
     faces = set(host.faces)
     _merge_relabelled(faces, guest, ident, max(host.vertices, default=-1) + 1)
-    return SimplicialComplex(frozenset(faces)), ident
+    return SimplicialComplex(frozenset(faces))
 
 
 def _merge_relabelled(faces: set, guest: SimplicialComplex,
@@ -353,12 +339,3 @@ def _merge_relabelled(faces: set, guest: SimplicialComplex,
     image = mapping.__getitem__
     faces.update(frozenset(map(image, f)) for f in guest.faces)
     return fresh
-
-
-def glue(
-    host: SimplicialComplex,
-    guest: SimplicialComplex,
-    identification: Mapping[int, int],
-) -> SimplicialComplex:
-    """Glue ``guest`` onto ``host`` along an injective vertex identification."""
-    return glue_with_map(host, guest, identification)[0]

@@ -120,6 +120,11 @@ class ExtenderResult:
         """The relative family: faces of the extender not in the base."""
         return relative_family(self.extender, self.base)
 
+    @property
+    def families(self) -> tuple:
+        """The base, the extender and the relative family, in that order."""
+        return self.base, self.extender, self.relative
+
     @cached_property
     def reports(self) -> tuple[PartitionReport, PartitionReport]:
         """Verification reports of the extender and relative certificates."""
@@ -129,20 +134,18 @@ class ExtenderResult:
     @cached_property
     def h_vectors(self) -> tuple:
         """h-vectors of the base, the extender and the relative family."""
-        return tuple(h_vector(x) for x in (self.base, self.extender, self.relative))
+        return tuple(h_vector(x) for x in self.families)
 
     @cached_property
     def facet_sizes(self) -> tuple:
         """Facet-size maps of the base, the extender and the relative family."""
-        return tuple(_facet_sizes(members) for members in
-                     (self.base.faces, self.extender.faces, self.relative.members))
+        return tuple(_facet_sizes(x.faces) for x in self.families)
 
     @cached_property
     def h_triangles(self) -> tuple:
         """h-triangles of the base, the extender and the relative family."""
-        dims = (self.base.dim, self.extender.dim, self.relative.ambient_dim)
-        return tuple(_h_from_f_triangle(_f_triangle(sizes, d))
-                     for sizes, d in zip(self.facet_sizes, dims))
+        return tuple(_h_from_f_triangle(_f_triangle(sizes, x.dim))
+                     for sizes, x in zip(self.facet_sizes, self.families))
 
 
 def _ensure_valid(fam: FaceFamily, p: IntervalPartition, what: str) -> PartitionReport:

@@ -20,17 +20,16 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
-    _relative_members,
     build_complex,
     face_key,
     lex_key,
+    pair_family,
     relative_family,
     skeleton,
 )
 from .errors import (
     InternalCheckError,
     InvalidParameters,
-    NotASubcomplex,
     VoidComplex,
 )
 
@@ -99,7 +98,8 @@ def chain_complex(
     big: SimplicialComplex, small: Optional[SimplicialComplex] = None
 ) -> ChainComplexData:
     """Augmented chain complex of a complex or of a pair (quotient basis)."""
-    return _chain(_relative_members(big, small)[0], big.dim + 2)
+    fam = pair_family(big, small)
+    return _chain(fam.faces, fam.dim + 2)
 
 
 def _chain(faces: Iterable[Face], levels: int) -> ChainComplexData:
@@ -188,11 +188,8 @@ def relative_betti(
     field: FieldSpec = RATIONALS,
 ) -> HomologyProfile:
     """Betti numbers of the pair; with a void ``small`` this is absolute."""
-    if big.is_void:
-        if small is not None and not small.is_void:
-            raise NotASubcomplex("the second complex is not a subcomplex of the first")
-        return HomologyProfile(())
-    return HomologyProfile(_betti_of_chain(chain_complex(big, small), field))
+    cc = chain_complex(big, small)  # checks that small lies in big, even if void
+    return HomologyProfile(() if big.is_void else _betti_of_chain(cc, field))
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -204,16 +201,16 @@ def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
 
 
 def _link_betti(
-    big: SimplicialComplex, small_faces: frozenset, field: FieldSpec
+    big: SimplicialComplex, pair_faces: frozenset, field: FieldSpec
 ) -> Iterator[tuple[Face, tuple[int, ...]]]:
     """Yield ``(sigma, Betti numbers of the pair's link at sigma)`` for every
     face of ``big`` in ``face_key`` order, degrees indexed from -1 up to the
     dimension of ``big``'s link.  The pair's link is ``t - sigma`` over the
-    faces ``t`` of ``big`` outside ``small_faces`` that contain sigma."""
+    faces ``t`` in ``pair_faces`` (the pair's faces) that contain sigma."""
     for sigma in sorted(big.faces, key=face_key):
         star = [t for t in big.faces if sigma <= t]
         levels = max(map(len, star)) - len(sigma) + 1
-        relative = (t - sigma for t in star if t not in small_faces)
+        relative = (t - sigma for t in star if t in pair_faces)
         yield sigma, _betti_of_chain(_chain(relative, levels), field)
 
 
@@ -223,10 +220,10 @@ def is_relative_cm(
     field: FieldSpec = RATIONALS,
 ) -> bool:
     """Whether pair link homology vanishes away from degree d - |face|."""
-    small_faces = _relative_members(big, small)[1]
+    fam = pair_family(big, small)
     d = big.dim
     return all(not value or len(sigma) + idx - 1 == d
-               for sigma, betti in _link_betti(big, small_faces, field)
+               for sigma, betti in _link_betti(big, fam.faces, field)
                for idx, value in enumerate(betti))
 
 
@@ -238,7 +235,7 @@ def _depth_and_witness(
     order, whose link homology attains it; None when the depth is dim + 1."""
     d = c.dim
     value, witness = d + 1, None
-    for sigma, betti in _link_betti(c, frozenset(), field):
+    for sigma, betti in _link_betti(c, c.faces, field):
         for i, b in enumerate(betti[1:d + 1]):
             if b and len(sigma) + i + 1 < value:
                 value, witness = len(sigma) + i + 1, (sigma, i)

@@ -7,9 +7,11 @@ subsets.  The searches are exhaustive backtracking with fully
 lexicographic tie-breaking, so both witnesses and failure verdicts are
 reproducible.
 
-Every function here reads a face set and an ambient dimension, whether
-it is given a complex (its faces and dimension) or a family (its members
-and ambient dimension); no complex is copied into a family first.
+Every function here reads only ``faces`` and ``dim``, which a complex
+and a relative family both expose, so either can be passed as it is; the
+faces are the members of the family being partitioned.  The shelling
+functions take a complex and an optional subcomplex and read the pair
+through :func:`pair_family`.
 
 The layer and h-compatibility checks run on a partitioning validated once,
 plus the family's facet-size map (each member's largest containing member).
@@ -26,14 +28,13 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _facet_sizes,
-    _members_and_dim,
-    _relative_members,
     between,
     face_key,
     format_face,
     h_triangle,
     lex_key,
     maximal_faces,
+    pair_family,
     subsets_of,
 )
 from .errors import (
@@ -104,7 +105,7 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
     """
-    members, _ = _members_and_dim(fam)
+    members = fam.faces
     stats = Counter((len(t), len(b)) for b, t in p)
     stats_out = tuple(sorted(stats.items()))
 
@@ -153,7 +154,7 @@ def _require_valid(fam: ComplexOrFamily, p: IntervalPartition) -> PartitionRepor
 def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int, ...]:
     """Interval counts by bottom size; equals the h-vector for pure families."""
     _require_valid(fam, p)
-    counts = [0] * (_members_and_dim(fam)[1] + 2)
+    counts = [0] * (fam.dim + 2)
     for b, _ in p:
         counts[len(b)] += 1
     return tuple(counts)
@@ -180,7 +181,7 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     dimension at least r.
     """
     _require_valid(fam, p)
-    return _layer_compatible(p, _facet_sizes(_members_and_dim(fam)[0]))
+    return _layer_compatible(p, _facet_sizes(fam.faces))
 
 
 def is_h_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
@@ -198,7 +199,7 @@ def find_partitioning(
     then lexicographically; candidate bottoms are tried in lexicographic
     order, so the returned witness is deterministic.
     """
-    members, _ = _members_and_dim(fam)
+    members = fam.faces
     if len(members) > max_members:
         raise SizeLimitExceeded(
             f"family has {len(members)} members, above the search bound of "
@@ -259,13 +260,13 @@ def check_shelling_order(
     the earlier facets together with ``small``) must have a unique minimal
     element.  The first step is checked against ``small`` alone.
     """
-    members, small_faces = _relative_members(big, small)
-    expected = maximal_faces(members)
+    fam = pair_family(big, small)
+    expected = maximal_faces(fam.faces)
     ordered = [frozenset(f) for f in order]
     if len(ordered) != len(expected) or set(ordered) != expected:
         raise NotAPermutation(
             "order is not a permutation of the maximal members of the pair")
-    closed = set(small_faces)
+    closed = set(big.faces - fam.faces)
     for facet in ordered:
         if not _shelling_step(facet, closed):
             return False
@@ -284,8 +285,8 @@ def find_shelling(
     so each set that failed once is skipped when another order reaches it;
     that cuts only failing subtrees, and the witness is unchanged.
     """
-    members, small_faces = _relative_members(big, small)
-    facets = sorted(maximal_faces(members), key=lambda f: (-len(f), lex_key(f)))
+    fam = pair_family(big, small)
+    facets = sorted(maximal_faces(fam.faces), key=lambda f: (-len(f), lex_key(f)))
     if len(facets) > max_facets:
         raise SizeLimitExceeded(
             f"pair has {len(facets)} facets, above the search bound of "
@@ -308,5 +309,5 @@ def find_shelling(
         failed.add(placed)
         return None
 
-    found = extend([], frozenset(small_faces))
+    found = extend([], big.faces - fam.faces)
     return tuple(found) if found is not None else None

@@ -162,6 +162,33 @@ def test_verify_partition_files(write, capsys):
     assert status == 1 and "not covered" in out
 
 
+def test_verify_partition_report_refuses_minus(write, capsys, tmp_path):
+    bowtie = write("bowtie.json", BOWTIE)
+    out = run(capsys, "build-extender", bowtie, "--json")[1]
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    status, out, err = run(capsys, "verify-partition", str(report), "--minus", bowtie)
+    assert status == 2 and out == "" and _single_error_line(err)
+    assert "--minus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitionable", "{bowtie}", "--minus", "{nine}"],
+    ["shellable", "{bowtie}", "--minus", "{nine}"],
+    ["shelling-check", "{bowtie}", "{order}", "--minus", "{nine}"],
+    ["verify-partition", "{bowtie}", "{intervals}", "--minus", "{nine}"],
+    ["rel-cm-check", "{bowtie}", "{nine}"],
+])
+def test_non_subcomplex_has_one_message(argv, write, capsys):
+    paths = {"bowtie": write("bowtie.json", BOWTIE),
+             "nine": write("nine.json", {"facets": [[9]]}),
+             "order": write("order.json", BOWTIE["facets"]),
+             "intervals": write("intervals.json", [])}
+    status, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (status, out) == (2, "")
+    assert err == "error: face {9} of the subcomplex is missing from the ambient complex\n"
+
+
 def test_verify_partition_relative(write, capsys):
     square_tail = write("sq.json", {"facets": [[1, 2], [2, 3], [3, 4], [2, 4]]})
     small = write("small.json", {"facets": [[1, 2]]})
@@ -432,6 +459,9 @@ _commands = st.sampled_from([
     ["info", "a"], ["partitionable", "a"], ["partitionable", "a", "--minus", "b"],
     ["verify-partition", "a"], ["verify-partition", "a", "b"],
     ["shelling-check", "a", "b"],
+    ["depth", "a", "--char", "x"], ["depth", "a", "--char", "9" * 5000],
+    ["partitionable", "a", "--max-faces", "x"],
+    ["shellable", "a", "--max-facets", "x"], ["estimate-size", "3", "x"],
     *(command + char for command in (["depth", "a"], ["cm-check", "a"],
                                      ["cm-extender", "a"], ["rel-cm-check", "a", "b"])
       for char in ([], ["--char", "2"], ["--char", str(2 ** 61 - 1)]))])

@@ -226,10 +226,10 @@ def test_pure_h_triangle_concentrates_in_top_row(c):
 
 def test_relative_family_golden():
     fam = relative_family(BOWTIE_LID, BOWTIE)
-    assert fam.members == {fs([2, 3, 4]), fs([2, 4])}
-    assert relative_family(BOWTIE, BOWTIE).members == fs()
+    assert fam.faces == {fs([2, 3, 4]), fs([2, 4])}
+    assert relative_family(BOWTIE, BOWTIE).faces == fs()
     fam2 = relative_family(build_complex([[1, 2, 3]]), build_complex([[1, 2]]))
-    assert fam2.members == {fs([3]), fs([1, 3]), fs([2, 3]), fs([1, 2, 3])}
+    assert fam2.faces == {fs([3]), fs([1, 3]), fs([2, 3]), fs([1, 2, 3])}
 
 
 def test_relative_family_requires_subcomplex():
@@ -241,13 +241,13 @@ def test_adjoin_face():
     base = build_complex([[1, 2], [2, 3], [3, 4], [2, 4]])
     fam = relative_family(base, build_complex([[1, 2]]))
     grown = adjoin_face(fam, [2])
-    assert grown.members == {fs([2]), fs([3]), fs([4]),
-                             fs([2, 3]), fs([3, 4]), fs([2, 4])}
-    assert adjoin_face(FaceFamily(fs(), -1), []).members == {fs()}
+    assert grown.faces == {fs([2]), fs([3]), fs([4]),
+                           fs([2, 3]), fs([3, 4]), fs([2, 4])}
+    assert adjoin_face(FaceFamily(fs(), -1), []).faces == {fs()}
     singleton = adjoin_face(
         relative_family(build_complex([[1, 2, 3]]), build_complex([[1, 2, 3]])),
         [1, 2])
-    assert singleton.members == {fs([1, 2])}
+    assert singleton.faces == {fs([1, 2])}
     with pytest.raises(AlreadyPresent):
         adjoin_face(grown, [3])
 

@@ -13,6 +13,7 @@ from extenders import (
     VoidComplex,
     build_complex,
     chain_complex,
+    check_shelling_order,
     cm_extender,
     depth,
     f_vector,
@@ -174,6 +175,18 @@ def test_relative_betti_lid_pair_vanishes():
 def test_relative_betti_requires_subcomplex():
     with pytest.raises(NotASubcomplex):
         relative_betti(BOWTIE, build_complex([[1, 6]]))
+    with pytest.raises(NotASubcomplex, match=r"^face \{\} of the subcomplex"):
+        relative_betti(build_complex([]), build_complex([[9]]))
+
+
+@pytest.mark.parametrize("check", [
+    chain_complex, relative_betti, is_relative_cm, find_shelling,
+    lambda big, small: check_shelling_order(big, big.facets, small)])
+def test_pair_checks_name_the_missing_face(check):
+    with pytest.raises(NotASubcomplex) as caught:
+        check(BOWTIE, build_complex([[9]]))
+    assert str(caught.value) == \
+        "face {9} of the subcomplex is missing from the ambient complex"
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,7 +299,7 @@ def test_cm_extender_fixed_point():
     outcome = cm_extender(already)
     assert isinstance(outcome, CmExtender)
     assert outcome.extender == already
-    assert outcome.relative.members == fs()
+    assert outcome.relative.faces == fs()
 
 
 def test_cm_extender_two_directions_on_random_corpus():

@@ -16,9 +16,12 @@ from extenders import (
     build_complex,
     check_shelling_order,
     f_triangle,
+    f_vector,
+    facet_depth,
     find_partitioning,
     find_shelling,
     h_from_partitioning,
+    h_triangle,
     h_vector,
     is_h_compatible,
     is_layer_compatible,
@@ -143,7 +146,7 @@ def test_verify_stats_account_for_every_member():
     report = verify_partitioning(SEED_31_FAMILY, SEED_31_INTERVALS)
     covered = sum(count * 2 ** (i - j)
                   for (i, j), count in report.interval_stats)
-    assert covered == len(SEED_31_FAMILY.members)
+    assert covered == len(SEED_31_FAMILY.faces)
 
 
 def test_h_from_partitioning_seed():
@@ -223,7 +226,7 @@ def test_find_partitioning_deterministic():
 def test_find_partitioning_on_families():
     for fam in (OFF_FACET, OFF_FACET_PLUS, SEED_31_FAMILY):
         found = find_partitioning(fam)
-        naive = naive_find_partitioning(fam.members)
+        naive = naive_find_partitioning(fam.faces)
         assert found is not None and naive is not None
         assert verify_partitioning(fam, found).valid
 
@@ -272,7 +275,7 @@ def test_f_triangle_and_layer_check_match_oracles(c, data):
     faces = c.sorted_faces()
     small_faces = data.draw(st.lists(st.sampled_from(faces), max_size=2))
     for fam in _oracle_families(c, small_faces):
-        members, d = fam.members, fam.ambient_dim
+        members, d = fam.faces, fam.dim
         assert f_triangle(fam) == f_triangle_by_definition(members, d)
         for pairs in itertools.islice(all_partitionings(members), 12):
             p = IntervalPartition.of(pairs)
@@ -372,9 +375,14 @@ def _outcome(check, *args):
 @settings(max_examples=80, deadline=None)
 @given(small_complexes(), st.data())
 def test_complex_and_its_family_give_the_same_answers(c, data):
-    """Each check reads the same face set from a complex as from the family
-    it copies into, on valid witnesses and on those of a relative family."""
+    """Each statistic and check reads the same face set from a complex as
+    from the family it copies into; the checks run on valid witnesses and on
+    those of a relative family."""
     fam = c.as_family()
+    statistics = [(stat, ()) for stat in (f_vector, h_vector, f_triangle, h_triangle)]
+    statistics += [(facet_depth, (s,)) for s in c.faces]
+    for stat, args in statistics:
+        assert _outcome(stat, c, *args) == _outcome(stat, fam, *args)
     small = build_complex(data.draw(st.lists(st.sampled_from(c.sorted_faces()),
                                              max_size=3)) if c.faces else [])
     witnesses = [_outcome(find_partitioning, x) for x in (c, fam)]

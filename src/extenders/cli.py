@@ -69,6 +69,7 @@ OK, FALSE, INPUT_ERROR = 0, 1, 2
 
 # Text-format tokens split as str.split() does; a label has ASCII digits only.
 _TOKEN, _LABEL = re.compile(r"\S+"), re.compile(r"[+-]?[0-9]+")
+_LONG_NUMBER = re.compile(r"[0-9]{41,}")
 
 
 class InputError(Exception):
@@ -552,12 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_line(exc: Exception) -> str:
+    """The one stderr line for a failure; a run of more than 40 digits,
+    such as an echoed argument, shows its first 20 and its length."""
     if isinstance(exc, InternalCheckError):
-        return f"internal error: {exc}"
-    if isinstance(exc, SizeLimitExceeded):
+        line = f"internal error: {exc}"
+    elif isinstance(exc, SizeLimitExceeded):
         flag = "--max-facets" if exc.parameter == "max_facets" else "--max-faces"
-        return f"error: {exc} (raise with {flag})"
-    return f"error: {exc}"
+        line = f"error: {exc} (raise with {flag})"
+    else:
+        line = f"error: {exc}"
+    return _LONG_NUMBER.sub(lambda m: f"{m[0][:20]}…({len(m[0])} digits)", line)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -3,10 +3,12 @@
 Chain complexes are augmented (the empty face spans degree -1), with
 sparse boundary columns built straight from the faces.  One column
 reduction ranks them exactly: integer combinations over the rationals,
-arithmetic mod p over a prime field.  Floating point never enters, so every
-Betti number and every depth verdict is exact.  Every Cohen-Macaulay
-reading builds each link's chain complex straight from the face sets,
-with no complex object per link.
+arithmetic mod p over an odd prime field, and XOR on bitset columns over
+GF(2).  Floating point never enters, so every Betti number and every depth
+verdict is exact.  Every Cohen-Macaulay reading walks the links of one
+complex from a single face index per walk: each face's boundary entries
+are listed once, stars are narrowed level by level, and a link's columns
+are read off the star with no complex object per link.
 """
 
 from __future__ import annotations
@@ -97,16 +99,11 @@ class ChainComplexData:
 def chain_complex(
     big: SimplicialComplex, small: Optional[SimplicialComplex] = None
 ) -> ChainComplexData:
-    """Augmented chain complex of a complex or of a pair (quotient basis)."""
+    """Augmented chain complex of a complex or of a pair (quotient basis),
+    with one basis per face size, each in ``lex_key`` order."""
     fam = pair_family(big, small)
-    return _chain(fam.faces, fam.dim + 2)
-
-
-def _chain(faces: Iterable[Face], levels: int) -> ChainComplexData:
-    """Chain complex spanned by ``faces``, with one basis per face size
-    below ``levels``, each in ``lex_key`` order."""
-    by_size: list[list[Face]] = [[] for _ in range(levels)]
-    for f in faces:
+    by_size: list[list[Face]] = [[] for _ in range(fam.dim + 2)]
+    for f in fam.faces:
         by_size[len(f)].append(f)
     bases = tuple(tuple(sorted(group, key=lex_key)) for group in by_size)
     boundaries = [()]
@@ -125,15 +122,39 @@ def _chain(faces: Iterable[Face], levels: int) -> ChainComplexData:
 
 
 def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
-    """Rank of an integer matrix given as sparse ``{row: entry}`` columns.
+    """Rank of an integer matrix given as a list or tuple of sparse
+    ``{row: entry}`` columns, with integer rows.
 
-    While an earlier column owns a column's lowest row, the column becomes
+    Over GF(2) a column becomes an int with bit r set for each odd entry,
+    and XOR with the pivot owning its top bit clears that bit.  Otherwise,
+    while an earlier column owns a column's lowest row, the column becomes
     ``a*column - b*pivot``, which clears that row.  Over Q the entries stay
     integers and each combination is divided by its content; over GF(p)
-    they are kept mod p."""
+    they are kept mod p.  The rank cannot exceed the number of rows the
+    columns touch, so the reduction stops once that many pivots exist."""
     p = field.characteristic
+    rows = len(set().union(*columns))
+    if p == 2:
+        bit_pivots: dict[int, int] = {}
+        for column in columns:
+            if len(bit_pivots) == rows:
+                break
+            bits = 0
+            for r, x in column.items():
+                if x % 2:
+                    bits |= 1 << r
+            while bits:
+                low = bits.bit_length() - 1
+                pivot = bit_pivots.get(low)
+                if pivot is None:
+                    bit_pivots[low] = bits
+                    break
+                bits ^= pivot
+        return len(bit_pivots)
     pivots: dict[int, dict[int, int]] = {}
     for column in columns:
+        if len(pivots) == rows:
+            break
         column = {r: x % p if p else x for r, x in column.items()}
         column = {r: x for r, x in column.items() if x}
         while column:
@@ -159,13 +180,11 @@ def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
     return len(pivots)
 
 
-def _betti_of_chain(cc: ChainComplexData, field: FieldSpec) -> tuple[int, ...]:
-    levels = len(cc.bases)
-    ranks = [0] * (levels + 1)
-    for t in range(1, levels):
-        ranks[t] = matrix_rank(cc.boundaries[t], field)
-    return tuple(
-        len(cc.bases[t]) - ranks[t] - ranks[t + 1] for t in range(levels))
+def _betti(sizes: Iterable[int], boundaries, field: FieldSpec) -> tuple[int, ...]:
+    """Betti numbers of a chain complex with ``sizes[t]`` basis elements at
+    level t and ``boundaries[t]`` mapping level t to level t - 1."""
+    ranks = [0, *(matrix_rank(b, field) for b in boundaries[1:]), 0]
+    return tuple(n - ranks[t] - ranks[t + 1] for t, n in enumerate(sizes))
 
 
 def homology_report(profile: HomologyProfile, field: FieldSpec) -> dict:
@@ -179,7 +198,8 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> Homolog
     """Reduced Betti numbers of a complex, degrees -1 through its dimension."""
     if c.is_void:
         raise VoidComplex("the void complex has no homology profile")
-    return HomologyProfile(_betti_of_chain(chain_complex(c), field))
+    cc = chain_complex(c)
+    return HomologyProfile(_betti(map(len, cc.bases), cc.boundaries, field))
 
 
 def relative_betti(
@@ -189,7 +209,9 @@ def relative_betti(
 ) -> HomologyProfile:
     """Betti numbers of the pair; with a void ``small`` this is absolute."""
     cc = chain_complex(big, small)  # checks that small lies in big, even if void
-    return HomologyProfile(() if big.is_void else _betti_of_chain(cc, field))
+    if big.is_void:
+        return HomologyProfile(())
+    return HomologyProfile(_betti(map(len, cc.bases), cc.boundaries, field))
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -206,12 +228,40 @@ def _link_betti(
     """Yield ``(sigma, Betti numbers of the pair's link at sigma)`` for every
     face of ``big`` in ``face_key`` order, degrees indexed from -1 up to the
     dimension of ``big``'s link.  The pair's link is ``t - sigma`` over the
-    faces ``t`` in ``pair_faces`` (the pair's faces) that contain sigma."""
-    for sigma in sorted(big.faces, key=face_key):
-        star = [t for t in big.faces if sigma <= t]
-        levels = max(map(len, star)) - len(sigma) + 1
-        relative = (t - sigma for t in star if t in pair_faces)
-        yield sigma, _betti_of_chain(_chain(relative, levels), field)
+    faces ``t`` in ``pair_faces`` (the pair's faces) that contain sigma.
+
+    One index serves the whole walk.  Faces get ids in ``face_key`` order,
+    and each face's boundary entries are listed once as (vertex, row id,
+    sign).  The star of sigma is the part of the star of sigma - max(sigma)
+    that contains max(sigma), so stars are built level by level, keeping
+    the previous level's only.  A link's column at t is t's boundary,
+    restricted to vertices outside sigma and rows in the pair."""
+    faces = sorted(big.faces, key=face_key)
+    ids = {f: i for i, f in enumerate(faces)}
+    in_pair = [f in pair_faces for f in faces]
+    # The link's sign at (v, t) is (-1)^pos(v, t - sigma), big's is
+    # (-1)^pos(v, t); they differ by phi(t)*phi(t - v), where
+    # phi(f) = (-1)^(sum over w in f - sigma of #{u in sigma : u < w}).
+    # That rescales rows and columns by +-1, so no rank over any field
+    # changes.
+    boundary = [[(v, ids[f - {v}], -1 if pos % 2 else 1)
+                 for pos, v in enumerate(sorted(f))] for f in faces]
+    level, stars, previous = 0, {frozenset(): range(len(faces))}, {}
+    for sigma in faces:
+        k = len(sigma)
+        if k > level:  # sigma is the first face of the next size
+            level, previous, stars = k, stars, {}
+        if k:
+            top = max(sigma)
+            stars[sigma] = [t for t in previous[sigma - {top}] if top in faces[t]]
+        star = stars[sigma]  # in face_key order, so its last face is largest
+        columns: list[list[dict]] = [[] for _ in range(len(faces[star[-1]]) - k + 1)]
+        for t in star:
+            if in_pair[t]:
+                columns[len(faces[t]) - k].append(
+                    {r: sign for v, r, sign in boundary[t]
+                     if v not in sigma and in_pair[r]})
+        yield sigma, _betti(map(len, columns), columns, field)
 
 
 def is_relative_cm(

@@ -460,8 +460,10 @@ _commands = st.sampled_from([
     ["verify-partition", "a"], ["verify-partition", "a", "b"],
     ["shelling-check", "a", "b"],
     ["depth", "a", "--char", "x"], ["depth", "a", "--char", "9" * 5000],
+    ["depth", "a", "--char", "9" * 4000],
     ["partitionable", "a", "--max-faces", "x"],
     ["shellable", "a", "--max-facets", "x"], ["estimate-size", "3", "x"],
+    ["estimate-size", "3", "7" * 3000],
     *(command + char for command in (["depth", "a"], ["cm-check", "a"],
                                      ["cm-extender", "a"], ["rel-cm-check", "a", "b"])
       for char in ([], ["--char", "2"], ["--char", str(2 ** 61 - 1)]))])
@@ -478,6 +480,7 @@ def test_cli_is_total(command, first, second, as_json, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(command + (["--json"] if as_json else []))
     assert status in (0, 1, 2)
+    assert all(len(line.encode()) <= 200 for line in err.getvalue().splitlines())
     if status == 2:
         assert out.getvalue() == "" and _single_error_line(err.getvalue())
     else:

@@ -34,6 +34,7 @@ from _oracles import (
     relative_cm_by_definition,
     euler_from_betti,
     euler_from_f,
+    link_by_definition,
     rank_mod,
     small_complexes,
 )
@@ -136,13 +137,67 @@ def test_betti_numbers_match_dense_elimination(pair):
             == betti_by_elimination(big.faces - small.faces, big.dim + 2, rank)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                min_size=1, max_size=5))
+@st.composite
+def _matrices(draw):
+    """Dense rows (1-6) of 1-8 columns drawn from a pool, so columns repeat
+    and full row rank is often reached before the last column."""
+    height = draw(st.integers(1, 6))
+    column = st.lists(st.integers(-3, 3), min_size=height, max_size=height)
+    pool = draw(st.lists(column, min_size=1, max_size=4))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return [list(row) for row in zip(*chosen)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
 def test_matrix_rank_matches_dense_elimination(rows):
-    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(4)]
+    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]}
+               for c in range(len(rows[0]))]
     for p, rank in {**DENSE_RANKS, 5: lambda m: rank_mod(m, 5)}.items():
         assert matrix_rank(columns, FieldSpec(p)) == rank(rows)
+        assert matrix_rank(tuple(columns), FieldSpec(p)) == rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_pairs())
+def test_link_betti_matches_literal_links(pair):
+    big, small = pair
+    order = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
+    for p, rank in DENSE_RANKS.items():
+        walk = list(homology._link_betti(big, big.faces - small.faces, FieldSpec(p)))
+        assert [sigma for sigma, _ in walk] == order
+        for sigma, betti in walk:
+            lk = link_by_definition(big, sigma)
+            levels = max(map(len, lk)) + 1
+            if sigma in small.faces:
+                lk -= link_by_definition(small, sigma)
+            assert betti == betti_by_elimination(lk, levels, rank)
+
+
+def test_matrix_rank_calls_keep_the_tracer_contract(monkeypatch):
+    """``bench/tracing.py`` unpacks each call as ``(matrix, field)`` and
+    reads ``len(matrix)`` and ``len(matrix[0])``."""
+    calls = []
+    rank = homology.matrix_rank
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "matrix_rank", recording)
+    assert is_cohen_macaulay(BOWTIE_LID) and not is_cohen_macaulay(BOWTIE)
+    for c in (BOWTIE_LID, BOWTIE):
+        for field in (FieldSpec(0), GF2):
+            depth(c, field)
+            is_cohen_macaulay(c, field)
+            is_relative_cm(c, build_complex([[3]]), field)
+            cm_extender(c, field)
+    assert calls
+    for args, kwargs in calls:
+        assert not kwargs and len(args) == 2
+        matrix, field = args
+        assert isinstance(matrix, (list, tuple)) and isinstance(field, FieldSpec)
+        assert all(isinstance(column, dict) for column in matrix)
 
 
 @pytest.mark.parametrize("big,small", [

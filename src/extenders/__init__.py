@@ -55,13 +55,11 @@ from .errors import (
     VoidComplex,
 )
 from .homology import (
-    ChainComplexData,
     CmExtender,
     FieldSpec,
     HomologyProfile,
     NoExtender,
     RATIONALS,
-    chain_complex,
     cm_extender,
     depth,
     homology_report,

@@ -5,10 +5,11 @@ sparse boundary columns built straight from the faces.  One column
 reduction ranks them exactly: integer combinations over the rationals,
 arithmetic mod p over an odd prime field, and XOR on bitset columns over
 GF(2).  Floating point never enters, so every Betti number and every depth
-verdict is exact.  Every Cohen-Macaulay reading walks the links of one
-complex from a single face index per walk: each face's boundary entries
-are listed once, stars are narrowed level by level, and a link's columns
-are read off the star with no complex object per link.
+verdict is exact.  One link walk builds every boundary column from a
+single face index: each face's boundary entries are listed once, stars
+are narrowed level by level, and a link's columns are read off the star.
+The walk starts at the empty face, whose link is the complex or pair
+itself, which gives ``reduced_betti`` and ``relative_betti``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .complexes import (
     Face,
@@ -24,7 +25,6 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     face_key,
-    lex_key,
     pair_family,
     relative_family,
     skeleton,
@@ -72,53 +72,6 @@ class HomologyProfile:
 
     def as_dict(self) -> dict[int, int]:
         return {i - 1: b for i, b in enumerate(self.betti)}
-
-
-@dataclass(frozen=True)
-class ChainComplexData:
-    """Ordered face bases by cardinality and the boundary maps between
-    them; ``boundaries[t]`` maps the size-t basis to the size-(t-1) basis as
-    one sparse ``{row: +-1}`` column per size-t face."""
-
-    bases: tuple
-    boundaries: tuple
-
-    def boundary_squares_to_zero(self) -> bool:
-        for t in range(2, len(self.bases)):
-            lower = self.boundaries[t - 1]
-            for column in self.boundaries[t]:
-                total: dict[int, int] = {}
-                for mid, a in column.items():
-                    for row, b in lower[mid].items():
-                        total[row] = total.get(row, 0) + a * b
-                if any(total.values()):
-                    return False
-        return True
-
-
-def chain_complex(
-    big: SimplicialComplex, small: Optional[SimplicialComplex] = None
-) -> ChainComplexData:
-    """Augmented chain complex of a complex or of a pair (quotient basis),
-    with one basis per face size, each in ``lex_key`` order."""
-    fam = pair_family(big, small)
-    by_size: list[list[Face]] = [[] for _ in range(fam.dim + 2)]
-    for f in fam.faces:
-        by_size[len(f)].append(f)
-    bases = tuple(tuple(sorted(group, key=lex_key)) for group in by_size)
-    boundaries = [()]
-    for t in range(1, len(bases)):
-        index = {f: i for i, f in enumerate(bases[t - 1])}
-        columns = []
-        for f in bases[t]:
-            column = {}
-            for pos, v in enumerate(sorted(f)):
-                row = index.get(f - {v})
-                if row is not None:
-                    column[row] = -1 if pos % 2 else 1
-            columns.append(column)
-        boundaries.append(tuple(columns))
-    return ChainComplexData(bases, tuple(boundaries))
 
 
 def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
@@ -180,13 +133,6 @@ def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
     return len(pivots)
 
 
-def _betti(sizes: Iterable[int], boundaries, field: FieldSpec) -> tuple[int, ...]:
-    """Betti numbers of a chain complex with ``sizes[t]`` basis elements at
-    level t and ``boundaries[t]`` mapping level t to level t - 1."""
-    ranks = [0, *(matrix_rank(b, field) for b in boundaries[1:]), 0]
-    return tuple(n - ranks[t] - ranks[t + 1] for t, n in enumerate(sizes))
-
-
 def homology_report(profile: HomologyProfile, field: FieldSpec) -> dict:
     """Serializable form of a profile: field characteristic plus a map from
     degree to rank."""
@@ -198,8 +144,7 @@ def reduced_betti(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> Homolog
     """Reduced Betti numbers of a complex, degrees -1 through its dimension."""
     if c.is_void:
         raise VoidComplex("the void complex has no homology profile")
-    cc = chain_complex(c)
-    return HomologyProfile(_betti(map(len, cc.bases), cc.boundaries, field))
+    return relative_betti(c, None, field)
 
 
 def relative_betti(
@@ -208,10 +153,10 @@ def relative_betti(
     field: FieldSpec = RATIONALS,
 ) -> HomologyProfile:
     """Betti numbers of the pair; with a void ``small`` this is absolute."""
-    cc = chain_complex(big, small)  # checks that small lies in big, even if void
+    fam = pair_family(big, small)  # checks that small lies in big, even if void
     if big.is_void:
         return HomologyProfile(())
-    return HomologyProfile(_betti(map(len, cc.bases), cc.boundaries, field))
+    return HomologyProfile(next(_link_betti(big, fam.faces, field))[1])
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -229,6 +174,9 @@ def _link_betti(
     face of ``big`` in ``face_key`` order, degrees indexed from -1 up to the
     dimension of ``big``'s link.  The pair's link is ``t - sigma`` over the
     faces ``t`` in ``pair_faces`` (the pair's faces) that contain sigma.
+    This is the package's only builder of boundary columns.  Sigma comes
+    first as the empty face, whose link is the pair itself, so the first
+    entry holds the pair's own Betti numbers.
 
     One index serves the whole walk.  Faces get ids in ``face_key`` order,
     and each face's boundary entries are listed once as (vertex, row id,
@@ -261,7 +209,9 @@ def _link_betti(
                 columns[len(faces[t]) - k].append(
                     {r: sign for v, r, sign in boundary[t]
                      if v not in sigma and in_pair[r]})
-        yield sigma, _betti(map(len, columns), columns, field)
+        ranks = [0, *(matrix_rank(m, field) for m in columns[1:]), 0]
+        yield sigma, tuple(len(m) - ranks[t] - ranks[t + 1]
+                           for t, m in enumerate(columns))
 
 
 def is_relative_cm(

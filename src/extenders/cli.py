@@ -7,7 +7,12 @@ checks, and emits human-readable text or canonical JSON reports.
 
 Every command returns a :class:`_Report`; :func:`emit` alone wraps it in
 the ``{command, input, result, certificates}`` envelope and prints it, and
-the text lines are rendered from the same ``result``.
+the text lines are rendered from the same ``result``.  A ``--json`` report
+is byte for byte what ``json.dumps(envelope, sort_keys=True, indent=2)``
+prints.  It is written by a small encoder of its own, because Python 3.11
+uses its C encoder only when ``indent`` is None; with an indent, ``json``
+runs a pure-Python generator that writes each integer of a face list as a
+separate chunk.
 
 Exit status: 0 for success / true, 1 for false / not partitionable /
 no extender / not shellable, 2 when no answer can be given.  Each failure
@@ -20,7 +25,9 @@ bug in the library, not in the input.  Both exit with status 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -70,6 +77,9 @@ OK, FALSE, INPUT_ERROR = 0, 1, 2
 # Text-format tokens split as str.split() does; a label has ASCII digits only.
 _TOKEN, _LABEL = re.compile(r"\S+"), re.compile(r"[+-]?[0-9]+")
 _LONG_NUMBER = re.compile(r"[0-9]{41,}")
+
+_INDENT = "  "
+_quote = json.encoder.encode_basestring_ascii
 
 
 class InputError(Exception):
@@ -232,23 +242,104 @@ def _complex_summary(doc: ComplexDocument) -> dict:
     }
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode(value, indent: str, out: list) -> None:
+    """Append the text of ``value`` at indentation ``indent`` to ``out``,
+    as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+
+    Takes the JSON types exactly: dicts with str keys, lists, tuples, str,
+    int, float, bool and None.  Anything else raises ``TypeError``.  Each
+    level of nesting is one call, as in ``json``'s own encoder, so any value
+    that ``json.loads`` could read back is written."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float:
+        out.append(_float_text(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is not list and kind is not tuple and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = indent + _INDENT
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(value)):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if i:
+                out.append(",\n" + inner)
+            out.append(_quote(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        inner = indent + _INDENT
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{indent}]")
+        elif (kinds == {list} and all(value)
+              and set(map(type, itertools.chain.from_iterable(value))) == {int}):
+            # A face list: each row is a non-empty list of ints.
+            deeper = inner + _INDENT
+            row_sep, row_end = ",\n" + deeper, "\n" + inner + "]"
+            rows = sep.join(["[\n" + deeper + row_sep.join(map(int.__repr__, row)) + row_end
+                             for row in value])
+            out.append(f"[\n{inner}{rows}\n{indent}]")
+        else:
+            out.append("[\n" + inner)
+            for i, item in enumerate(value):
+                if i:
+                    out.append(sep)
+                _encode(item, inner, out)
+            out.append("\n" + indent + "]")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
+    out = []
+    _encode(value, "", out)
+    return "".join(out)
+
+
 def emit(args, report: _Report) -> None:
+    """Print the report: its text lines, or with ``--json`` the envelope as
+    the same bytes as ``json.dumps(envelope, sort_keys=True, indent=2)``.
+    The C encoder cannot give them, because Python 3.11 uses it only when
+    ``indent`` is None."""
     if args.json:
         envelope = {"command": args.subcommand, "input": report.input,
                     "result": report.result, "certificates": report.certificates}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_dumps(envelope))
     else:
         for line in report.lines:
             print(line)
 
 
-def _certificate(label: str, facets, minus, records: list) -> dict:
-    return {
-        "label": label,
-        "facets": _face_lists(facets),
-        "minus": None if minus is None else _face_lists(minus),
-        "intervals": records,
-    }
+def _certificate(label: str, facets: list, minus: Optional[list], records: list) -> dict:
+    """A certificate from face lists and interval records."""
+    return {"label": label, "facets": facets, "minus": minus, "intervals": records}
+
+
+def _interval_records(pairs) -> list:
+    """Records of valid (bottom, top) pairs, in :class:`IntervalPartition`
+    order: by sorted top, then by sorted bottom."""
+    rows = sorted((sorted(t), sorted(b)) for b, t in pairs)
+    return [{"bottom": b, "top": t} for t, b in rows]
 
 
 def _format_intervals(records: list) -> list:
@@ -292,14 +383,14 @@ def cmd_partitionable(args) -> _Report:
     result = {"partitionable": found,
               "intervals": partition.to_records() if found else None}
     lines = [f"{doc.name}: " + ("partitionable" if found else "not partitionable")]
+    summary = _complex_summary(doc)
     certificates = []
     if found:
         lines.extend(_format_intervals(result["intervals"]))
         certificates.append(_certificate(
-            "partitioning", doc.complex.facets,
-            None if minus is None else minus.facets, result["intervals"]))
-    return _Report(OK if found else FALSE, _complex_summary(doc), result, lines,
-                   certificates)
+            "partitioning", summary["facets"],
+            None if minus is None else _face_lists(minus.facets), result["intervals"]))
+    return _Report(OK if found else FALSE, summary, result, lines, certificates)
 
 
 def cmd_verify_partition(args) -> _Report:
@@ -358,22 +449,21 @@ def cmd_build_extender(args) -> _Report:
     build = nonpure_extender_for_complex if args.nonpure else extender_for_complex
     res = build(doc.complex)
     base, extender = res.base, res.extender
+    summary = _complex_summary(doc)
+    # The base is the input complex; each face list is built once and shared.
+    base_facets, extender_facets = summary["facets"], _face_lists(extender.facets)
     names = ("base", "extender", "relative")
-    log = []
-    for entry in res.attachment_log:
-        log.append({
-            "face": sorted(entry.face),
-            "attachment_facet": sorted(entry.attachment_facet),
-            "fresh_vertices": list(entry.fresh_vertices),
-            # The log holds pairs in gadget order; only the report sorts them.
-            "extender_intervals":
-                IntervalPartition.of(entry.with_face_intervals).to_records(),
-            "relative_intervals":
-                IntervalPartition.of(entry.without_face_intervals).to_records(),
-        })
+    log = [{
+        "face": sorted(entry.face),
+        "attachment_facet": sorted(entry.attachment_facet),
+        "fresh_vertices": list(entry.fresh_vertices),
+        # The log holds pairs in gadget order; only the report sorts them.
+        "extender_intervals": _interval_records(entry.with_face_intervals),
+        "relative_intervals": _interval_records(entry.without_face_intervals),
+    } for entry in res.attachment_log]
     result = {
-        "base_facets": _face_lists(base.facets),
-        "extender_facets": _face_lists(extender.facets),
+        "base_facets": base_facets,
+        "extender_facets": extender_facets,
         "extender_partition": res.extender_partition.to_records(),
         "relative_partition": res.relative_partition.to_records(),
         "h": {name: list(h) for name, h in zip(names, res.h_vectors)},
@@ -396,11 +486,11 @@ def cmd_build_extender(args) -> _Report:
         *_format_intervals(result["relative_partition"]),
     ]
     certificates = [
-        _certificate("extender", extender.facets, None, result["extender_partition"]),
-        _certificate("relative", extender.facets, base.facets,
+        _certificate("extender", extender_facets, None, result["extender_partition"]),
+        _certificate("relative", extender_facets, base_facets,
                      result["relative_partition"]),
     ]
-    return _Report(OK, _complex_summary(doc), result, lines, certificates)
+    return _Report(OK, summary, result, lines, certificates)
 
 
 def cmd_depth(args) -> _Report:

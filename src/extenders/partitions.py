@@ -216,30 +216,37 @@ def find_partitioning(
             if cube <= members:
                 choices.append((bottom, cube))
         options.append(choices)
-    # A member's deadline is the last top that can still cover it; once that
+    # A member is due at the last top that can still cover it; once that
     # top is assigned, the member must already be covered.
-    deadlines: dict[int, list[Face]] = {}
+    due: list[list[Face]] = [[] for _ in tops]
     for m in members:
-        last = max(i for i, top in enumerate(tops) if m <= top)
-        deadlines.setdefault(last, []).append(m)
+        due[max(i for i, top in enumerate(tops) if m <= top)].append(m)
 
-    def walk(idx: int, covered: frozenset) -> Optional[list]:
-        if idx == len(tops):
-            return [] if covered == members else None
-        for bottom, cube in options[idx]:
-            if cube & covered:
-                continue
-            grown = covered | cube
-            if all(m in grown for m in deadlines.get(idx, ())):
-                rest = walk(idx + 1, grown)
-                if rest is not None:
-                    return [(bottom, tops[idx])] + rest
-        return None
-
-    solution = walk(0, frozenset())
-    if solution is None:
-        return None
-    return IntervalPartition.of(solution)
+    # Depth-first, as a loop so that long families stay off the call stack:
+    # ``path`` holds the (bottom, cube) chosen for each assigned top, and
+    # ``pending`` the choices still to try at each depth.  Candidates are
+    # tried in the order a recursion would try them, and a cube leaves
+    # ``covered`` when its choice is undone.
+    last, covered, path = len(tops) - 1, set(), []
+    pending = [iter(options[0])]
+    while pending:
+        idx = len(path)
+        for bottom, cube in pending[-1]:
+            if covered.isdisjoint(cube):
+                covered |= cube
+                if covered.issuperset(due[idx]) and (idx < last or covered == members):
+                    break
+                covered -= cube
+        else:
+            pending.pop()
+            if path:
+                covered -= path.pop()[1]
+            continue
+        if idx == last:
+            return IntervalPartition.of(zip([b for b, _ in path] + [bottom], tops))
+        path.append((bottom, cube))
+        pending.append(iter(options[idx + 1]))
+    return None
 
 
 def _shelling_step(facet: Face, closed) -> bool:
@@ -292,22 +299,38 @@ def find_shelling(
             f"pair has {len(facets)} facets, above the search bound of "
             f"{max_facets}",
             limit=max_facets, parameter="max_facets")
+    if not facets:
+        return ()
     failed: set[frozenset] = set()
-
-    def extend(prefix: list[Face], closed: frozenset) -> Optional[list[Face]]:
-        if len(prefix) == len(facets):
-            return prefix
-        placed = frozenset(prefix)
-        if placed in failed:
-            return None
-        for facet in facets:
-            if facet in prefix or not _shelling_step(facet, closed):
-                continue
-            result = extend(prefix + [facet], closed | frozenset(subsets_of(facet)))
-            if result is not None:
-                return result
-        failed.add(placed)
-        return None
-
-    found = extend([], big.faces - fam.faces)
-    return tuple(found) if found is not None else None
+    # Depth-first, as a loop so that long orders stay off the call stack:
+    # ``order`` holds each placed facet with the faces it added to
+    # ``closed``, and ``pending`` the facets still to try after each prefix.
+    # Candidates are tried in the order a recursion would try them, and an
+    # undone step takes its faces out of ``closed`` again.
+    placed: set[Face] = set()
+    closed = set(big.faces - fam.faces)
+    order: list[tuple[Face, list]] = []
+    pending = [iter(facets)]
+    while pending:
+        for facet in pending[-1]:
+            if facet not in placed and _shelling_step(facet, closed):
+                break
+        else:
+            failed.add(frozenset(placed))
+            pending.pop()
+            if order:
+                facet, added = order.pop()
+                placed.discard(facet)
+                closed.difference_update(added)
+            continue
+        placed.add(facet)
+        if len(placed) == len(facets):
+            return tuple(f for f, _ in order) + (facet,)
+        if frozenset(placed) in failed:
+            placed.discard(facet)
+            continue
+        added = [s for s in subsets_of(facet) if s not in closed]
+        closed.update(added)
+        order.append((facet, added))
+        pending.append(iter(facets))
+    return None

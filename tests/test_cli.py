@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -323,6 +324,21 @@ def test_shellable(write, capsys):
     assert run(capsys, "shellable", bowtie)[0] == 1
 
 
+def test_searches_on_a_long_path_finish(write, capsys, tmp_path):
+    # 1200 facets: one level per facet would pass the interpreter's
+    # recursion limit.
+    path = write("path.json", {"facets": [[i, i + 1] for i in range(1200)]})
+    status, out, err = run(capsys, "partitionable", path, "--max-faces", "5000", "--json")
+    assert (status, err) == (0, "")
+    report = tmp_path / "path.report.json"
+    report.write_text(out)
+    assert run(capsys, "verify-partition", str(report))[0] == 0
+    status, out, err = run(capsys, "shellable", path, "--max-facets", "5000", "--json")
+    assert (status, err) == (0, "")
+    order = write("path.order.json", json.loads(out)["result"]["order"])
+    assert run(capsys, "shelling-check", path, order)[0] == 0
+
+
 def test_estimate_size(capsys):
     status, out, _ = run(capsys, "estimate-size", "3", "2")
     assert status == 0
@@ -361,6 +377,58 @@ def test_byte_identical_reports(write, capsys):
     _, third, _ = run(capsys, "partitionable", bowtie, "--json")
     _, fourth, _ = run(capsys, "partitionable", bowtie, "--json")
     assert third == fourth
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 1e300, math.nan, math.inf, -math.inf])
+_ints = st.integers() | st.integers(-2 ** 100, 2 ** 100)
+_scalars = st.none() | st.booleans() | _ints | _floats | st.text()
+_encodable = st.recursive(
+    _scalars | st.lists(_ints) | st.lists(st.lists(_ints, max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(_ints | st.booleans(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_encodable)
+def test_report_encoder_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {1, 2}}, [frozenset()], {"a": object()}, {1: "key is not a string"}])
+def test_report_encoder_refuses_what_is_not_json(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+@pytest.mark.parametrize("name", [
+    "NaN", "1.5", '{"a": [1, [2]]}', '"\u00e9\\n"'])
+def test_echoed_name_is_written_as_json_dumps_writes_it(write, capsys, name):
+    path = write("named.json", '{"facets": [[1, 2]], "name": %s}' % name)
+    status, out, _ = run(capsys, "info", path, "--json")
+    envelope = json.loads(out)
+    assert status == 0
+    assert out == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    echoed = envelope["input"]["name"]
+    expected = json.loads(name)
+    assert math.isnan(echoed) if name == "NaN" else echoed == expected
+
+
+def test_deepest_readable_name_is_written(write):
+    # One call per level of nesting, as in json's encoder: a name that
+    # json.loads can read back is also written.
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    depth = 900
+    path = write("deep_name.json",
+                 '{"facets": [[1]], "name": %s}' % ("[" * depth + "]" * depth))
+    proc = subprocess.run([sys.executable, "-m", "extenders.cli", "info", path, "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
 
 
 def test_build_extender_on_void_is_input_error(write, capsys):
@@ -441,7 +509,8 @@ def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch
 _face = st.lists(st.integers(min_value=0, max_value=5), max_size=5)
 _faces = st.lists(_face, max_size=5)
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 7) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-2, 7) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
         st.sampled_from(["facets", "minus", "intervals", "certificates",
                          "bottom", "top", "label", "name"]), inner, max_size=4),

@@ -25,6 +25,7 @@ bug in the library, not in the input.  Both exit with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -578,7 +579,10 @@ def cmd_estimate_size(args) -> _Report:
     return _Report(OK, {"d": args.d, "k": args.k}, result, lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it as it was, so in-process callers share one."""
     parser = argparse.ArgumentParser(
         prog="extenders",
         description="Partition extenders, interval certificates, and "

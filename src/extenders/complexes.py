@@ -12,11 +12,18 @@ its complex.
 
 Every public value here is immutable and every public operation is a pure
 function, so results can be shared freely between concurrent tasks.
+
+Inside the construction and verification core a face is an ``int`` mask
+over densely relabelled vertices: bit i stands for the i-th smallest
+label, so label order is bit order and every sort key reads the same on
+either side.  :class:`_MaskCodec` is the one place that crosses between
+masks and frozensets, and it converts each face once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -70,6 +77,66 @@ def between(bottom: Face, top: Face) -> Iterator[Face]:
     for r in range(len(gap) + 1):
         for combo in itertools.combinations(gap, r):
             yield bottom | frozenset(combo)
+
+
+def _bit_values(mask: int) -> Iterator[int]:
+    """The single-bit values of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of a mask, from the mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+class _Faces(dict):
+    """Mask -> frozenset face over a label list, filled on first lookup."""
+
+    def __init__(self, labels: list):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, mask: int) -> Face:
+        labels = self.labels
+        self[mask] = face = frozenset(labels[b.bit_length() - 1] for b in _bit_values(mask))
+        return face
+
+
+class _MaskCodec:
+    """Faces as masks over a sorted label list, and back.
+
+    ``labels[i]`` is the label of bit i; labels may be appended (fresh
+    vertices, larger than all earlier ones) while masks are in use.  Each
+    mask is turned into its frozenset once, through ``face``, which a
+    caller may also fill in bulk.
+    """
+
+    def __init__(self, labels: Iterable[int]):
+        self.labels = list(labels)
+        self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        self.face = _Faces(self.labels)
+
+    def extend(self, labels: Iterable[int]) -> None:
+        for v in labels:
+            self.bit[v] = 1 << len(self.labels)
+            self.labels.append(v)
+
+    def mask(self, face: Iterable[int]) -> int:
+        return sum(map(self.bit.__getitem__, face))
+
+    def key(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        return face_key(self.face[mask])
+
+    def name(self, mask: int) -> str:
+        return format_face(self.face[mask])
 
 
 def maximal_faces(faces: Iterable[Face]) -> set[Face]:
@@ -233,6 +300,14 @@ def _facet_sizes(members) -> dict[Face, int]:
     return sizes
 
 
+def _mask_f_vector(masks: Iterable[int], d: int) -> tuple[int, ...]:
+    """:func:`f_vector` of a family of dimension ``d`` given as masks."""
+    counts = [0] * (d + 2)
+    for size, n in Counter(map(int.bit_count, masks)).items():
+        counts[size] = n
+    return tuple(counts)
+
+
 def _f_triangle(sizes: dict[Face, int], d: int) -> tuple[tuple[int, ...], ...]:
     """The f-triangle of a family of ambient dimension ``d``, read from its
     facet-size map."""
@@ -322,20 +397,10 @@ def glue(
                 raise InconsistentIdentification(
                     f"guest face {format_face(f)} maps to {format_face(image)}, "
                     f"which is not a face of the host")
-    faces = set(host.faces)
-    _merge_relabelled(faces, guest, ident, max(host.vertices, default=-1) + 1)
-    return SimplicialComplex(frozenset(faces))
-
-
-def _merge_relabelled(faces: set, guest: SimplicialComplex,
-                      mapping: dict[int, int], next_label: int) -> tuple[int, ...]:
-    """Add the image of ``guest``'s faces to a face set; the union of two
-    sets closed under subsets is closed, so it stays a complex's face set.
-    Unmapped guest vertices are mapped to consecutive labels from
-    ``next_label`` in increasing guest order; those labels are returned."""
-    unmapped = sorted(guest.vertices - mapping.keys())
-    fresh = tuple(range(next_label, next_label + len(unmapped)))
-    mapping.update(zip(unmapped, fresh))
-    image = mapping.__getitem__
-    faces.update(frozenset(map(image, f)) for f in guest.faces)
-    return fresh
+    # Unidentified guest vertices take consecutive labels above the host's,
+    # in increasing guest order; a union of closed face sets is closed.
+    unmapped = sorted(guest.vertices - ident.keys())
+    start = max(host.vertices, default=-1) + 1
+    ident.update(zip(unmapped, range(start, start + len(unmapped))))
+    image = ident.__getitem__
+    return SimplicialComplex(host.faces | {frozenset(map(image, f)) for f in guest.faces})

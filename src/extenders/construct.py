@@ -14,36 +14,48 @@ partitionings of both the supercomplex and the relative family, verified
 before anything is returned.
 
 Both constructions glue through one mutable builder and differ only in
-which list each mapped piece certificate joins.  A mapped certificate is a
-tuple of (bottom, top) pairs in the gadget certificate's order; only
-:meth:`_Builder.freeze` canonicalises, once per built certificate.  A
-result validates its two certificates once and caches the reports,
+which list each mapped piece certificate joins.  The builder works on
+``int`` face masks (see :class:`~extenders.complexes._MaskCodec`): each
+gadget is cached as masks together with its marked complex, and gluing
+maps a gadget mask through a table over its specified facet plus one
+shift for its fresh vertices.  Frozensets appear only at the result
+boundary, :meth:`_Builder.freeze`, which turns each face into a frozenset
+once and canonicalises each built certificate once.
+
+A result validates its two certificates once and caches the reports,
 h-vectors, facet-size maps and h-triangles on itself; the final check and
-:func:`h_decomposition` both read those caches.  A result is frozen, so
-the cached reports stay true of it; a hand-built or copied result starts
-with empty caches and is validated in full on first use.
+:func:`h_decomposition` both read those caches.  A built result starts
+with the reports and h-vectors of the very masks it was frozen from.  A
+result is frozen, so the cached values stay true of it; a hand-built or
+copied result starts with empty caches and is validated in full, from its
+frozensets, on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _bit_values,
     _f_triangle,
     _facet_sizes,
     _h_from_f_triangle,
-    _merge_relabelled,
+    _mask_f_vector,
+    _MaskCodec,
+    _submasks,
     adjoin_face,
     build_complex,
     f_vector,
     face_key,
     format_face,
+    h_from_f,
     h_vector,
     lex_key,
     relative_family,
@@ -61,6 +73,7 @@ from .partitions import (
     PartitionReport,
     _h_compatible,
     _layer_compatible,
+    _verify_masks,
     h_from_partitioning,
     verify_partitioning,
 )
@@ -106,7 +119,9 @@ class ExtenderResult:
     """A verified partition extender for a whole complex.
 
     The derived values below are computed on first use and cached; the
-    fields are immutable, so each is computed once per result.
+    fields are immutable, so each is computed once per result.  A result
+    built by this module has ``reports`` and ``h_vectors`` filled in from
+    the masks it was built on.
     """
 
     extender: SimplicialComplex
@@ -148,8 +163,7 @@ class ExtenderResult:
                      for sizes, x in zip(self.facet_sizes, self.families))
 
 
-def _ensure_valid(fam: FaceFamily, p: IntervalPartition, what: str) -> PartitionReport:
-    report = verify_partitioning(fam, p)
+def _ensure_valid(report: PartitionReport, what: str) -> PartitionReport:
     if not report.valid:
         raise InternalCheckError(f"{what}: {report.violation}")
     return report
@@ -186,7 +200,7 @@ def _prepartition(d: int, k: int) -> MarkedComplex:
             intervals.append((frozenset([j + 1]) | below, window(j) | (core - {i})))
     with_part = IntervalPartition.of(intervals)
     marked = MarkedComplex(complex_, second_cell, core, with_part, None)
-    _ensure_valid(marked.family_with_face(), with_part,
+    _ensure_valid(verify_partitioning(marked.family_with_face(), with_part),
                   f"seed certificate for (d={d}, k={k})")
     return marked
 
@@ -210,58 +224,154 @@ def prepartition_h_profile(d: int, k: int) -> tuple[int, ...]:
     return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
 
 
-def _map_partition(p: IntervalPartition, mapping: dict[int, int]) -> tuple:
-    image = mapping.__getitem__
-    return tuple((frozenset(map(image, b)), frozenset(map(image, t))) for b, t in p)
+class _Gadget(NamedTuple):
+    """A gadget's off-facet faces and certificates as masks, laid out for
+    gluing: the specified facet's vertices, sorted, take bits
+    0..facet_size-1 and the other vertices the bits above them, sorted.
+
+    Bit ``i`` of the facet goes to entry ``slots[i]`` of the host's
+    targets: the face's bits, then the rest of the facet's, each sorted.
+    ``face_bits`` lists each face's bit positions, in the order of
+    ``faces``; the pairs are in the order of the marked complex's
+    certificates."""
+
+    facet_size: int
+    slots: tuple
+    fresh: int
+    faces: tuple
+    face_bits: tuple
+    with_pairs: tuple
+    without_pairs: tuple
 
 
 class _Builder:
-    """A complex under construction: face set, next free label, with-face
-    and without-face interval lists, attachment log.  Each attachment adds
-    a closed face set, so the face set stays closed and :meth:`freeze`
-    wraps it as it is."""
+    """A complex under construction, on masks: face set, codec (labels of
+    the host's vertices, then of the fresh ones), with-face and
+    without-face (bottom, top) lists, attachment log, and what each
+    attachment glued.  Each attachment adds a closed face set, so the face
+    set stays closed; :meth:`freeze` turns the masks into frozensets, each
+    face once."""
 
     def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
-        self.faces = set(host.faces)
+        self.codec = codec = _MaskCodec(sorted(host.vertices))
+        codec.face.update((codec.mask(f), f) for f in host.faces)
+        self.host_faces = host.faces
+        self.faces = set(codec.face)
         self.next_label = max(host.vertices, default=-1) + 1
-        self.with_parts = list(with_parts)
-        self.without_parts = list(without_parts)
-        self.log: list[PieceAttachment] = []
+        self.with_parts = [(codec.mask(b), codec.mask(t)) for b, t in with_parts]
+        self.without_parts = [(codec.mask(b), codec.mask(t)) for b, t in without_parts]
+        self.log: list[tuple] = []
+        self.glued: list[tuple] = []
 
-    def attach(self, piece: MarkedComplex, facet: Face, face: Face) -> tuple:
+    def attach(self, piece: _Gadget, facet: int, face: int) -> tuple:
         """Glue ``piece``'s specified facet onto ``facet`` and its specified
-        face onto ``face``, order-preserving on sorted labels, and return
-        its (with-face, without-face) certificates in the new labels, as
-        pair tuples in the piece's order; :meth:`freeze` sorts them."""
-        inner = piece.specified_face
-        mapping = dict(zip(sorted(inner), sorted(face)))
-        mapping.update(zip(sorted(piece.specified_facet - inner), sorted(facet - face)))
-        fresh = _merge_relabelled(self.faces, piece.complex, mapping, self.next_label)
-        self.next_label += len(fresh)
-        mapped_with = _map_partition(piece.with_face_partition, mapping)
-        mapped_without = _map_partition(piece.without_face_partition, mapping)
-        self.log.append(PieceAttachment(face, facet, fresh, mapped_with, mapped_without))
+        face onto ``face``, order-preserving on sorted labels; its other
+        vertices get the next labels, in order.  Returns its (with-face,
+        without-face) certificates in the new labels, as mask pair lists
+        in the piece's order."""
+        targets = [*_bit_values(face), *_bit_values(facet & ~face)]
+        tab = [0]  # tab[m]: the host face of the piece's facet face m
+        for slot in piece.slots:
+            bit = targets[slot]
+            tab += [x | bit for x in tab]
+        low, width, shift = len(tab) - 1, piece.facet_size, len(self.codec.labels)
+        images = [tab[m & low] | (m >> width) << shift for m in piece.faces]
+        self.faces.update(images)
+        mapped_with, mapped_without = (
+            [(tab[b & low] | (b >> width) << shift, tab[t & low] | (t >> width) << shift)
+             for b, t in pairs]
+            for pairs in (piece.with_pairs, piece.without_pairs))
+        fresh = tuple(range(self.next_label, self.next_label + piece.fresh))
+        # The label of each of the piece's bits, for freeze.
+        labels = [self.codec.labels[targets[slot].bit_length() - 1] for slot in piece.slots]
+        self.codec.extend(fresh)
+        self.next_label += piece.fresh
+        self.log.append((face, facet, fresh, mapped_with, mapped_without))
+        self.glued.append((images, piece.face_bits, labels + list(fresh)))
         return mapped_with, mapped_without
 
     def freeze(self) -> tuple:
-        """(complex, with-face partition, without-face partition, log)."""
-        return (SimplicialComplex(frozenset(self.faces)),
-                IntervalPartition.of(self.with_parts),
-                IntervalPartition.of(self.without_parts),
-                tuple(self.log))
+        """(complex, with-face partition, without-face partition, log).
+
+        Each glued face becomes a frozenset once, from its piece's bit
+        positions, and the complex, intervals and log share those
+        frozensets.  The with-face and without-face lists are sorted in
+        place into the partitions' canonical order."""
+        face, glued = self.codec.face, []
+        for images, face_bits, labels in self.glued:
+            image = labels.__getitem__
+            glued.append([frozenset(map(image, bits)) for bits in face_bits])
+            face.update(zip(images, glued[-1]))
+        complex_ = SimplicialComplex(frozenset(itertools.chain(self.host_faces, *glued)))
+
+        def pairs(masks):
+            return tuple([(face[b], face[t]) for b, t in masks])
+
+        return (complex_,
+                _canonical(self.with_parts, self.codec),
+                _canonical(self.without_parts, self.codec),
+                tuple(PieceAttachment(face[sigma], face[facet], fresh, pairs(w), pairs(wo))
+                      for sigma, facet, fresh, w, wo in self.log))
+
+
+def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:
+    """Sort mask pairs in place as :meth:`IntervalPartition.of` orders
+    pairs, by top and then bottom as sorted labels, and wrap their faces.
+
+    The tops of a partitioning are distinct maximal members, and then the
+    order of the tops alone is that order; only repeated tops need the
+    bottoms' labels."""
+    face = codec.face
+    if len({t for _, t in parts}) == len(parts):
+        parts.sort(key=lambda bt: sorted(face[bt[1]]))
+    else:
+        parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
+    return IntervalPartition(tuple([(face[b], face[t]) for b, t in parts]))
+
+
+def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> _Gadget:
+    """The mask form of a frozen gadget build on ``host``.  The builder's
+    bits follow label order; the specified facet's bits move to the
+    bottom.  Fresh labels exceed every host label, so only host bits move."""
+    codec, facet, face = build.codec, marked.specified_facet, marked.specified_face
+    host_labels = sorted(host.vertices)
+    order = sorted(host_labels, key=lambda v: (v not in facet, v))
+    perm = [0]  # perm[m]: the host-bit mask m in the gadget layout
+    for v in host_labels:
+        bit = 1 << order.index(v)
+        perm += [x | bit for x in perm]
+    low = len(perm) - 1
+
+    def move(m):
+        return perm[m & low] | (m & ~low)
+
+    closed = frozenset(_submasks(codec.mask(facet)))
+    rank = {v: i for i, v in enumerate([*sorted(face), *sorted(facet - face)])}
+    faces = tuple(move(m) for m in build.faces if m not in closed)
+    return _Gadget(
+        facet_size=len(facet),
+        slots=tuple(rank[v] for v in sorted(facet)),
+        fresh=len(codec.labels) - len(facet),
+        faces=faces,
+        face_bits=tuple(tuple(b.bit_length() - 1 for b in _bit_values(m)) for m in faces),
+        with_pairs=tuple((move(b), move(t)) for b, t in build.with_parts),
+        without_pairs=tuple((move(b), move(t)) for b, t in build.without_parts))
 
 
 @lru_cache(maxsize=None)
-def _partition_extender(d: int, k: int) -> MarkedComplex:
+def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
+    """The marked gadget (d, k) and its mask form, built once."""
     if k == d:
         whole = frozenset(range(1, d + 2))
         marked = MarkedComplex(
             build_complex([whole]), whole, whole,
             IntervalPartition.of([(whole, whole)]),
             IntervalPartition.of([]))
-        _ensure_valid(marked.family_with_face(), marked.with_face_partition,
+        _ensure_valid(verify_partitioning(marked.family_with_face(),
+                                          marked.with_face_partition),
                       f"base certificate for (d={d}, k={k})")
-        return marked
+        full = (1 << (d + 1)) - 1
+        return marked, _Gadget(d + 1, tuple(range(d + 1)), 0, (), (), ((full, full),), ())
 
     seed = _prepartition(d, k)
     sigma = seed.specified_face
@@ -269,41 +379,57 @@ def _partition_extender(d: int, k: int) -> MarkedComplex:
     build = _Builder(
         seed.complex, seed.with_face_partition,
         [iv for iv in seed.with_face_partition if iv != (sigma, anchor)])
+    mask = build.codec.mask
     for tau in sorted((t for t in subsets_of(anchor) if sigma < t), key=face_key):
         mapped_with, mapped_without = build.attach(
-            _partition_extender(d, len(tau) - 1), anchor, tau)
+            _partition_extender(d, len(tau) - 1)[1], mask(anchor), mask(tau))
         build.with_parts.extend(mapped_without)
         build.without_parts.extend(mapped_with)
     complex_, with_part, without_part, log = build.freeze()
     marked = MarkedComplex(complex_, seed.specified_facet, sigma,
                            with_part, without_part, log)
-    _ensure_valid(marked.family_with_face(), marked.with_face_partition,
+    off_facet = build.faces.difference(_submasks(mask(seed.specified_facet)))
+    _ensure_valid(_verify_masks(off_facet | {mask(sigma)}, build.with_parts, build.codec),
                   f"adjoined certificate for (d={d}, k={k})")
-    _ensure_valid(marked.family_without_face(), marked.without_face_partition,
+    _ensure_valid(_verify_masks(off_facet, build.without_parts, build.codec),
                   f"off-facet certificate for (d={d}, k={k})")
-    return marked
+    return marked, _gadget(marked, build, seed.complex)
 
 
 def partition_extender(d: int, k: int) -> MarkedComplex:
     """A marked complex whose off-facet family is partitionable both with
     and without the specified face, built recursively from the seed."""
     _check_range(d, k)
-    return _partition_extender(d, k)
+    return _partition_extender(d, k)[0]
 
 
 def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
     build = _Builder(base)
+    base_masks = frozenset(build.faces)
+    mask = build.codec.mask
     for sigma in base.sorted_faces():
         # The largest facet containing sigma, lexicographically first among
         # equals; its size is sigma's facet depth.
         target = min((f for f in base.facets if sigma <= f),
                      key=lambda f: (-len(f), lex_key(f)))
         mapped_with, mapped_without = build.attach(
-            _partition_extender(len(target) - 1, len(sigma) - 1), target, sigma)
+            _partition_extender(len(target) - 1, len(sigma) - 1)[1],
+            mask(target), mask(sigma))
         build.with_parts.extend(mapped_with)
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
+    # The cached reports and h-vectors are those of exactly the masks that
+    # were frozen, so they are true of the result; writing them into the
+    # instance dictionary is what a first read of each cached property does.
+    f_base = _mask_f_vector(base_masks, base.dim)
+    f_big = _mask_f_vector(build.faces, extender.dim)
+    f_rel = tuple(a - b for a, b in itertools.zip_longest(f_big, f_base, fillvalue=0))
+    vars(result).update(
+        reports=(_verify_masks(build.faces, build.with_parts, build.codec),
+                 _verify_masks(build.faces - base_masks, build.without_parts,
+                               build.codec)),
+        h_vectors=tuple(map(h_from_f, (f_base, f_big, f_rel))))
     _check_result(result, pure)
     return result
 

@@ -3,9 +3,12 @@
 A partitioning claims that a face family is a disjoint union of Boolean
 intervals whose tops are maximal members.  Verification checks the claim
 set by set; nothing is assumed about the family being closed under
-subsets.  The searches are exhaustive backtracking with fully
-lexicographic tie-breaking, so both witnesses and failure verdicts are
-reproducible.
+subsets.  It runs on ``int`` face masks: :func:`verify_partitioning`
+reads a frozenset family and its intervals as masks once and hands them
+to :func:`_verify_masks`, which the construction core also calls on the
+masks it built, so both give the same report, word for word.  The
+searches are exhaustive backtracking with fully lexicographic
+tie-breaking, so both witnesses and failure verdicts are reproducible.
 
 Every function here reads only ``faces`` and ``dim``, which a complex
 and a relative family both expose, so either can be passed as it is; the
@@ -19,6 +22,7 @@ plus the family's facet-size map (each member's largest containing member).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -27,11 +31,14 @@ from .complexes import (
     ComplexOrFamily,
     Face,
     SimplicialComplex,
+    _MaskCodec,
+    _bit_values,
     _facet_sizes,
+    _submasks,
     between,
-    face_key,
     format_face,
     h_triangle,
+    h_vector,
     lex_key,
     maximal_faces,
     pair_family,
@@ -46,10 +53,6 @@ from .errors import (
 
 DEFAULT_MAX_MEMBERS = 40
 DEFAULT_MAX_FACETS = 12
-
-
-def _interval_label(bottom: Face, top: Face) -> str:
-    return f"[{format_face(bottom)}, {format_face(top)}]"
 
 
 @dataclass(frozen=True)
@@ -104,43 +107,83 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     Valid means: every set between each bottom and top is a member, the
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
+    The family and the intervals are read as masks once, and
+    :func:`_verify_masks` checks them.
     """
-    members = fam.faces
-    stats = Counter((len(t), len(b)) for b, t in p)
+    codec = _MaskCodec(sorted(set().union(*fam.faces, *itertools.chain(*p))))
+    mask = codec.mask
+    return _verify_masks(set(map(mask, fam.faces)),
+                         [(mask(b), mask(t)) for b, t in p], codec)
+
+
+def _first_offence(b: int, t: int, members: set, covered: set,
+                   codec: _MaskCodec) -> str:
+    """The violation of the first face of [b, t], in :func:`between` order,
+    that is not a member or is in ``covered``."""
+    gap = t & ~b
+    for r in range(gap.bit_count() + 1):
+        for combo in itertools.combinations(_bit_values(gap), r):
+            s = b | sum(combo)
+            if s not in members:
+                return (f"interval [{codec.name(b)}, {codec.name(t)}] requires "
+                        f"{codec.name(s)}, which is not a member")
+            if s in covered:
+                return f"face {codec.name(s)} is covered twice"
+    raise AssertionError("the interval has no offending face")
+
+
+def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
+                  codec: _MaskCodec) -> PartitionReport:
+    """:func:`verify_partitioning` on masks: ``members`` is the family and
+    ``pairs`` the (bottom, top) intervals, in the order they are checked;
+    ``codec`` names faces in the report.
+
+    Each interval's faces are enumerated as submasks of its gap.  The
+    first violation found is reported, worded and chosen as a walk over
+    the faces of each interval in :func:`between` order would choose it.
+    """
+    stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
 
     def report(violation):
         return PartitionReport(False, violation, stats_out)
 
-    by_size: dict[int, list[Face]] = {}
-    for m in members:
-        by_size.setdefault(len(m), []).append(m)
-    bigger_sizes = sorted(by_size)
+    def label(b, t):
+        return f"[{codec.name(b)}, {codec.name(t)}]"
 
-    covered = set()
-    for b, t in p:
+    top_size = max(map(int.bit_count, members), default=0)
+    by_size: dict[int, list[int]] = {}
+    covered: set[int] = set()
+    add = covered.add
+    for b, t in pairs:
         if t not in members:
-            return report(f"top of {_interval_label(b, t)} is not a member")
-        for size in bigger_sizes:
-            if size <= len(t):
-                continue
-            for m in by_size[size]:
-                if t < m:
-                    above = min((m for m in members if t < m), key=face_key)
-                    return report(
-                        f"top of {_interval_label(b, t)} is not maximal: it is "
-                        f"contained in {format_face(above)}")
-        for s in between(b, t):
-            if s not in members:
-                return report(
-                    f"interval {_interval_label(b, t)} requires "
-                    f"{format_face(s)}, which is not a member")
-            if s in covered:
-                return report(f"face {format_face(s)} is covered twice")
-            covered.add(s)
-    if covered != members:
-        missing = min(members - covered, key=face_key)
-        return report(f"face {format_face(missing)} is not covered")
+            return report(f"top of {label(b, t)} is not a member")
+        size = t.bit_count()
+        if size < top_size:
+            if not by_size:
+                for m in members:
+                    by_size.setdefault(m.bit_count(), []).append(m)
+            if any(m & t == t for bigger in range(size + 1, top_size + 1)
+                   for m in by_size.get(bigger, ())):
+                above = min((m for m in members if m & t == t and m != t),
+                            key=codec.key)
+                return report(f"top of {label(b, t)} is not maximal: it is "
+                              f"contained in {codec.name(above)}")
+        gap = sub = t & ~b
+        while True:
+            s = b | sub
+            if s in covered or s not in members:
+                # Submasks run downwards: those above ``sub`` are this
+                # interval's, so the faces covered before it are the rest.
+                covered.difference_update(b | x for x in _submasks(gap) if x > sub)
+                return report(_first_offence(b, t, members, covered, codec))
+            add(s)
+            if not sub:
+                break
+            sub = (sub - 1) & gap
+    if len(covered) != len(members):
+        missing = min(members - covered, key=codec.key)
+        return report(f"face {codec.name(missing)} is not covered")
     return PartitionReport(True, None, stats_out)
 
 
@@ -198,6 +241,12 @@ def find_partitioning(
     One interval per maximal member, processed by decreasing dimension and
     then lexicographically; candidate bottoms are tried in lexicographic
     order, so the returned witness is deterministic.
+
+    When every maximal member has dimension ``fam.dim``, a partitioning
+    has exactly h_i intervals with bottom size i (Stanley 1979), so a
+    negative h_i refutes one at once and a branch with more than h_i such
+    intervals is cut.  Both prunes cut only failing subtrees, so the
+    witness is the one the plain search finds.
     """
     members = fam.faces
     if len(members) > max_members:
@@ -208,6 +257,13 @@ def find_partitioning(
     if not members:
         return IntervalPartition.of([])
     tops = sorted(maximal_faces(members), key=lambda f: (-len(f), lex_key(f)))
+    # room[i]: how many more intervals with bottom size i may be chosen.
+    if all(len(top) == fam.dim + 1 for top in tops):
+        room = list(h_vector(fam))
+        if min(room) < 0:
+            return None
+    else:
+        room = [len(tops)] * (fam.dim + 2)
     options = []
     for top in tops:
         choices = []
@@ -218,9 +274,10 @@ def find_partitioning(
         options.append(choices)
     # A member is due at the last top that can still cover it; once that
     # top is assigned, the member must already be covered.
+    last_top = {s: i for i, top in enumerate(tops) for s in subsets_of(top)}
     due: list[list[Face]] = [[] for _ in tops]
     for m in members:
-        due[max(i for i, top in enumerate(tops) if m <= top)].append(m)
+        due[last_top[m]].append(m)
 
     # Depth-first, as a loop so that long families stay off the call stack:
     # ``path`` holds the (bottom, cube) chosen for each assigned top, and
@@ -232,7 +289,7 @@ def find_partitioning(
     while pending:
         idx = len(path)
         for bottom, cube in pending[-1]:
-            if covered.isdisjoint(cube):
+            if room[len(bottom)] and covered.isdisjoint(cube):
                 covered |= cube
                 if covered.issuperset(due[idx]) and (idx < last or covered == members):
                     break
@@ -240,11 +297,14 @@ def find_partitioning(
         else:
             pending.pop()
             if path:
-                covered -= path.pop()[1]
+                bottom, cube = path.pop()
+                covered -= cube
+                room[len(bottom)] += 1
             continue
         if idx == last:
             return IntervalPartition.of(zip([b for b, _ in path] + [bottom], tops))
         path.append((bottom, cube))
+        room[len(bottom)] -= 1
         pending.append(iter(options[idx + 1]))
     return None
 

@@ -6,6 +6,7 @@ checked against a second route, not against itself.
 """
 
 import itertools
+from collections import Counter
 from math import comb
 
 import hypothesis.strategies as st
@@ -38,6 +39,46 @@ def cube(bottom, top):
             for sel in itertools.combinations(gap, r)}
 
 
+def _name(face):
+    return "{" + ",".join(map(str, sorted(face))) + "}"
+
+
+def verify_by_enumeration(members, pairs):
+    """(valid, violation, stats) of a partitioning, on frozensets: each
+    interval's faces are enumerated by size and then lexicographically,
+    and the first violation is reported in the library's wording."""
+    members = frozenset(members)
+    stats = tuple(sorted(Counter((len(t), len(b)) for b, t in pairs).items()))
+
+    def failed(violation):
+        return False, violation, stats
+
+    covered = set()
+    for b, t in pairs:
+        where = f"[{_name(b)}, {_name(t)}]"
+        if t not in members:
+            return failed(f"top of {where} is not a member")
+        above = [m for m in members if t < m]
+        if above:
+            first = min(above, key=lambda f: (len(f), sorted(f)))
+            return failed(f"top of {where} is not maximal: it is contained in "
+                          f"{_name(first)}")
+        gap = sorted(t - b)
+        for r in range(len(gap) + 1):
+            for sel in itertools.combinations(gap, r):
+                s = b | frozenset(sel)
+                if s not in members:
+                    return failed(f"interval {where} requires {_name(s)}, "
+                                  f"which is not a member")
+                if s in covered:
+                    return failed(f"face {_name(s)} is covered twice")
+                covered.add(s)
+    if covered != members:
+        missing = min(members - covered, key=lambda f: (len(f), sorted(f)))
+        return failed(f"face {_name(missing)} is not covered")
+    return True, None, stats
+
+
 def naive_find_partitioning(members):
     """Plain product enumeration over one candidate interval per maximal
     member; exponential but exhaustive, for cross-checking verdicts."""
@@ -66,6 +107,33 @@ def naive_find_partitioning(members):
         if ok and covered == members:
             return [(b, t) for b, t, _ in combo]
     return None
+
+
+def first_partitioning_by_backtracking(members):
+    """The first partitioning of a plain backtracking search with no
+    pruning, as (bottom, top) pairs in search order, or None.  Maximal
+    members are taken by decreasing size, then lexicographically; each
+    takes the lexicographically first bottom whose interval lies in the
+    family and misses the intervals chosen so far."""
+    members = frozenset(frozenset(m) for m in members)
+    tops = sorted((m for m in members if not any(m < other for other in members)),
+                  key=lambda f: (-len(f), sorted(f)))
+    options = [[(bottom, cube(bottom, top)) for bottom in
+                 sorted((frozenset(sel) for r in range(len(top) + 1)
+                         for sel in itertools.combinations(sorted(top), r)), key=sorted)
+                 if cube(bottom, top) <= members] for top in tops]
+
+    def extend(i, covered):
+        if i == len(tops):
+            return [] if covered == members else None
+        for bottom, block in options[i]:
+            if not covered & block:
+                rest = extend(i + 1, covered | block)
+                if rest is not None:
+                    return [(bottom, tops[i])] + rest
+        return None
+
+    return extend(0, frozenset())
 
 
 def first_shelling_by_backtracking(big, small_faces=frozenset()):

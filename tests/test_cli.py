@@ -554,3 +554,26 @@ def test_cli_is_total(command, first, second, as_json, tmp_path, monkeypatch):
         assert out.getvalue() == "" and _single_error_line(err.getvalue())
     else:
         assert err.getvalue() == "" and out.getvalue().endswith("\n")
+
+
+def test_one_parser_serves_calls_back_to_back(write, capsys):
+    bowtie, edges = write("bowtie.json", BOWTIE), write("edges.json", TWO_EDGES)
+    calls = [
+        ["info", bowtie, "--json"],
+        ["build-extender", edges, "--json"],
+        ["partitionable", bowtie],
+        ["depth", bowtie, "--char", "2", "--json"],
+        ["depth", bowtie, "--char", "two"],
+        ["estimate-size", "3", "2"],
+        ["cm-check", edges],
+        ["info"],
+        ["shellable", bowtie, "--json"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [status for status, _, _ in shared] == [0, 0, 1, 0, 2, 0, 1, 2, 1]

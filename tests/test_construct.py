@@ -33,6 +33,7 @@ from extenders import (
     verify_partitioning,
 )
 from extenders import construct
+from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result
 from _oracles import poly_h, pure_complexes, random_nonpure_complex
 
@@ -322,9 +323,11 @@ def test_library_result_is_validated_once(monkeypatch):
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     extender_for_complex(bowtie)  # builds the gadgets
     calls = []
-    original = construct.verify_partitioning
-    monkeypatch.setattr(construct, "verify_partitioning",
-                        lambda fam, p: calls.append(p) or original(fam, p))
+    # A built result is checked on masks; a frozenset check would count too.
+    for name in ("_verify_masks", "verify_partitioning"):
+        original = getattr(construct, name)
+        monkeypatch.setattr(construct, name, lambda *args, original=original:
+                            calls.append(args[1]) or original(*args))
     h_decomposition(extender_for_complex(bowtie))
     assert len(calls) == 2
 
@@ -428,8 +431,13 @@ def test_total_size_estimate_order_of_magnitude():
 def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     h_decomposition(extender_for_complex(bowtie))  # warm the gadgets
-    counts = {"of": 0, "family": 0}
-    of, post_init = IntervalPartition.of.__func__, FaceFamily.__post_init__
+    counts = {"canonical": 0, "of": 0, "family": 0}
+    canonical, of = construct._canonical, IntervalPartition.of.__func__
+    post_init = FaceFamily.__post_init__
+
+    def counted_canonical(parts, codec):
+        counts["canonical"] += 1
+        return canonical(parts, codec)
 
     def counted_of(cls, pairs):
         counts["of"] += 1
@@ -439,8 +447,37 @@ def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
         counts["family"] += 1
         post_init(self)
 
+    monkeypatch.setattr(construct, "_canonical", counted_canonical)
     monkeypatch.setattr(IntervalPartition, "of", classmethod(counted_of))
     monkeypatch.setattr(FaceFamily, "__post_init__", counted_post_init)
     h_decomposition(extender_for_complex(bowtie))
-    # The two certificates of freeze; the relative family alone is a family.
-    assert counts == {"of": 2, "family": 1}
+    # The two certificates of freeze, sorted as masks; the pure path reads
+    # the relative family's report and h-vector off the masks, so it builds
+    # no family.
+    assert counts == {"canonical": 2, "of": 0, "family": 0}
+
+
+@pytest.mark.parametrize("pairs", [
+    [([3], [2, 3]), ([], [1, 2]), ([1], [1, 3]), ([4], [4])],
+    [([1], [1, 2]), ([], [1, 2]), ([3], [3]), ([2], [1, 2]), ([1, 2], [1, 2])],
+])
+def test_mask_certificates_are_ordered_as_interval_partitions_are(pairs):
+    # The second list repeats tops, as only a broken certificate can.
+    codec = _MaskCodec(range(1, 5))
+    masks = [(codec.mask(b), codec.mask(t)) for b, t in pairs]
+    assert construct._canonical(masks, codec) == IntervalPartition.of(pairs)
+
+
+def test_warm_gadgets_leave_no_mask_form_to_build(monkeypatch):
+    construct._partition_extender.cache_clear()
+    built = []
+    gadget = construct._Gadget
+    monkeypatch.setattr(construct, "_Gadget", lambda *args, **kwargs:
+                        built.append(1) or gadget(*args, **kwargs))
+    for d in (1, 2):
+        for k in range(-1, d + 1):
+            partition_extender(d, k)
+    assert len(built) == 7  # one mask form per warmed gadget
+    built.clear()
+    extender_for_complex(build_complex([[1, 2, 3], [3, 4, 5]]))
+    assert built == []

@@ -2,7 +2,7 @@ import itertools
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from extenders import (
     ExtendersError,
@@ -25,20 +25,24 @@ from extenders import (
     h_vector,
     is_h_compatible,
     is_layer_compatible,
+    nonpure_extender_for_complex,
     relative_family,
     verify_partitioning,
 )
+from extenders import partitions
 from extenders.complexes import lex_key
 from _oracles import (
     all_partitionings,
     complex_pairs,
     cycles_with_faces,
     f_triangle_by_definition,
+    first_partitioning_by_backtracking,
     first_shelling_by_backtracking,
     layer_compatible_by_definition,
     naive_find_partitioning,
     pure_complexes,
     small_complexes,
+    verify_by_enumeration,
 )
 
 fs = frozenset
@@ -142,6 +146,68 @@ def test_non_maximal_top_names_the_first_containing_member():
         "top of [{}, {1,2}] is not maximal: it is contained in {1,2,3}")
 
 
+def test_first_offender_ignores_the_faces_of_its_own_interval():
+    # {3} belongs to the interval itself; {1,2} is the first non-member.
+    fam = FaceFamily(frozenset(build_complex([[1, 2, 3]]).faces - {fs({1, 2})}), 2)
+    report = verify_partitioning(fam, part(([], [1, 2, 3])))
+    assert report.violation == "interval [{}, {1,2,3}] requires {1,2}, which is not a member"
+
+
+def _drop(pairs, i):
+    return pairs[:i] + pairs[i + 1:]
+
+
+def _duplicate(pairs, i):
+    return pairs[:i + 1] + pairs[i:]
+
+
+def _replace(pairs, i, b, t):
+    return pairs[:i] + [(b, t)] + pairs[i + 1:]
+
+
+def _foreign_bottom(pairs, i):
+    b, t = pairs[i]
+    return _replace(pairs, i, b | {99}, t)
+
+
+def _empty_bottom(pairs, i):
+    return _replace(pairs, i, frozenset(), pairs[i][1])
+
+
+def _lowered_top(pairs, i):
+    b, t = pairs[i]
+    v = max(t - b or t or {99})
+    return _replace(pairs, i, b - {v}, t - {v})
+
+
+def _foreign_top(pairs, i):
+    b, t = pairs[i]
+    return _replace(pairs, i, b, t | {99})
+
+
+TAMPERINGS = [_drop, _duplicate, _foreign_bottom, _empty_bottom, _lowered_top,
+              _foreign_top]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_complexes(min_facets=1), st.data())
+def test_verifier_reports_tampered_certificates_as_the_reference_does(c, data):
+    result = nonpure_extender_for_complex(c)
+    for fam, p in ((result.extender, result.extender_partition),
+                   (result.relative, result.relative_partition)):
+        pairs = list(p)
+        assert verify_by_enumeration(fam.faces, pairs)[0]
+        if not pairs:
+            continue
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        for tamper in TAMPERINGS:
+            tampered = tamper(pairs, i)
+            report = verify_partitioning(fam, IntervalPartition(tuple(tampered)))
+            expected = verify_by_enumeration(fam.faces, tampered)
+            assert (report.valid, report.violation, report.interval_stats) == expected
+            assert report.valid == (tampered == pairs)
+
+
 def test_verify_stats_account_for_every_member():
     report = verify_partitioning(SEED_31_FAMILY, SEED_31_INTERVALS)
     covered = sum(count * 2 ** (i - j)
@@ -231,6 +297,20 @@ def test_find_partitioning_on_families():
         assert verify_partitioning(fam, found).valid
 
 
+def test_find_partitioning_on_a_long_path_takes_the_counted_bottoms():
+    # h = (1, 1199, 0): no edge may be its own bottom, so each edge past the
+    # first takes its second vertex instead of being undone much later.
+    path = build_complex([[i, i + 1] for i in range(1200)])
+    found = find_partitioning(path, max_members=len(path.faces))
+    assert [sorted(b) for b, _ in found] == [[]] + [[i] for i in range(2, 1201)]
+
+
+def test_find_partitioning_refuses_negative_h_at_the_root(monkeypatch):
+    # The bowtie has h = (1, 2, -1, 0); the search never starts.
+    monkeypatch.setattr(partitions, "between", None)
+    assert find_partitioning(BOWTIE) is None
+
+
 def test_find_partitioning_size_limit():
     with pytest.raises(SizeLimitExceeded):
         find_partitioning(BOWTIE, max_members=5)
@@ -244,6 +324,29 @@ def test_find_partitioning_agrees_with_naive_enumeration(c):
     assert (found is None) == (naive is None)
     if found is not None:
         assert verify_partitioning(c, found).valid
+
+
+def _assert_unpruned_witness(fam):
+    found = find_partitioning(fam)
+    first = first_partitioning_by_backtracking(fam.faces)
+    assert found == (None if first is None else IntervalPartition.of(first))
+
+
+@settings(max_examples=80, deadline=None)
+@given(complex_pairs())
+def test_find_partitioning_witness_matches_unpruned_search(pair):
+    big, small = pair
+    for fam in (big, relative_family(big, small)):
+        _assert_unpruned_witness(fam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pure_complexes(max_dim=2, max_facets=6))
+@example(build_complex([[1, 4], [1, 5], [1, 6], [2, 3], [5, 6]]))
+def test_pruned_search_backtracks_to_the_unpruned_witness(c):
+    # Pure graphs and 2-complexes backtrack past chosen intervals, so each
+    # undone interval must give its bottom size back.
+    _assert_unpruned_witness(c)
 
 
 @settings(max_examples=60, deadline=None)

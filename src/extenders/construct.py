@@ -249,13 +249,12 @@ class _Builder:
     the host's vertices, then of the fresh ones), with-face and
     without-face (bottom, top) lists, attachment log, and what each
     attachment glued.  Each attachment adds a closed face set, so the face
-    set stays closed; :meth:`freeze` turns the masks into frozensets, each
-    face once."""
+    set stays closed; :meth:`freeze` turns the masks into frozensets
+    through the codec, each face once."""
 
     def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
         self.codec = codec = _MaskCodec(sorted(host.vertices))
         codec.face.update((codec.mask(f), f) for f in host.faces)
-        self.host_faces = host.faces
         self.faces = set(codec.face)
         self.next_label = max(host.vertices, default=-1) + 1
         self.with_parts = [(codec.mask(b), codec.mask(t)) for b, t in with_parts]
@@ -282,27 +281,33 @@ class _Builder:
              for b, t in pairs]
             for pairs in (piece.with_pairs, piece.without_pairs))
         fresh = tuple(range(self.next_label, self.next_label + piece.fresh))
-        # The label of each of the piece's bits, for freeze.
-        labels = [self.codec.labels[targets[slot].bit_length() - 1] for slot in piece.slots]
         self.codec.extend(fresh)
         self.next_label += piece.fresh
         self.log.append((face, facet, fresh, mapped_with, mapped_without))
-        self.glued.append((images, piece.face_bits, labels + list(fresh)))
+        # labels[i]: the codec's label of the bit that piece bit i maps to,
+        # read off the same table and shift as the images.
+        labels = self.codec.labels
+        self.glued.append((images, piece.face_bits,
+                           [labels[tab[1 << i].bit_length() - 1] for i in range(width)]
+                           + labels[shift:shift + piece.fresh]))
         return mapped_with, mapped_without
 
     def freeze(self) -> tuple:
         """(complex, with-face partition, without-face partition, log).
 
-        Each glued face becomes a frozenset once, from its piece's bit
-        positions, and the complex, intervals and log share those
-        frozensets.  The with-face and without-face lists are sorted in
-        place into the partitions' canonical order."""
-        face, glued = self.codec.face, []
+        Every frozenset returned is ``codec.face[m]`` for a mask ``m`` of
+        the builder, so what is verified on the masks is true of the
+        result, and the complex, intervals and log share those frozensets.
+        The glued faces are written into ``codec.face`` in bulk: a glued
+        image's labels are the codec's labels of its bits, taken through
+        the piece's bit positions, which are known without decoding the
+        image.  The with-face and without-face lists are sorted in place
+        into the partitions' canonical order."""
+        face = self.codec.face
         for images, face_bits, labels in self.glued:
             image = labels.__getitem__
-            glued.append([frozenset(map(image, bits)) for bits in face_bits])
-            face.update(zip(images, glued[-1]))
-        complex_ = SimplicialComplex(frozenset(itertools.chain(self.host_faces, *glued)))
+            face.update(zip(images, [frozenset(map(image, bits)) for bits in face_bits]))
+        complex_ = SimplicialComplex(frozenset(map(face.__getitem__, self.faces)))
 
         def pairs(masks):
             return tuple([(face[b], face[t]) for b, t in masks])
@@ -316,16 +321,9 @@ class _Builder:
 
 def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:
     """Sort mask pairs in place as :meth:`IntervalPartition.of` orders
-    pairs, by top and then bottom as sorted labels, and wrap their faces.
-
-    The tops of a partitioning are distinct maximal members, and then the
-    order of the tops alone is that order; only repeated tops need the
-    bottoms' labels."""
+    pairs, by top and then bottom as sorted labels, and wrap their faces."""
     face = codec.face
-    if len({t for _, t in parts}) == len(parts):
-        parts.sort(key=lambda bt: sorted(face[bt[1]]))
-    else:
-        parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
+    parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
     return IntervalPartition(tuple([(face[b], face[t]) for b, t in parts]))
 
 

@@ -274,10 +274,9 @@ def find_partitioning(
         options.append(choices)
     # A member is due at the last top that can still cover it; once that
     # top is assigned, the member must already be covered.
-    last_top = {s: i for i, top in enumerate(tops) for s in subsets_of(top)}
     due: list[list[Face]] = [[] for _ in tops]
     for m in members:
-        due[last_top[m]].append(m)
+        due[max(i for i, top in enumerate(tops) if m <= top)].append(m)
 
     # Depth-first, as a loop so that long families stay off the call stack:
     # ``path`` holds the (bottom, cube) chosen for each assigned top, and

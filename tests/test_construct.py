@@ -35,7 +35,12 @@ from extenders import (
 from extenders import construct
 from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result
-from _oracles import poly_h, pure_complexes, random_nonpure_complex
+from _oracles import (
+    poly_h,
+    pure_complexes,
+    random_nonpure_complex,
+    verify_by_enumeration,
+)
 
 fs = frozenset
 
@@ -219,6 +224,15 @@ def test_extender_irrelevant_complex():
     assert h_decomposition(res) == ((1,), (0,), (1,))
 
 
+def _reports_agree(res):
+    """Whether the reports cached on a result are those the frozenset
+    reference gives for the faces and certificates it returns."""
+    relative = relative_family(res.extender, res.base)
+    expected = [verify_by_enumeration(fam.faces, p) for fam, p in (
+        (res.extender, res.extender_partition), (relative, res.relative_partition))]
+    return expected == [(r.valid, r.violation, r.interval_stats) for r in res.reports]
+
+
 @settings(max_examples=40, deadline=None)
 @given(pure_complexes())
 def test_extender_property_pure(base):
@@ -230,6 +244,10 @@ def test_extender_property_pure(base):
     diff = tuple(a - b for a, b in
                  zip(h_vector(res.extender), h_vector(relative)))
     assert diff == poly_h(f_vector(base))
+    # The reports and h-vectors cached from the masks are those of the
+    # frozensets returned.
+    assert _reports_agree(res)
+    assert res.h_vectors == tuple(map(h_vector, (base, res.extender, relative)))
 
 
 def test_nonpure_edge_plus_vertex():
@@ -282,6 +300,7 @@ def test_nonpure_triangle_additivity():
     for _ in range(10):
         base = random_nonpure_complex(rng)
         res = nonpure_extender_for_complex(base)
+        assert _reports_agree(res)
         relative = relative_family(res.extender, res.base)
         expected = tuple(
             tuple(a - b for a, b in zip(row_big, row_base))

@@ -12,17 +12,13 @@ from .complexes import (
     SimplicialComplex,
     adjoin_face,
     build_complex,
-    f_from_h,
     f_triangle,
     f_vector,
     face_of,
-    facet_depth,
     format_face,
-    glue,
     h_from_f,
     h_triangle,
     h_vector,
-    link,
     relative_family,
     skeleton,
 )
@@ -34,16 +30,12 @@ from .construct import (
     h_decomposition,
     nonpure_extender_for_complex,
     partition_extender,
-    prepartition_extender,
-    prepartition_h_profile,
     size_estimate,
     total_size_estimate,
 )
 from .errors import (
     AlreadyPresent,
     ExtendersError,
-    FaceNotPresent,
-    InconsistentIdentification,
     InternalCheckError,
     InvalidParameters,
     InvalidPartitioning,

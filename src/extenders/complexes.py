@@ -27,12 +27,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     AlreadyPresent,
-    FaceNotPresent,
-    InconsistentIdentification,
     InvalidParameters,
     NotASubcomplex,
 )
@@ -185,12 +183,6 @@ class SimplicialComplex:
     def sorted_faces(self) -> list[Face]:
         return sorted(self.faces, key=face_key)
 
-    def sorted_facets(self) -> list[Face]:
-        return sorted(self.facets, key=face_key)
-
-    def as_family(self) -> "FaceFamily":
-        return FaceFamily(self.faces, self.dim)
-
 
 @dataclass(frozen=True)
 class FaceFamily:
@@ -247,24 +239,8 @@ def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
         for i in range(d + 2))
 
 
-def f_from_h(h: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of :func:`h_from_f`; the round trip is exact."""
-    d = len(h) - 2
-    return tuple(
-        sum(comb(d + 1 - j, i - j) * h[j] for j in range(i + 1))
-        for i in range(d + 2))
-
-
 def h_vector(x: ComplexOrFamily) -> tuple[int, ...]:
     return h_from_f(f_vector(x))
-
-
-def link(c: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
-    """Faces disjoint from ``s`` whose union with ``s`` is a face of ``c``."""
-    s = frozenset(s)
-    if s not in c.faces:
-        raise FaceNotPresent(f"face {format_face(s)} is not in the complex")
-    return SimplicialComplex(frozenset(t - s for t in c.faces if s <= t))
 
 
 def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
@@ -274,14 +250,6 @@ def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
     if r >= c.dim:
         return c
     return SimplicialComplex(frozenset(f for f in c.faces if len(f) <= r + 1))
-
-
-def facet_depth(x: ComplexOrFamily, s: Iterable[int]) -> int:
-    """Largest dimension of a face of ``x`` containing ``s``."""
-    s = frozenset(s)
-    if s not in x.faces:
-        raise FaceNotPresent(f"face {format_face(s)} is not in the complex")
-    return max(len(t) for t in x.faces if s <= t) - 1
 
 
 def _facet_sizes(members) -> dict[Face, int]:
@@ -365,42 +333,3 @@ def adjoin_face(fam: FaceFamily, s: Iterable[int]) -> FaceFamily:
     if s in fam.faces:
         raise AlreadyPresent(f"face {format_face(s)} is already a member")
     return FaceFamily(fam.faces | {s}, fam.dim)
-
-
-def glue(
-    host: SimplicialComplex,
-    guest: SimplicialComplex,
-    identification: Mapping[int, int],
-) -> SimplicialComplex:
-    """Glue ``guest`` onto ``host`` along an injective vertex identification.
-
-    Identified guest vertices map per ``identification``; the remaining
-    guest vertices receive fresh labels, consecutive integers above the
-    current maximum, assigned in increasing guest-label order.
-    """
-    ident = dict(identification)
-    if len(set(ident.values())) != len(ident):
-        raise InconsistentIdentification("identification is not injective")
-    guest_vertices = guest.vertices
-    for gv, hv in ident.items():
-        if gv not in guest_vertices:
-            raise InconsistentIdentification(
-                f"identified vertex {gv} is not a guest vertex")
-        if frozenset([hv]) not in host.faces:
-            raise InconsistentIdentification(
-                f"target vertex {hv} is not a host vertex")
-    domain = set(ident)
-    for f in guest.faces:
-        if f <= domain:
-            image = frozenset(ident[v] for v in f)
-            if image not in host.faces:
-                raise InconsistentIdentification(
-                    f"guest face {format_face(f)} maps to {format_face(image)}, "
-                    f"which is not a face of the host")
-    # Unidentified guest vertices take consecutive labels above the host's,
-    # in increasing guest order; a union of closed face sets is closed.
-    unmapped = sorted(guest.vertices - ident.keys())
-    start = max(host.vertices, default=-1) + 1
-    ident.update(zip(unmapped, range(start, start + len(unmapped))))
-    image = ident.__getitem__
-    return SimplicialComplex(host.faces | {frozenset(map(image, f)) for f in guest.faces})

@@ -74,7 +74,6 @@ from .partitions import (
     _h_compatible,
     _layer_compatible,
     _verify_masks,
-    h_from_partitioning,
     verify_partitioning,
 )
 
@@ -169,12 +168,6 @@ def _ensure_valid(report: PartitionReport, what: str) -> PartitionReport:
     return report
 
 
-def _check_range(d: int, k: int) -> None:
-    if not -1 <= k <= d:
-        raise InvalidParameters(
-            f"need -1 <= k <= d, got k={k}, d={d}")
-
-
 @lru_cache(maxsize=None)
 def _prepartition(d: int, k: int) -> MarkedComplex:
     # Vertex blocks: 1..d-k private to the first cell, d-k+1..2d-2k private
@@ -203,25 +196,6 @@ def _prepartition(d: int, k: int) -> MarkedComplex:
     _ensure_valid(verify_partitioning(marked.family_with_face(), with_part),
                   f"seed certificate for (d={d}, k={k})")
     return marked
-
-
-def prepartition_extender(d: int, k: int) -> MarkedComplex:
-    """The canonical seed complex whose off-facet family, with the shared
-    face adjoined, carries an explicit interval partitioning.
-
-    ``k == d`` degenerates to a single d-simplex and ``k == -1`` to two
-    disjoint d-simplices.
-    """
-    _check_range(d, k)
-    return _prepartition(d, k)
-
-
-def prepartition_h_profile(d: int, k: int) -> tuple[int, ...]:
-    """Interval counts of the seed certificate, by bottom size."""
-    if not 0 <= k <= d:
-        raise InvalidParameters(f"need 0 <= k <= d, got k={k}, d={d}")
-    marked = _prepartition(d, k)
-    return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
 
 
 class _Gadget(NamedTuple):
@@ -397,7 +371,8 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
 def partition_extender(d: int, k: int) -> MarkedComplex:
     """A marked complex whose off-facet family is partitionable both with
     and without the specified face, built recursively from the seed."""
-    _check_range(d, k)
+    if not -1 <= k <= d:
+        raise InvalidParameters(f"need -1 <= k <= d, got k={k}, d={d}")
     return _partition_extender(d, k)[0]
 
 

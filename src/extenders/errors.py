@@ -9,20 +9,12 @@ class InvalidParameters(ExtendersError):
     """Arguments outside an operation's documented domain."""
 
 
-class FaceNotPresent(ExtendersError):
-    """A face was required to belong to a complex but does not."""
-
-
 class NotASubcomplex(ExtendersError):
     """The second complex of a pair is not contained in the first."""
 
 
 class AlreadyPresent(ExtendersError):
     """Attempted to adjoin a face that is already a member."""
-
-
-class InconsistentIdentification(ExtendersError):
-    """A vertex identification does not map faces onto faces."""
 
 
 class InvalidPartitioning(ExtendersError):

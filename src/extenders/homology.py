@@ -64,12 +64,6 @@ class HomologyProfile:
 
     betti: tuple
 
-    def degree(self, i: int) -> int:
-        idx = i + 1
-        if 0 <= idx < len(self.betti):
-            return self.betti[idx]
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return {i - 1: b for i, b in enumerate(self.betti)}
 

@@ -36,6 +36,7 @@ from .complexes import (
     _facet_sizes,
     _submasks,
     between,
+    face_of,
     format_face,
     h_triangle,
     h_vector,
@@ -86,7 +87,7 @@ class IntervalPartition:
 
     @classmethod
     def from_records(cls, records: Iterable[dict]) -> "IntervalPartition":
-        return cls.of((rec["bottom"], rec["top"]) for rec in records)
+        return cls.of((face_of(rec["bottom"]), face_of(rec["top"])) for rec in records)
 
 
 @dataclass(frozen=True)

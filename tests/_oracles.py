@@ -32,6 +32,12 @@ def link_by_definition(c, s):
     return {t for t in c.faces if not (t & s) and (t | s) in c.faces}
 
 
+def facet_depth_by_definition(x, s):
+    """Largest dimension of a face of ``x`` containing ``s``."""
+    s = frozenset(s)
+    return max(len(t) for t in x.faces if s <= t) - 1
+
+
 def cube(bottom, top):
     gap = sorted(top - bottom)
     return {bottom | frozenset(sel)

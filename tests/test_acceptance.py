@@ -19,6 +19,7 @@ from extenders import (
     find_partitioning,
     find_shelling,
     h_from_f,
+    h_from_partitioning,
     h_triangle,
     h_vector,
     is_cohen_macaulay,
@@ -27,8 +28,6 @@ from extenders import (
     is_relative_cm,
     nonpure_extender_for_complex,
     partition_extender,
-    prepartition_extender,
-    prepartition_h_profile,
     reduced_betti,
     relative_betti,
     relative_family,
@@ -36,6 +35,7 @@ from extenders import (
     skeleton,
     verify_partitioning,
 )
+from extenders.construct import _prepartition
 from _oracles import (
     DENSE_RANKS,
     betti_by_elimination,
@@ -75,7 +75,7 @@ def test_criterion_01_h_transform():
 
 
 def test_criterion_02_seed_31_golden():
-    marked = prepartition_extender(3, 1)
+    marked = _prepartition(3, 1)
     expected_facets = {F("1256"), F("3456"), F("1236"), F("1235"),
                        F("2346"), F("2345")}
     expected_intervals = IntervalPartition.of([
@@ -124,7 +124,7 @@ def test_criterion_05_random_pure_suite():
         res = extender_for_complex(base)
         relative = relative_family(res.extender, res.base)
         ok = ok and verify_partitioning(
-            res.extender.as_family(), res.extender_partition).valid
+            res.extender, res.extender_partition).valid
         ok = ok and verify_partitioning(relative, res.relative_partition).valid
         diff = tuple(a - b for a, b in
                      zip(h_vector(res.extender), h_vector(relative)))
@@ -140,7 +140,7 @@ def test_criterion_06_seed_cover_property():
     ok = True
     for d in range(0, 6):
         for k in range(0, d + 1):
-            marked = prepartition_extender(d, k)
+            marked = _prepartition(d, k)
             named = list(marked.with_face_partition)
             spare = (fs(), marked.specified_facet)
             for face in marked.complex.faces:
@@ -172,7 +172,9 @@ def test_criterion_08_seed_profile_closed_form():
     ok = True
     for d in range(0, 6):
         for k in range(0, d + 1):
-            profile = prepartition_h_profile(d, k)
+            marked = _prepartition(d, k)
+            profile = h_from_partitioning(marked.family_with_face(),
+                                          marked.with_face_partition)
             for size in range(1, k + 1):
                 ok = ok and profile[size] == d - k
             ok = ok and profile[k + 1] == d - k + 1
@@ -191,9 +193,8 @@ def test_criterion_09_random_nonpure_suite():
         base = random_nonpure_complex(rng, max_faces=12)
         res = nonpure_extender_for_complex(base)
         relative = relative_family(res.extender, res.base)
-        gamma_fam = res.extender.as_family()
-        ok = ok and is_layer_compatible(gamma_fam, res.extender_partition)
-        ok = ok and is_h_compatible(gamma_fam, res.extender_partition)
+        ok = ok and is_layer_compatible(res.extender, res.extender_partition)
+        ok = ok and is_h_compatible(res.extender, res.extender_partition)
         ok = ok and is_layer_compatible(relative, res.relative_partition)
         ok = ok and is_h_compatible(relative, res.relative_partition)
         diff = tuple(

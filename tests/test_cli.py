@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
+import tokenize
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -148,6 +151,28 @@ def test_script_runs(script):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_library_sketch_prints_its_comments():
+    # Each bare expression of the sketch is checked against the value its
+    # comment gives, on the same line or the next; other lines just run.
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    sketch = sketch.split("```", 1)[0]
+    comments = {tok.start[0]: tok.string.lstrip("# ")
+                for tok in tokenize.generate_tokens(io.StringIO(sketch).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, []
+    for stmt in ast.parse(sketch).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        comment = comments.get(stmt.end_lineno) or comments[stmt.end_lineno + 1]
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert value == ast.literal_eval(comment.split(":", 1)[0]), ast.unparse(stmt)
+        checked.append(value)
+    assert checked == [(1, 2, -1, 0), None,
+                       ((1, 46, 37, 18), (0, 44, 38, 18), (1, 2, -1, 0))]
 
 
 def test_verify_partition_files(write, capsys):
@@ -474,6 +499,23 @@ def test_certificate_with_scalar_minus_is_input_error(write, capsys):
     assert _single_error_line(err) and err.startswith(f"error: {report}: ")
 
 
+@pytest.mark.parametrize("label", ["true", "-1", "1e400", '"a"'])
+@pytest.mark.parametrize("as_report", [False, True])
+def test_bad_interval_label_is_input_error(write, capsys, label, as_report):
+    # Interval faces are read through the same label check as facets.
+    records = '[{"bottom": [], "top": [1, 2]}, {"bottom": [%s], "top": [%s, 3]}]' % (
+        label, label)
+    if as_report:
+        argv = [write("rep.json", '{"certificates": [{"facets": %s, "intervals": %s}]}'
+                      % (json.dumps(TRIANGLE["facets"]), records))]
+    else:
+        argv = [write("triangle.json", TRIANGLE), write("iv.json", records)]
+    status, out, err = run(capsys, "verify-partition", *argv)
+    assert (status, out) == (2, "")
+    assert _single_error_line(err)
+    assert "vertex labels must be nonnegative integers, got " in err
+
+
 def test_oversized_json_integer_is_input_error(write, capsys):
     path = write("big.json", "[[" + "1" * 5000 + "]]")
     status, out, err = run(capsys, "info", path)
@@ -531,8 +573,11 @@ _commands = st.sampled_from([
     ["depth", "a", "--char", "x"], ["depth", "a", "--char", "9" * 5000],
     ["depth", "a", "--char", "9" * 4000],
     ["partitionable", "a", "--max-faces", "x"],
+    ["shellable", "a"], ["shellable", "a", "--minus", "b"],
     ["shellable", "a", "--max-facets", "x"], ["estimate-size", "3", "x"],
-    ["estimate-size", "3", "7" * 3000],
+    ["estimate-size", "3", "7" * 3000], ["estimate-size", "0", "0"],
+    ["estimate-size", "13", "13"], ["estimate-size", "14", "14"],
+    ["estimate-size", "3", "-1"],
     *(command + char for command in (["depth", "a"], ["cm-check", "a"],
                                      ["cm-extender", "a"], ["rel-cm-check", "a", "b"])
       for char in ([], ["--char", "2"], ["--char", str(2 ** 61 - 1)]))])

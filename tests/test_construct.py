@@ -19,14 +19,13 @@ from extenders import (
     f_vector,
     find_partitioning,
     h_decomposition,
+    h_from_partitioning,
     h_triangle,
     h_vector,
     is_h_compatible,
     is_layer_compatible,
     nonpure_extender_for_complex,
     partition_extender,
-    prepartition_extender,
-    prepartition_h_profile,
     relative_family,
     size_estimate,
     total_size_estimate,
@@ -34,8 +33,9 @@ from extenders import (
 )
 from extenders import construct
 from extenders.complexes import _MaskCodec
-from extenders.construct import _check_result
+from extenders.construct import _check_result, _prepartition
 from _oracles import (
+    facet_depth_by_definition,
     poly_h,
     pure_complexes,
     random_nonpure_complex,
@@ -50,7 +50,7 @@ def F(digits):
 
 
 def test_seed_31_matches_golden_labels():
-    marked = prepartition_extender(3, 1)
+    marked = _prepartition(3, 1)
     assert marked.complex.facets == {
         F("1256"), F("3456"), F("1236"), F("1235"), F("2346"), F("2345")}
     assert marked.specified_facet == F("3456")
@@ -62,25 +62,25 @@ def test_seed_31_matches_golden_labels():
 
 
 def test_seed_degenerate_cases():
-    top = prepartition_extender(2, 2)
+    top = _prepartition(2, 2)
     assert top.complex == build_complex([[1, 2, 3]])
     assert top.specified_face == top.specified_facet == F("123")
     assert list(top.with_face_partition) == [(F("123"), F("123"))]
 
-    tri = prepartition_extender(1, 0)
+    tri = _prepartition(1, 0)
     assert tri.complex == build_complex([[1, 3], [2, 3], [1, 2]])
     assert tri.specified_facet == F("23") and tri.specified_face == F("3")
 
-    two = prepartition_extender(2, -1)
+    two = _prepartition(2, -1)
     assert two.complex == build_complex([[1, 2, 3], [4, 5, 6]])
     assert list(two.with_face_partition) == [(fs(), F("123"))]
 
 
-def test_seed_rejects_bad_parameters():
+def test_partition_extender_rejects_bad_parameters():
     with pytest.raises(InvalidParameters):
-        prepartition_extender(2, 3)
+        partition_extender(2, 3)
     with pytest.raises(InvalidParameters):
-        prepartition_extender(2, -2)
+        partition_extender(2, -2)
 
 
 def test_seed_cover_property():
@@ -89,7 +89,7 @@ def test_seed_cover_property():
     # which lies in exactly two intervals.
     for d in range(0, 6):
         for k in range(0, d + 1):
-            marked = prepartition_extender(d, k)
+            marked = _prepartition(d, k)
             spare = (fs(), marked.specified_facet)
             intervals = list(marked.with_face_partition) + [spare]
             for face in marked.complex.faces:
@@ -98,11 +98,17 @@ def test_seed_cover_property():
                     (d, k, sorted(face))
 
 
+def _seed_profile(d, k):
+    """Interval counts of the seed certificate, by bottom size."""
+    marked = _prepartition(d, k)
+    return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
+
+
 def test_seed_profile_golden():
-    assert prepartition_h_profile(3, 1) == (0, 2, 3, 0, 0)
-    assert prepartition_h_profile(3, 2) == (0, 1, 1, 2, 0)
+    assert _seed_profile(3, 1) == (0, 2, 3, 0, 0)
+    assert _seed_profile(3, 2) == (0, 1, 1, 2, 0)
     for d in range(0, 5):
-        profile = prepartition_h_profile(d, d)
+        profile = _seed_profile(d, d)
         assert profile[d + 1] == 1 and sum(profile) == 1
 
 
@@ -111,7 +117,7 @@ def test_seed_profile_closed_form():
     # measured count at size 0 is 0 (not d-k).
     for d in range(0, 6):
         for k in range(0, d + 1):
-            profile = prepartition_h_profile(d, k)
+            profile = _seed_profile(d, k)
             for size in range(1, k + 1):
                 assert profile[size] == d - k
             assert profile[k + 1] == d - k + 1
@@ -151,7 +157,7 @@ def test_partition_extender_base_case():
 def test_partition_extender_codim_one_swaps_one_interval():
     for d in range(1, 5):
         marked = partition_extender(d, d - 1)
-        seed = prepartition_extender(d, d - 1)
+        seed = _prepartition(d, d - 1)
         assert marked.complex == seed.complex
         sigma = marked.specified_face
         anchor = next(t for b, t in seed.with_face_partition if b <= sigma <= t)
@@ -172,7 +178,7 @@ def test_recursive_assembly_certificates_and_swap():
                 marked.without_face_partition).valid
             if k == d:
                 continue
-            seed = prepartition_extender(d, k)
+            seed = _prepartition(d, k)
             sigma = marked.specified_face
             anchor = next(t for b, t in seed.with_face_partition
                           if b <= sigma <= t)
@@ -238,7 +244,7 @@ def _reports_agree(res):
 def test_extender_property_pure(base):
     res = extender_for_complex(base)
     assert verify_partitioning(
-        res.extender.as_family(), res.extender_partition).valid
+        res.extender, res.extender_partition).valid
     relative = relative_family(res.extender, res.base)
     assert verify_partitioning(relative, res.relative_partition).valid
     diff = tuple(a - b for a, b in
@@ -254,8 +260,8 @@ def test_nonpure_edge_plus_vertex():
     base = build_complex([[1, 2], [3]])
     res = nonpure_extender_for_complex(base)
     relative = relative_family(res.extender, res.base)
-    assert is_layer_compatible(res.extender.as_family(), res.extender_partition)
-    assert is_h_compatible(res.extender.as_family(), res.extender_partition)
+    assert is_layer_compatible(res.extender, res.extender_partition)
+    assert is_h_compatible(res.extender, res.extender_partition)
     assert is_layer_compatible(relative, res.relative_partition)
     assert is_h_compatible(relative, res.relative_partition)
     tri = h_triangle(base)
@@ -284,13 +290,13 @@ def test_nonpure_triangle_plus_vertex():
 
 
 def test_nonpure_preserves_facet_depth():
-    from extenders import facet_depth
     rng = random.Random(4127)
     for _ in range(10):
         base = random_nonpure_complex(rng)
         res = nonpure_extender_for_complex(base)
         for face in base.faces:
-            assert facet_depth(base, face) == facet_depth(res.extender, face)
+            assert facet_depth_by_definition(base, face) == \
+                facet_depth_by_definition(res.extender, face)
 
 
 def test_nonpure_triangle_additivity():

@@ -1,10 +1,14 @@
-"""Every function, method and class of the package is used somewhere.
+"""Every function, method and class of the package has a caller outside the
+test suite.
 
-A definition counts as used when its name is referenced (as a name, an
-attribute or an imported name) in ``src/``, ``tests/`` or ``scripts/``
-outside its own body.  The package's ``__init__.py`` only re-exports names,
-so its imports are not uses.  Dunder methods are called by the language and
-are not checked.
+A definition counts as used when its name is referenced in ``src/``,
+``scripts/`` or ``bench/`` outside its own body: a module-level function or
+class as a name, an attribute or an imported name, a method as an
+attribute only, so a local variable that shares a method's name does not
+count.  Uses in ``tests/`` do not count: code that only the tests call is
+dead.  The package's ``__init__.py`` only re-exports names, so its imports
+are not uses.  Dunder methods are called by the language and are not
+checked.
 """
 
 import ast
@@ -14,41 +18,56 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "extenders"
 REEXPORTS = PACKAGE / "__init__.py"
 TREES = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-         for folder in ("src", "tests", "scripts")
+         for folder in ("src", "scripts", "bench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+# The library API for checking a partitioning the caller brings; the
+# constructions verify their own certificates without these entry points.
+ALLOWED = {
+    # Reads the h-vector off a partitioning by counting bottoms by size.
+    "h_from_partitioning",
+    # The paper's layer condition on a nonpure complex's partitioning.
+    "is_layer_compatible",
+    # The paper's h-compatibility condition on a nonpure partitioning.
+    "is_h_compatible",
+}
+
 
 def _references(node, enclosing=()):
-    """Names referenced under ``node``, except inside a definition of the
-    same name."""
+    """(name, whether it is an attribute) for every reference under
+    ``node``, except inside a definition of the same name."""
     if isinstance(node, DEFINITIONS):
         enclosing += (node.name,)
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        name = None
-    if name is not None and name not in enclosing:
-        yield name
+    if isinstance(node, ast.Name) and node.id not in enclosing:
+        yield node.id, False
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        yield node.attr, True
     if isinstance(node, (ast.Import, ast.ImportFrom)):
-        yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        yield from ((alias.name.rsplit(".", 1)[-1], False) for alias in node.names)
     for child in ast.iter_child_nodes(node):
         yield from _references(child, enclosing)
 
 
 def _package_definitions():
+    """(where, name, whether it is a method) for every definition."""
     for path, tree in TREES.items():
         if path.parent == PACKAGE:
+            methods = {id(member) for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef) for member in node.body}
             for node in ast.walk(tree):
                 if isinstance(node, DEFINITIONS) and not (
                         node.name.startswith("__") and node.name.endswith("__")):
-                    yield f"{path.name}:{node.lineno} {node.name}", node.name
+                    yield (f"{path.name}:{node.lineno} {node.name}", node.name,
+                           id(node) in methods)
 
 
 def test_every_package_definition_is_referenced():
-    used = {name for path, tree in TREES.items() if path != REEXPORTS
-            for name in _references(tree)}
-    unused = [where for where, name in _package_definitions() if name not in used]
-    assert not unused, f"defined but never referenced: {unused}"
+    references = {ref for path, tree in TREES.items() if path != REEXPORTS
+                  for ref in _references(tree)}
+    definitions = list(_package_definitions())
+    unused = [where for where, name, method in definitions
+              if name not in ALLOWED and (name, True) not in references
+              and (method or (name, False) not in references)]
+    assert not unused, f"defined but never used outside tests/: {unused}"
+    assert ALLOWED <= {name for _, name, _ in definitions}

@@ -67,11 +67,6 @@ def test_reduced_betti_circle():
     assert reduced_betti(TRIANGLE_BOUNDARY).betti == (0, 0, 1)
 
 
-def test_profile_degree_reads_betti_from_degree_minus_one():
-    profile = reduced_betti(TRIANGLE_BOUNDARY)
-    assert [profile.degree(i) for i in range(-2, 3)] == [0, 0, 0, 1, 0]
-
-
 def test_reduced_betti_irrelevant_complex():
     assert reduced_betti(build_complex([[]])).betti == (1,)
 

@@ -17,7 +17,6 @@ from extenders import (
     check_shelling_order,
     f_triangle,
     f_vector,
-    facet_depth,
     find_partitioning,
     find_shelling,
     h_from_partitioning,
@@ -352,8 +351,7 @@ def test_pruned_search_backtracks_to_the_unpruned_witness(c):
 @settings(max_examples=60, deadline=None)
 @given(small_complexes(min_facets=1))
 def test_interval_counts_give_h_vector_on_pure_families(c):
-    facets = c.sorted_facets()
-    pure = build_complex([f for f in facets if len(f) == len(facets[-1])])
+    pure = build_complex([f for f in c.facets if len(f) == c.dim + 1])
     p = find_partitioning(pure)
     if p is not None:
         assert h_from_partitioning(pure, p) == h_vector(pure)
@@ -369,7 +367,7 @@ def test_layer_compatible_implies_h_compatible(c):
 
 def _oracle_families(c, small_faces):
     """The complex itself and its relative family over a subcomplex."""
-    return c.as_family(), relative_family(c, build_complex(small_faces))
+    return c, relative_family(c, build_complex(small_faces))
 
 
 @settings(max_examples=120, deadline=None)
@@ -461,8 +459,7 @@ def test_find_shelling_size_limit():
 @settings(max_examples=40, deadline=None)
 @given(pure=small_complexes(min_facets=1))
 def test_shellable_implies_partitionable(pure):
-    facets = pure.sorted_facets()
-    c = build_complex([f for f in facets if len(f) == len(facets[-1])])
+    c = build_complex([f for f in pure.facets if len(f) == pure.dim + 1])
     order = find_shelling(c)
     if order is not None and len(c.faces) <= 40:
         assert find_partitioning(c) is not None
@@ -481,11 +478,9 @@ def test_complex_and_its_family_give_the_same_answers(c, data):
     """Each statistic and check reads the same face set from a complex as
     from the family it copies into; the checks run on valid witnesses and on
     those of a relative family."""
-    fam = c.as_family()
-    statistics = [(stat, ()) for stat in (f_vector, h_vector, f_triangle, h_triangle)]
-    statistics += [(facet_depth, (s,)) for s in c.faces]
-    for stat, args in statistics:
-        assert _outcome(stat, c, *args) == _outcome(stat, fam, *args)
+    fam = FaceFamily(c.faces, c.dim)
+    for stat in (f_vector, h_vector, f_triangle, h_triangle):
+        assert _outcome(stat, c) == _outcome(stat, fam)
     small = build_complex(data.draw(st.lists(st.sampled_from(c.sorted_faces()),
                                              max_size=3)) if c.faces else [])
     witnesses = [_outcome(find_partitioning, x) for x in (c, fam)]

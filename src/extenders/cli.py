@@ -12,7 +12,10 @@ is byte for byte what ``json.dumps(envelope, sort_keys=True, indent=2)``
 prints.  It is written by a small encoder of its own, because Python 3.11
 uses its C encoder only when ``indent`` is None; with an indent, ``json``
 runs a pure-Python generator that writes each integer of a face list as a
-separate chunk.
+separate chunk.  The encoder writes a face list, or a list of interval
+records, as one string from ``str`` of its int lists, and encodes a list
+that a report shares between its parts (the extender's facets, each
+partition) once per report.
 
 Exit status: 0 for success / true, 1 for false / not partitionable /
 no extender / not shellable, 2 when no answer can be given.  Each failure
@@ -32,7 +35,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -107,7 +110,7 @@ class _Report(NamedTuple):
     status: int
     input: dict
     result: dict
-    lines: list
+    lines: Iterable[str]
     certificates: Sequence = ()
 
 
@@ -253,68 +256,110 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _encode(value, indent: str, out: list) -> None:
-    """Append the text of ``value`` at indentation ``indent`` to ``out``,
-    as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+def _int_lists(lists: list, indent: str) -> list:
+    """The texts of a non-empty list of lists (not tuples) of ints, each at
+    indentation ``indent``.  ``str`` writes them all in one call, as
+    ``[[1, 2], [], [3]]``; only the separators need rewriting, since no
+    digit run holds a bracket or a comma."""
+    inner = indent + _INDENT
+    sep = ",\n" + inner
+    opening, closing = "[\n" + inner, "\n" + indent + "]"
+    bodies = str(lists)[2:-2].replace(", ", sep).split("]" + sep + "[")
+    return [opening + body + closing if body else "[]" for body in bodies]
+
+
+def _records_text(records: list, indent: str) -> Optional[str]:
+    """The text of a non-empty list of dicts that share one set of str keys
+    and whose values are lists of ints, such as interval records; None for
+    any other list."""
+    keys = records[0]
+    if type(keys) is not dict or not keys or set(map(type, keys)) != {str}:
+        return None
+    keys = sorted(keys)
+    lists = []
+    for record in records:
+        if type(record) is not dict or len(record) != len(keys):
+            return None
+        lists += map(record.get, keys)
+    if set(map(type, lists)) != {list} or not set(
+            map(type, itertools.chain.from_iterable(lists))) <= {int}:
+        return None
+    inner = indent + _INDENT
+    field = inner + _INDENT
+    # One row per record, as a %-template over its value texts in key order.
+    row = "{" + ",".join(["\n" + field + _quote(key).replace("%", "%%") + ": %s"
+                          for key in keys]) + "\n" + inner + "}"
+    texts = _int_lists(lists, field)
+    rows = [row % values for values in zip(*[iter(texts)] * len(keys))]
+    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]"
+
+
+def _encode(value, indent: str, memo: dict) -> str:
+    """The text of ``value`` at indentation ``indent``, as
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
 
     Takes the JSON types exactly: dicts with str keys, lists, tuples, str,
     int, float, bool and None.  Anything else raises ``TypeError``.  Each
     level of nesting is one call, as in ``json``'s own encoder, so any value
-    that ``json.loads`` could read back is written."""
+    that ``json.loads`` could read back is written.
+
+    ``memo`` maps the ``id`` of each list, tuple and dict encoded so far in
+    one :func:`_dumps` call to its indentation and text, so a value shared
+    between parts of a report is encoded once.  At another indentation the
+    text is re-indented by rewriting the indentation after each newline;
+    that is exact, because a newline in the text is never inside a string,
+    where it is written as ``\\n``."""
     kind = type(value)
     if kind is str:
-        out.append(_quote(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is float:
-        out.append(_float_text(value))
-    elif value is None:
-        out.append("null")
-    elif kind is bool:
-        out.append("true" if value else "false")
-    elif kind is not list and kind is not tuple and kind is not dict:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        return _float_text(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not list and kind is not tuple and kind is not dict:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    elif not value:
-        out.append("{}" if kind is dict else "[]")
-    elif kind is dict:
-        inner = indent + _INDENT
-        out.append("{\n" + inner)
-        for i, key in enumerate(sorted(value)):
+    if not value:
+        return "{}" if kind is dict else "[]"
+    seen = memo.get(id(value))
+    if seen is not None:
+        at, text = seen
+        return text if at == indent else text.replace("\n" + at, "\n" + indent)
+    inner = indent + _INDENT
+    sep = ",\n" + inner
+    if kind is dict:
+        parts = []
+        for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            if i:
-                out.append(",\n" + inner)
-            out.append(_quote(key) + ": ")
-            _encode(value[key], inner, out)
-        out.append("\n" + indent + "}")
+            parts.append(_quote(key) + ": " + _encode(value[key], inner, memo))
+        text = "{\n" + inner + sep.join(parts) + "\n" + indent + "}"
     else:
-        inner = indent + _INDENT
-        sep = ",\n" + inner
         kinds = set(map(type, value))
+        text = None
         if kinds == {int}:
-            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{indent}]")
+            text = _int_lists([list(value)], indent)[0]
         elif (kinds == {list} and all(value)
               and set(map(type, itertools.chain.from_iterable(value))) == {int}):
             # A face list: each row is a non-empty list of ints.
-            deeper = inner + _INDENT
-            row_sep, row_end = ",\n" + deeper, "\n" + inner + "]"
-            rows = sep.join(["[\n" + deeper + row_sep.join(map(int.__repr__, row)) + row_end
-                             for row in value])
-            out.append(f"[\n{inner}{rows}\n{indent}]")
-        else:
-            out.append("[\n" + inner)
-            for i, item in enumerate(value):
-                if i:
-                    out.append(sep)
-                _encode(item, inner, out)
-            out.append("\n" + indent + "]")
+            text = "[\n" + inner + sep.join(_int_lists(list(value), inner)) + "\n" + indent + "]"
+        elif kinds == {dict}:
+            text = _records_text(value, indent)
+        if text is None:
+            parts = []
+            for item in value:
+                parts.append(_encode(item, inner, memo))
+            text = "[\n" + inner + sep.join(parts) + "\n" + indent + "]"
+    memo[id(value)] = indent, text
+    return text
 
 
 def _dumps(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
-    out = []
-    _encode(value, "", out)
-    return "".join(out)
+    return _encode(value, "", {})
 
 
 def emit(args, report: _Report) -> None:
@@ -475,23 +520,26 @@ def cmd_build_extender(args) -> _Report:
         "estimated_added_faces": total_size_estimate(base),
         "attachment_log": log,
     }
-    lines = [
-        f"base: {doc.name}, dimension {doc.complex.dim}",
-        f"extender facets: {len(result['extender_facets'])}",
-        f"added vertices: {result['added_vertices']}",
-        f"added faces: {result['added_faces']}",
-        *(f"h({name}) = {tuple(h)}" for name, h in result["h"].items()),
-        "extender partitioning:",
-        *_format_intervals(result["extender_partition"]),
-        "relative partitioning:",
-        *_format_intervals(result["relative_partition"]),
-    ]
     certificates = [
         _certificate("extender", extender_facets, None, result["extender_partition"]),
         _certificate("relative", extender_facets, base_facets,
                      result["relative_partition"]),
     ]
-    return _Report(OK, summary, result, lines, certificates)
+    return _Report(OK, summary, result, _extender_lines(doc, result), certificates)
+
+
+def _extender_lines(doc: ComplexDocument, result: dict):
+    """The text lines of a ``build-extender`` report.  They are yielded as
+    they are printed, so ``--json`` formats no interval line."""
+    yield f"base: {doc.name}, dimension {doc.complex.dim}"
+    yield f"extender facets: {len(result['extender_facets'])}"
+    yield f"added vertices: {result['added_vertices']}"
+    yield f"added faces: {result['added_faces']}"
+    for name, h in result["h"].items():
+        yield f"h({name}) = {tuple(h)}"
+    for name in ("extender", "relative"):
+        yield f"{name} partitioning:"
+        yield from _format_intervals(result[f"{name}_partition"])
 
 
 def cmd_depth(args) -> _Report:

@@ -268,6 +268,21 @@ def _facet_sizes(members) -> dict[Face, int]:
     return sizes
 
 
+def _mask_facet_sizes(masks) -> dict[int, int]:
+    """:func:`_facet_sizes` of a face set closed under subsets, given as
+    masks.  Faces are visited by decreasing size; one not yet reached is
+    maximal and passes its size to its unreached subsets, which are all
+    faces of the set."""
+    sizes: dict[int, int] = {}
+    reach = sizes.setdefault
+    for top in sorted(masks, key=int.bit_count, reverse=True):
+        if top not in sizes:
+            size = top.bit_count()
+            for s in _submasks(top):
+                reach(s, size)
+    return sizes
+
+
 def _mask_f_vector(masks: Iterable[int], d: int) -> tuple[int, ...]:
     """:func:`f_vector` of a family of dimension ``d`` given as masks."""
     counts = [0] * (d + 2)
@@ -276,12 +291,17 @@ def _mask_f_vector(masks: Iterable[int], d: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _f_triangle(sizes: dict[Face, int], d: int) -> tuple[tuple[int, ...], ...]:
-    """The f-triangle of a family of ambient dimension ``d``, read from its
-    facet-size map."""
+def _mask_layers(sizes: dict[int, int]) -> Counter:
+    """Counts of the masks of a facet-size map by (facet size, own size)."""
+    return Counter(zip(sizes.values(), map(int.bit_count, sizes)))
+
+
+def _f_triangle(layers: Counter, d: int) -> tuple[tuple[int, ...], ...]:
+    """The f-triangle of a family of ambient dimension ``d``, read from the
+    counts of its members by (facet size, own size)."""
     rows = [[0] * (i + 1) for i in range(d + 2)]
-    for s, depth_size in sizes.items():
-        rows[depth_size][len(s)] += 1
+    for (depth_size, size), n in layers.items():
+        rows[depth_size][size] = n
     return tuple(tuple(row) for row in rows)
 
 
@@ -291,7 +311,8 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     Row i lists, by cardinality j, the faces whose largest containing
     member has i vertices.  Column sums reproduce the f-vector.
     """
-    return _f_triangle(_facet_sizes(x.faces), x.dim)
+    sizes = _facet_sizes(x.faces)
+    return _f_triangle(Counter(zip(sizes.values(), map(len, sizes))), x.dim)
 
 
 def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

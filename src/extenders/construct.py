@@ -23,12 +23,15 @@ boundary, :meth:`_Builder.freeze`, which turns each face into a frozenset
 once and canonicalises each built certificate once.
 
 A result validates its two certificates once and caches the reports,
-h-vectors, facet-size maps and h-triangles on itself; the final check and
-:func:`h_decomposition` both read those caches.  A built result starts
-with the reports and h-vectors of the very masks it was frozen from.  A
-result is frozen, so the cached values stay true of it; a hand-built or
-copied result starts with empty caches and is validated in full, from its
-frozensets, on first use.
+h-vectors and h-triangles on itself; :func:`h_decomposition` and the CLI
+read those caches.  One checker, :func:`_check_result`, checks a result
+on masks and fills the caches from the masks it checked: a built result
+is checked on the masks it was frozen from, and any other result is read
+as masks once.  For a nonpure result it reads the facet sizes of the
+base and of the extender from one mask pass each; the relative family's
+are the extender's.  A result is frozen, so the cached values stay true
+of it; a hand-built or copied result starts with empty caches and is
+validated in full, from its frozensets, on first use.
 """
 
 from __future__ import annotations
@@ -45,17 +48,18 @@ from .complexes import (
     SimplicialComplex,
     _bit_values,
     _f_triangle,
-    _facet_sizes,
     _h_from_f_triangle,
     _mask_f_vector,
+    _mask_facet_sizes,
+    _mask_layers,
     _MaskCodec,
     _submasks,
     adjoin_face,
     build_complex,
     f_vector,
     face_key,
-    format_face,
     h_from_f,
+    h_triangle,
     h_vector,
     lex_key,
     relative_family,
@@ -120,7 +124,8 @@ class ExtenderResult:
     The derived values below are computed on first use and cached; the
     fields are immutable, so each is computed once per result.  A result
     built by this module has ``reports`` and ``h_vectors`` filled in from
-    the masks it was built on.
+    the masks it was built on, and ``h_triangles`` too when
+    :func:`nonpure_extender_for_complex` built it.
     """
 
     extender: SimplicialComplex
@@ -151,15 +156,9 @@ class ExtenderResult:
         return tuple(h_vector(x) for x in self.families)
 
     @cached_property
-    def facet_sizes(self) -> tuple:
-        """Facet-size maps of the base, the extender and the relative family."""
-        return tuple(_facet_sizes(x.faces) for x in self.families)
-
-    @cached_property
     def h_triangles(self) -> tuple:
         """h-triangles of the base, the extender and the relative family."""
-        return tuple(_h_from_f_triangle(_f_triangle(sizes, x.dim))
-                     for sizes, x in zip(self.facet_sizes, self.families))
+        return tuple(h_triangle(x) for x in self.families)
 
 
 def _ensure_valid(report: PartitionReport, what: str) -> PartitionReport:
@@ -392,45 +391,79 @@ def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    # The cached reports and h-vectors are those of exactly the masks that
-    # were frozen, so they are true of the result; writing them into the
-    # instance dictionary is what a first read of each cached property does.
-    f_base = _mask_f_vector(base_masks, base.dim)
-    f_big = _mask_f_vector(build.faces, extender.dim)
-    f_rel = tuple(a - b for a, b in itertools.zip_longest(f_big, f_base, fillvalue=0))
-    vars(result).update(
-        reports=(_verify_masks(build.faces, build.with_parts, build.codec),
-                 _verify_masks(build.faces - base_masks, build.without_parts,
-                               build.codec)),
-        h_vectors=tuple(map(h_from_f, (f_base, f_big, f_rel))))
-    _check_result(result, pure)
+    _check_result(result, pure, _ResultMasks(build.codec, base_masks, build.faces,
+                                             (build.with_parts, build.without_parts)))
     return result
 
 
-def _check_result(result: ExtenderResult, pure: bool) -> None:
-    """Re-verify a result from its cached reports, h-vectors, facet-size
-    maps and h-triangles, so each certificate is validated once."""
-    if result.extender.dim != result.base.dim:
+class _ResultMasks(NamedTuple):
+    """An extender result as masks: the codec that names them, the faces of
+    the base and of the extender, and the (bottom, top) lists of the
+    extender and relative certificates."""
+
+    codec: _MaskCodec
+    base: frozenset
+    extender: set
+    pairs: tuple
+
+    @classmethod
+    def read(cls, result: ExtenderResult) -> "_ResultMasks":
+        """A result's frozensets as masks, each read once."""
+        parts = (result.extender_partition, result.relative_partition)
+        codec = _MaskCodec(sorted(set().union(*result.extender.faces, *result.base.faces,
+                                              *itertools.chain(*parts[0], *parts[1]))))
+        mask = codec.mask
+        return cls(codec, frozenset(map(mask, result.base.faces)),
+                   set(map(mask, result.extender.faces)),
+                   tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
+
+
+def _check_result(result: ExtenderResult, pure: bool,
+                  masks: Optional[_ResultMasks] = None) -> None:
+    """Check a result on masks.  A built result passes the masks it was
+    frozen from; any other result is read as masks once, here.
+
+    Each value computed here is cached on the result.  It is read from the
+    masks that the result's frozensets stand for, so it is true of the
+    result; writing it into the instance dictionary is what a first read of
+    the cached property does.  Each certificate is validated once."""
+    codec, base, big, pairs = _ResultMasks.read(result) if masks is None else masks
+    d = result.extender.dim
+    if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
-    for what, report in zip(_CERTIFICATES, result.reports):
+    if not base <= big:
+        missing = min(base - big, key=codec.key)
+        raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
+    cache = vars(result)
+    cache["reports"] = reports = (_verify_masks(big, pairs[0], codec),
+                                  _verify_masks(big - base, pairs[1], codec))
+    f_base, f_big = _mask_f_vector(base, d), _mask_f_vector(big, d)
+    cache["h_vectors"] = h_base, h_big, h_rel = tuple(map(h_from_f, (
+        f_base, f_big, tuple(a - b for a, b in zip(f_big, f_base)))))
+    for what, report in zip(_CERTIFICATES, reports):
         if not report.valid:
             raise InternalCheckError(f"{what} certificate: {report.violation}")
     if pure:
-        h_base, h_big, h_rel = result.h_vectors
         h_diff = tuple(a - b for a, b in zip(h_big, h_rel))
         if h_diff != h_base:
             raise InternalCheckError(
                 f"h-vector identity failed: {h_diff} != {h_base}")
         return
-    base_sizes, *sizes = result.facet_sizes
-    for sigma in result.base.faces:
-        if base_sizes[sigma] != sizes[0][sigma]:  # sizes[0]: the extender's
-            raise InternalCheckError(f"facet depth of {format_face(sigma)} changed")
-    base_tri, *h_tris = result.h_triangles
-    partitions = (result.extender_partition, result.relative_partition)
-    for what, p, report, fam_sizes, h_tri in zip(
-            _CERTIFICATES, partitions, result.reports, sizes, h_tris):
-        if not _layer_compatible(p, fam_sizes):
+    base_sizes, sizes = _mask_facet_sizes(base), _mask_facet_sizes(big)
+    changed = [s for s in base if base_sizes[s] != sizes[s]]
+    if changed:
+        raise InternalCheckError(
+            f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
+    # A face of the extender that contains a relative face is relative
+    # itself, so the relative family's facet sizes are the extender's; and
+    # with depths preserved, the relative layers are the extender's less
+    # the base's.
+    layers_base, layers_big = _mask_layers(base_sizes), _mask_layers(sizes)
+    cache["h_triangles"] = base_tri, *h_tris = tuple(
+        _h_from_f_triangle(_f_triangle(layers, d))
+        for layers in (layers_base, layers_big, layers_big - layers_base))
+    for what, part, report, h_tri in zip(_CERTIFICATES, pairs, reports, h_tris):
+        if not _layer_compatible(part, sizes):
             raise InternalCheckError(f"{what} certificate is not layer-compatible")
         if not _h_compatible(report, h_tri):
             raise InternalCheckError(f"{what} certificate is not h-compatible")

@@ -66,7 +66,7 @@ class IntervalPartition:
     def of(cls, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]) -> "IntervalPartition":
         normalized = []
         for bottom, top in pairs:
-            b, t = frozenset(bottom), frozenset(top)
+            b, t = face_of(bottom), face_of(top)
             if not b <= t:
                 raise InvalidParameters(
                     f"interval bottom {format_face(b)} is not contained in "
@@ -87,7 +87,7 @@ class IntervalPartition:
 
     @classmethod
     def from_records(cls, records: Iterable[dict]) -> "IntervalPartition":
-        return cls.of((face_of(rec["bottom"]), face_of(rec["top"])) for rec in records)
+        return cls.of((rec["bottom"], rec["top"]) for rec in records)
 
 
 @dataclass(frozen=True)
@@ -204,10 +204,12 @@ def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int
     return tuple(counts)
 
 
-def _layer_compatible(p: IntervalPartition, sizes: dict[Face, int]) -> bool:
+def _layer_compatible(pairs, sizes: dict) -> bool:
     """Layer compatibility of a valid partitioning, given the facet-size map:
-    every face of [b, t] has facet size between ``len(t)`` and ``sizes[b]``."""
-    return all(sizes[b] == len(t) for b, t in p)
+    every face of [b, t] has facet size between ``sizes[t]`` and
+    ``sizes[b]``.  A top is a maximal member, so ``sizes[t]`` is its own
+    size.  Faces may be frozensets or masks."""
+    return all(sizes[b] == sizes[t] for b, t in pairs)
 
 
 def _h_compatible(report: PartitionReport, h_tri: tuple) -> bool:

@@ -9,14 +9,13 @@ import subprocess
 import sys
 import time
 import tokenize
-from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import extenders
-from extenders import cli, complexes, construct
+from extenders import cli, complexes, construct, partitions
 from extenders.cli import main
 from extenders.errors import InternalCheckError
 
@@ -408,18 +407,36 @@ _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 1e300, math.nan, math.inf, -math.inf])
 _ints = st.integers() | st.integers(-2 ** 100, 2 ** 100)
 _scalars = st.none() | st.booleans() | _ints | _floats | st.text()
+# Lists shaped like interval records, and near misses: empty values, bools
+# among the ints, records with extra keys, and values of other types.
+_record_lists = st.lists(st.dictionaries(
+    st.sampled_from(["bottom", "top", "extra", "100%"]),
+    st.lists(_ints, max_size=3) | st.lists(_ints | st.booleans(), max_size=3) | _scalars,
+    max_size=3), min_size=1, max_size=4)
 _encodable = st.recursive(
-    _scalars | st.lists(_ints) | st.lists(st.lists(_ints, max_size=4), max_size=4),
+    _scalars | st.lists(_ints) | st.lists(st.lists(_ints, max_size=4), max_size=4)
+    | _record_lists,
     lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
     | st.lists(_ints | st.booleans(), max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=25)
+# One object at several depths, as a report shares its face lists.
+_shared = _encodable.map(lambda v: {"a": v, "b": [v, {"c": [v, (v,)]}], "d": v})
 
 
 @settings(max_examples=500, deadline=None)
-@given(_encodable)
+@given(_encodable | _shared)
 def test_report_encoder_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_report_encoder_keeps_no_memo_between_calls():
+    # The same list, changed in place between two calls, is encoded afresh.
+    faces = [[1, 2], [3]]
+    envelope = {"facets": faces, "certificates": [{"facets": faces}]}
+    cli._dumps(envelope)
+    faces.append([4])
+    assert cli._dumps(envelope) == json.dumps(envelope, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [
@@ -532,18 +549,37 @@ def test_internal_check_error_is_not_reported_as_input_error(write, capsys, monk
 
 
 def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch):
-    # Each h-triangle is read from one facet-size map, built once per family.
-    calls = Counter()
-    original = complexes._facet_sizes
-
-    def counted(members):
-        calls[frozenset(members)] += 1
-        return original(members)
-    for module in (complexes, construct):
-        monkeypatch.setattr(module, "_facet_sizes", counted)
+    # The h-triangles come from two facet-size maps on masks, the base's and
+    # the extender's; the relative family's is the extender's, restricted.
     mixed = write("mixed.json", {"facets": [[1, 2, 3], [3, 4], [5]]})
-    status, _, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
-    assert status == 0 and len(calls) == 3 and set(calls.values()) == {1}
+    _, expected, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
+    mask_calls, frozenset_calls = [], []
+    original = complexes._mask_facet_sizes
+
+    def counted(masks):
+        mask_calls.append(len(masks))
+        return original(masks)
+    monkeypatch.setattr(construct, "_mask_facet_sizes", counted)
+    for module in (complexes, partitions):
+        monkeypatch.setattr(module, "_facet_sizes",
+                            lambda members: frozenset_calls.append(members))
+    status, out, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
+    base_faces = 11  # the empty face, 5 vertices, 4 edges and 1 triangle
+    assert (status, out, frozenset_calls) == (0, expected, [])
+    assert len(mask_calls) == 2 and mask_calls[0] == base_faces < mask_calls[1]
+
+
+def test_json_report_formats_no_interval_line(write, capsys, monkeypatch):
+    bowtie = write("bowtie.json", BOWTIE)
+    _, expected, _ = run(capsys, "build-extender", bowtie, "--json")
+
+    def refuse(records):
+        raise AssertionError("interval lines formatted for a --json report")
+    monkeypatch.setattr(cli, "_format_intervals", refuse)
+    status, out, _ = run(capsys, "build-extender", bowtie, "--json")
+    assert (status, out) == (0, expected)
+    status, _, _ = run(capsys, "build-extender", bowtie, "--nonpure", "--json")
+    assert status == 0
 
 
 # Faces have at most 5 labels: a wide facet makes build_complex exponential.

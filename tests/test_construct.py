@@ -35,6 +35,7 @@ from extenders import construct
 from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result, _prepartition
 from _oracles import (
+    f_triangle_by_definition,
     facet_depth_by_definition,
     poly_h,
     pure_complexes,
@@ -299,6 +300,21 @@ def test_nonpure_preserves_facet_depth():
                 facet_depth_by_definition(res.extender, face)
 
 
+def test_nonpure_h_triangles_match_definition():
+    # A built result's h-triangles come from its masks, and so do those of
+    # a copy that _check_result reads as masks; both match the definition.
+    rng = random.Random(2718)
+    for _ in range(10):
+        base = random_nonpure_complex(rng)
+        res = nonpure_extender_for_complex(base)
+        expected = tuple(
+            tuple(poly_h(row) for row in f_triangle_by_definition(x.faces, x.dim))
+            for x in (base, res.extender, relative_family(res.extender, base)))
+        copy = dataclasses.replace(res)
+        _check_result(copy, pure=False)
+        assert vars(res)["h_triangles"] == vars(copy)["h_triangles"] == expected
+
+
 def test_nonpure_triangle_additivity():
     # The f-triangle of the relative family is the row-wise difference of
     # the extender's and the base's, because facet depths are preserved.
@@ -396,6 +412,8 @@ def test_check_result_accepts_handmade_results():
      False, "facet depth of {3} changed"),
     (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, UNLAYERED, []),
      False, "extender certificate is not layer-compatible"),
+    (_handmade(build_complex([[1, 2]]), build_complex([[1, 3]]), [([], [1, 2])], []),
+     True, "base face {3} is not in the extender"),
 ])
 def test_check_result_names_the_failed_check(result, pure, message):
     with pytest.raises(InternalCheckError) as excinfo:

@@ -5,10 +5,12 @@ A definition counts as used when its name is referenced in ``src/``,
 ``scripts/`` or ``bench/`` outside its own body: a module-level function or
 class as a name, an attribute or an imported name, a method as an
 attribute only, so a local variable that shares a method's name does not
-count.  Uses in ``tests/`` do not count: code that only the tests call is
-dead.  The package's ``__init__.py`` only re-exports names, so its imports
-are not uses.  Dunder methods are called by the language and are not
-checked.
+count; nor does ``mod.name`` when ``mod`` is a module of ``bench/`` or
+``scripts/`` that defines a ``name`` of its own, such as an oracle that
+re-implements a library check.  Uses in ``tests/`` do not count: code that
+only the tests call is dead.  The package's ``__init__.py`` only
+re-exports names, so its imports are not uses.  Dunder methods are called
+by the language and are not checked.
 """
 
 import ast
@@ -21,6 +23,21 @@ TREES = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
          for folder in ("src", "scripts", "bench")
          for path in sorted((ROOT / folder).rglob("*.py"))}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _own_names(tree):
+    """The names a module defines or assigns at its top level."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+# The modules of bench/ and scripts/, by the name they are imported under.
+LOCAL_MODULES = {path.stem: set(_own_names(tree)) for path, tree in TREES.items()
+                 if path.parent.name in ("bench", "scripts")}
 
 # The library API for checking a partitioning the caller brings; the
 # constructions verify their own certificates without these entry points.
@@ -41,7 +58,9 @@ def _references(node, enclosing=()):
         enclosing += (node.name,)
     if isinstance(node, ast.Name) and node.id not in enclosing:
         yield node.id, False
-    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing and not (
+            isinstance(node.value, ast.Name)
+            and node.attr in LOCAL_MODULES.get(node.value.id, ())):
         yield node.attr, True
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         yield from ((alias.name.rsplit(".", 1)[-1], False) for alias in node.names)

@@ -77,6 +77,14 @@ def test_interval_partition_requires_nested_pairs():
         IntervalPartition.of([([1], [2, 3])])
 
 
+@pytest.mark.parametrize("pairs", [
+    [([True], [True, 2])], [([], [-1])], [([-1], [1, 2])], [([1], [1, "a"])]])
+def test_interval_partition_checks_labels_as_faces_are_checked(pairs):
+    with pytest.raises(InvalidParameters,
+                       match="^vertex labels must be nonnegative integers, got "):
+        IntervalPartition.of(pairs)
+
+
 def test_interval_partition_canonical_order_and_records():
     p = part(([3], [3, 4]), ([2], [2, 3]))
     assert p.to_records() == [{"bottom": [2], "top": [2, 3]},

@@ -391,43 +391,30 @@ def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    _check_result(result, pure, _ResultMasks(build.codec, base_masks, build.faces,
-                                             (build.with_parts, build.without_parts)))
+    _check_result(result, pure, (build.codec, base_masks, build.faces,
+                                 (build.with_parts, build.without_parts)))
     return result
 
 
-class _ResultMasks(NamedTuple):
-    """An extender result as masks: the codec that names them, the faces of
-    the base and of the extender, and the (bottom, top) lists of the
-    extender and relative certificates."""
-
-    codec: _MaskCodec
-    base: frozenset
-    extender: set
-    pairs: tuple
-
-    @classmethod
-    def read(cls, result: ExtenderResult) -> "_ResultMasks":
-        """A result's frozensets as masks, each read once."""
-        parts = (result.extender_partition, result.relative_partition)
-        codec = _MaskCodec(sorted(set().union(*result.extender.faces, *result.base.faces,
-                                              *itertools.chain(*parts[0], *parts[1]))))
-        mask = codec.mask
-        return cls(codec, frozenset(map(mask, result.base.faces)),
-                   set(map(mask, result.extender.faces)),
-                   tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
-
-
-def _check_result(result: ExtenderResult, pure: bool,
-                  masks: Optional[_ResultMasks] = None) -> None:
-    """Check a result on masks.  A built result passes the masks it was
-    frozen from; any other result is read as masks once, here.
+def _check_result(result: ExtenderResult, pure: bool, masks: Optional[tuple] = None) -> None:
+    """Check a result on masks.  ``masks`` is (codec, base faces, extender
+    faces, (extender pairs, relative pairs)): a built result passes the
+    masks it was frozen from, and any other result is read as masks once,
+    here.
 
     Each value computed here is cached on the result.  It is read from the
     masks that the result's frozensets stand for, so it is true of the
     result; writing it into the instance dictionary is what a first read of
     the cached property does.  Each certificate is validated once."""
-    codec, base, big, pairs = _ResultMasks.read(result) if masks is None else masks
+    if masks is None:
+        parts = (result.extender_partition, result.relative_partition)
+        codec = _MaskCodec(sorted(set().union(*result.extender.faces, *result.base.faces,
+                                              *itertools.chain(*parts[0], *parts[1]))))
+        mask = codec.mask
+        masks = (codec, frozenset(map(mask, result.base.faces)),
+                 set(map(mask, result.extender.faces)),
+                 tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
+    codec, base, big, pairs = masks
     d = result.extender.dim
     if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")

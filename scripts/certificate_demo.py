@@ -61,7 +61,7 @@ def main():
             res = nonpure_extender_for_complex(c)
         h_big, h_rel, diff = h_decomposition(res)
         print(f"  partition extender: {len(res.extender.faces)} faces, "
-              f"{len(res.relative.faces)} relative members")
+              f"{len(res.extender.faces) - len(res.base.faces)} relative members")
         print(f"  h identity: {h_big} - {h_rel} = {diff}")
         print()
 

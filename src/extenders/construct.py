@@ -22,16 +22,15 @@ shift for its fresh vertices.  Frozensets appear only at the result
 boundary, :meth:`_Builder.freeze`, which turns each face into a frozenset
 once and canonicalises each built certificate once.
 
-A result validates its two certificates once and caches the reports,
-h-vectors and h-triangles on itself; :func:`h_decomposition` and the CLI
-read those caches.  One checker, :func:`_check_result`, checks a result
-on masks and fills the caches from the masks it checked: a built result
-is checked on the masks it was frozen from, and any other result is read
-as masks once.  For a nonpure result it reads the facet sizes of the
-base and of the extender from one mask pass each; the relative family's
-are the extender's.  A result is frozen, so the cached values stay true
-of it; a hand-built or copied result starts with empty caches and is
-validated in full, from its frozensets, on first use.
+One checker, :func:`_check_result`, checks every result and is the only
+code that derives a value from one: it reads the result as masks (a built
+result passes the masks it was frozen from), validates both certificates,
+and caches the h-vectors and h-triangles on the result, which
+:func:`h_decomposition` and the CLI read.  Whether the pure shortcut
+applies is read off the result itself: a pure base whose certificates
+have only full tops needs no facet-size pass.  A result is frozen, so the
+cached values stay true of it; a hand-built or copied result starts with
+empty caches and is checked on the first read of either.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ from .complexes import (
     f_vector,
     face_key,
     h_from_f,
-    h_triangle,
-    h_vector,
     lex_key,
     relative_family,
     subsets_of,
@@ -121,11 +118,12 @@ _CERTIFICATES = ("extender", "relative")
 class ExtenderResult:
     """A verified partition extender for a whole complex.
 
-    The derived values below are computed on first use and cached; the
-    fields are immutable, so each is computed once per result.  A result
-    built by this module has ``reports`` and ``h_vectors`` filled in from
-    the masks it was built on, and ``h_triangles`` too when
-    :func:`nonpure_extender_for_complex` built it.
+    The h-vectors and h-triangles of the base, the extender and the
+    relative family are cached on the result by :func:`_check_result`.  A
+    result built by this module was checked before it was returned; a
+    hand-built or copied result starts with empty caches, and its first
+    read of either runs the same check, which raises :class:`InvalidResult`
+    with the checker's message if the result fails it.
     """
 
     extender: SimplicialComplex
@@ -135,30 +133,23 @@ class ExtenderResult:
     attachment_log: tuple
 
     @cached_property
-    def relative(self) -> FaceFamily:
-        """The relative family: faces of the extender not in the base."""
-        return relative_family(self.extender, self.base)
-
-    @property
-    def families(self) -> tuple:
-        """The base, the extender and the relative family, in that order."""
-        return self.base, self.extender, self.relative
-
-    @cached_property
-    def reports(self) -> tuple[PartitionReport, PartitionReport]:
-        """Verification reports of the extender and relative certificates."""
-        return (verify_partitioning(self.extender, self.extender_partition),
-                verify_partitioning(self.relative, self.relative_partition))
-
-    @cached_property
     def h_vectors(self) -> tuple:
         """h-vectors of the base, the extender and the relative family."""
-        return tuple(h_vector(x) for x in self.families)
+        return _checked(self)["h_vectors"]
 
     @cached_property
     def h_triangles(self) -> tuple:
         """h-triangles of the base, the extender and the relative family."""
-        return tuple(h_triangle(x) for x in self.families)
+        return _checked(self)["h_triangles"]
+
+
+def _checked(result: ExtenderResult) -> dict:
+    """The result's cache, after checking a result that was not built here."""
+    try:
+        _check_result(result)
+    except InternalCheckError as exc:
+        raise InvalidResult(str(exc)) from None
+    return vars(result)
 
 
 def _ensure_valid(report: PartitionReport, what: str) -> PartitionReport:
@@ -375,7 +366,7 @@ def partition_extender(d: int, k: int) -> MarkedComplex:
     return _partition_extender(d, k)[0]
 
 
-def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
+def _assemble(base: SimplicialComplex) -> ExtenderResult:
     build = _Builder(base)
     base_masks = frozenset(build.faces)
     mask = build.codec.mask
@@ -391,21 +382,28 @@ def _assemble(base: SimplicialComplex, pure: bool) -> ExtenderResult:
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    _check_result(result, pure, (build.codec, base_masks, build.faces,
-                                 (build.with_parts, build.without_parts)))
+    _check_result(result, (build.codec, base_masks, build.faces,
+                           (build.with_parts, build.without_parts)))
     return result
 
 
-def _check_result(result: ExtenderResult, pure: bool, masks: Optional[tuple] = None) -> None:
-    """Check a result on masks.  ``masks`` is (codec, base faces, extender
-    faces, (extender pairs, relative pairs)): a built result passes the
-    masks it was frozen from, and any other result is read as masks once,
-    here.
+def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None:
+    """Check a result on masks and cache its h-vectors and h-triangles on
+    it.  ``masks`` is (codec, base faces, extender faces, (extender pairs,
+    relative pairs)): a built result passes the masks it was frozen from,
+    and any other result is read as masks once, here.
 
-    Each value computed here is cached on the result.  It is read from the
-    masks that the result's frozensets stand for, so it is true of the
-    result; writing it into the instance dictionary is what a first read of
-    the cached property does.  Each certificate is validated once."""
+    If the base is pure and every top of both certificates is full (d + 1
+    vertices), every member of the three families lies under a full top:
+    facet depths, layers and h-compatibility hold, and each h-triangle is
+    its h-vector in row d + 1.  Otherwise the facet sizes of the base and
+    the extender are read from one mask pass each, and every nonpure
+    condition is checked.
+
+    The values are read from the masks that the result's frozensets stand
+    for, so they are true of the result; they are written into the
+    instance dictionary, as a first read of the cached property would,
+    only once every check has passed."""
     if masks is None:
         parts = (result.extender_partition, result.relative_partition)
         codec = _MaskCodec(sorted(set().union(*result.extender.faces, *result.base.faces,
@@ -421,20 +419,22 @@ def _check_result(result: ExtenderResult, pure: bool, masks: Optional[tuple] = N
     if not base <= big:
         missing = min(base - big, key=codec.key)
         raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
-    cache = vars(result)
-    cache["reports"] = reports = (_verify_masks(big, pairs[0], codec),
-                                  _verify_masks(big - base, pairs[1], codec))
+    reports = (_verify_masks(big, pairs[0], codec), _verify_masks(big - base, pairs[1], codec))
     f_base, f_big = _mask_f_vector(base, d), _mask_f_vector(big, d)
-    cache["h_vectors"] = h_base, h_big, h_rel = tuple(map(h_from_f, (
+    h_vectors = h_base, h_big, h_rel = tuple(map(h_from_f, (
         f_base, f_big, tuple(a - b for a, b in zip(f_big, f_base)))))
     for what, report in zip(_CERTIFICATES, reports):
         if not report.valid:
             raise InternalCheckError(f"{what} certificate: {report.violation}")
-    if pure:
+    if result.base.is_pure and all(top == d + 1 for report in reports
+                                   for top, _ in report.stats()):
         h_diff = tuple(a - b for a, b in zip(h_big, h_rel))
         if h_diff != h_base:
             raise InternalCheckError(
                 f"h-vector identity failed: {h_diff} != {h_base}")
+        zero_rows = tuple((0,) * (i + 1) for i in range(d + 1))
+        vars(result).update(h_vectors=h_vectors,
+                            h_triangles=tuple((*zero_rows, h) for h in h_vectors))
         return
     base_sizes, sizes = _mask_facet_sizes(base), _mask_facet_sizes(big)
     changed = [s for s in base if base_sizes[s] != sizes[s]]
@@ -446,7 +446,7 @@ def _check_result(result: ExtenderResult, pure: bool, masks: Optional[tuple] = N
     # with depths preserved, the relative layers are the extender's less
     # the base's.
     layers_base, layers_big = _mask_layers(base_sizes), _mask_layers(sizes)
-    cache["h_triangles"] = base_tri, *h_tris = tuple(
+    h_triangles = base_tri, *h_tris = tuple(
         _h_from_f_triangle(_f_triangle(layers, d))
         for layers in (layers_base, layers_big, layers_big - layers_base))
     for what, part, report, h_tri in zip(_CERTIFICATES, pairs, reports, h_tris):
@@ -458,6 +458,7 @@ def _check_result(result: ExtenderResult, pure: bool, masks: Optional[tuple] = N
                      for row_big, row_rel in zip(*h_tris))
     if tri_diff != base_tri:
         raise InternalCheckError("h-triangle identity failed")
+    vars(result).update(h_vectors=h_vectors, h_triangles=h_triangles)
 
 
 def extender_for_complex(base: SimplicialComplex) -> ExtenderResult:
@@ -467,7 +468,7 @@ def extender_for_complex(base: SimplicialComplex) -> ExtenderResult:
         raise VoidComplex("the void complex has no extender")
     if not base.is_pure:
         raise NotPure("base must be pure; use nonpure_extender_for_complex")
-    return _assemble(base, pure=True)
+    return _assemble(base)
 
 
 def nonpure_extender_for_complex(base: SimplicialComplex) -> ExtenderResult:
@@ -475,28 +476,20 @@ def nonpure_extender_for_complex(base: SimplicialComplex) -> ExtenderResult:
     layer-compatible and h-compatible certificates."""
     if base.is_void:
         raise VoidComplex("the void complex has no extender")
-    return _assemble(base, pure=False)
+    return _assemble(base)
 
 
 def h_decomposition(result: ExtenderResult) -> tuple[tuple, tuple, tuple]:
-    """Check a result and return (h(extender), h(relative), difference).
+    """(h(extender), h(relative), h(base)) of a checked result.
 
-    Both certificates must verify, and the difference must reproduce the
-    h-vector of the base complex.  The verification reports are cached on
-    the result: a result returned by this package was validated before it
-    was returned and is not validated again, while a hand-built result is
-    validated in full here.
+    The extender's h-vector less the relative family's is the base's.  The
+    values are read from the result's cache, so a hand-built or copied
+    result is checked here on first use, as any read of
+    :attr:`ExtenderResult.h_vectors` checks it, and raises
+    :class:`InvalidResult` if it fails.
     """
-    for what, report in zip(_CERTIFICATES, result.reports):
-        if not report.valid:
-            raise InvalidResult(f"{what} certificate does not verify")
-    expected, h_big, h_rel = result.h_vectors
-    difference = tuple(a - b for a, b in zip(h_big, h_rel))
-    if difference != expected:
-        raise InvalidResult(
-            f"difference {difference} does not reproduce the base h-vector "
-            f"{expected}")
-    return h_big, h_rel, difference
+    h_base, h_big, h_rel = result.h_vectors
+    return h_big, h_rel, h_base
 
 
 def _growth_sequence(d: int, upto: int) -> list[int]:

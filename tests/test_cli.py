@@ -569,6 +569,21 @@ def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch
     assert len(mask_calls) == 2 and mask_calls[0] == base_faces < mask_calls[1]
 
 
+def test_pure_report_reads_no_facet_sizes(write, capsys, monkeypatch):
+    # Every top of a pure build's certificates is full, so each h-triangle
+    # is its h-vector in the top row and no facet-size map is read.
+    paths = [write("three.json", {"facets": [[1, 2, 3, 4], [3, 4, 5, 6], [2, 5, 7, 8]]}),
+             write("bowtie.json", BOWTIE)]
+    expected = [run(capsys, "build-extender", path, "--json")[1] for path in paths]
+    calls = []
+    for module, name in ((complexes, "_facet_sizes"), (partitions, "_facet_sizes"),
+                         (complexes, "_mask_facet_sizes"), (construct, "_mask_facet_sizes")):
+        monkeypatch.setattr(module, name, lambda members: calls.append(members))
+    for path, out in zip(paths, expected):
+        assert run(capsys, "build-extender", path, "--json")[:2] == (0, out)
+    assert calls == []
+
+
 def test_json_report_formats_no_interval_line(write, capsys, monkeypatch):
     bowtie = write("bowtie.json", BOWTIE)
     _, expected, _ = run(capsys, "build-extender", bowtie, "--json")

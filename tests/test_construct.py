@@ -232,12 +232,22 @@ def test_extender_irrelevant_complex():
 
 
 def _reports_agree(res):
-    """Whether the reports cached on a result are those the frozenset
-    reference gives for the faces and certificates it returns."""
+    """Whether both certificates a result returns are valid, with the
+    reports that the frozenset reference gives for them."""
     relative = relative_family(res.extender, res.base)
-    expected = [verify_by_enumeration(fam.faces, p) for fam, p in (
-        (res.extender, res.extender_partition), (relative, res.relative_partition))]
-    return expected == [(r.valid, r.violation, r.interval_stats) for r in res.reports]
+    checks = ((res.extender, res.extender_partition), (relative, res.relative_partition))
+    reports = [verify_partitioning(fam, p) for fam, p in checks]
+    expected = [verify_by_enumeration(fam.faces, p) for fam, p in checks]
+    return all(r.valid for r in reports) and expected == [
+        (r.valid, r.violation, r.interval_stats) for r in reports]
+
+
+def _h_triangles_by_definition(res):
+    """The h-triangles of the base, the extender and the relative family,
+    each from its literal f-triangle."""
+    return tuple(
+        tuple(poly_h(row) for row in f_triangle_by_definition(x.faces, x.dim))
+        for x in (res.base, res.extender, relative_family(res.extender, res.base)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,10 +261,11 @@ def test_extender_property_pure(base):
     diff = tuple(a - b for a, b in
                  zip(h_vector(res.extender), h_vector(relative)))
     assert diff == poly_h(f_vector(base))
-    # The reports and h-vectors cached from the masks are those of the
+    # The h-vectors and h-triangles cached from the masks are those of the
     # frozensets returned.
     assert _reports_agree(res)
     assert res.h_vectors == tuple(map(h_vector, (base, res.extender, relative)))
+    assert res.h_triangles == _h_triangles_by_definition(res)
 
 
 def test_nonpure_edge_plus_vertex():
@@ -275,8 +286,11 @@ def test_nonpure_edge_plus_vertex():
 
 
 def test_nonpure_agrees_with_pure_on_pure_input():
-    base = build_complex([[1, 2, 3]])
-    assert nonpure_extender_for_complex(base) == extender_for_complex(base)
+    for facets in ([[1, 2, 3]], [[1, 2, 3], [3, 4, 5]], [[1, 2, 3, 4], [4, 5, 6, 7]]):
+        base = build_complex(facets)
+        pure, nonpure = extender_for_complex(base), nonpure_extender_for_complex(base)
+        assert nonpure == pure
+        assert (nonpure.h_vectors, nonpure.h_triangles) == (pure.h_vectors, pure.h_triangles)
 
 
 def test_nonpure_triangle_plus_vertex():
@@ -307,12 +321,10 @@ def test_nonpure_h_triangles_match_definition():
     for _ in range(10):
         base = random_nonpure_complex(rng)
         res = nonpure_extender_for_complex(base)
-        expected = tuple(
-            tuple(poly_h(row) for row in f_triangle_by_definition(x.faces, x.dim))
-            for x in (base, res.extender, relative_family(res.extender, base)))
         copy = dataclasses.replace(res)
-        _check_result(copy, pure=False)
-        assert vars(res)["h_triangles"] == vars(copy)["h_triangles"] == expected
+        _check_result(copy)
+        assert vars(res)["h_triangles"] == vars(copy)["h_triangles"] \
+            == _h_triangles_by_definition(res)
 
 
 def test_nonpure_triangle_additivity():
@@ -331,16 +343,21 @@ def test_nonpure_triangle_additivity():
         assert f_triangle(relative) == expected
 
 
-def test_h_decomposition_handmade_result():
+def _lidded_bowtie():
+    """A hand-built extender of the bowtie: one triangle closes it."""
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     lid = build_complex([[1, 2, 3], [3, 4, 5], [2, 3, 4]])
     gamma_partition = find_partitioning(lid)
     assert gamma_partition is not None
-    handmade = ExtenderResult(
+    return ExtenderResult(
         extender=lid, base=bowtie,
         extender_partition=gamma_partition,
         relative_partition=IntervalPartition.of([([2, 4], [2, 3, 4])]),
         attachment_log=())
+
+
+def test_h_decomposition_handmade_result():
+    handmade = _lidded_bowtie()
     assert h_decomposition(handmade) == ((1, 2, 0, 0), (0, 0, 1, 0), (1, 2, -1, 0))
 
 
@@ -363,13 +380,22 @@ def test_h_decomposition_rejects_bad_certificates():
 def test_library_result_is_validated_once(monkeypatch):
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     extender_for_complex(bowtie)  # builds the gadgets
+    handmade = _lidded_bowtie()
     calls = []
     # A built result is checked on masks; a frozenset check would count too.
     for name in ("_verify_masks", "verify_partitioning"):
         original = getattr(construct, name)
         monkeypatch.setattr(construct, name, lambda *args, original=original:
                             calls.append(args[1]) or original(*args))
-    h_decomposition(extender_for_complex(bowtie))
+    res = extender_for_complex(bowtie)
+    h_decomposition(res)
+    res.h_triangles
+    assert len(calls) == 2
+    # A hand-built result is checked on its first read, and only then.
+    calls.clear()
+    h_decomposition(handmade)
+    handmade.h_triangles
+    h_decomposition(handmade)
     assert len(calls) == 2
 
 
@@ -392,33 +418,44 @@ UNLAYERED = [([], [4]), ([1], [1, 2]), ([3], [1, 3]), ([2], [2, 3])]
 
 
 def test_check_result_accepts_handmade_results():
-    _check_result(_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED, []),
-                  pure=False)
+    _check_result(_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED, []))
     path = build_complex([[1, 2], [2, 3]])
     _check_result(_handmade(path, build_complex([[1, 2]]),
-                            [([], [1, 2]), ([3], [2, 3])], [([3], [2, 3])]), pure=True)
+                            [([], [1, 2]), ([3], [2, 3])], [([3], [2, 3])]))
+    # A pure base under an extender with a smaller facet: the certificates'
+    # tops are not all full, so the checker reads the facet sizes.
+    grown = _handmade(build_complex([[1, 2], [3]]), build_complex([[1, 2]]),
+                      [([], [1, 2]), ([3], [3])], [([3], [3])])
+    assert grown.h_triangles == _h_triangles_by_definition(grown)
 
 
-@pytest.mark.parametrize("result, pure, message", [
+@pytest.mark.parametrize("result, message", [
     (_handmade(build_complex([[1, 2, 3]]), build_complex([[1, 2]]),
                [([], [1, 2, 3])], [([3], [1, 2, 3])]),
-     False, "extender changed the dimension"),
+     "extender changed the dimension"),
     (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED[:3], []),
-     False, "extender certificate: face {4} is not covered"),
+     "extender certificate: face {4} is not covered"),
     (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, LAYERED, [([4], [4])]),
-     False, "relative certificate: top of [{4}, {4}] is not a member"),
+     "relative certificate: top of [{4}, {4}] is not a member"),
     (_handmade(build_complex([[1, 2], [2, 3]]), build_complex([[1, 2], [3]]),
                [([], [1, 2]), ([3], [2, 3])], [([2, 3], [2, 3])]),
-     False, "facet depth of {3} changed"),
+     "facet depth of {3} changed"),
     (_handmade(TRIANGLE_PLUS_VERTEX, TRIANGLE_PLUS_VERTEX, UNLAYERED, []),
-     False, "extender certificate is not layer-compatible"),
+     "extender certificate is not layer-compatible"),
     (_handmade(build_complex([[1, 2]]), build_complex([[1, 3]]), [([], [1, 2])], []),
-     True, "base face {3} is not in the extender"),
+     "base face {3} is not in the extender"),
 ])
-def test_check_result_names_the_failed_check(result, pure, message):
+def test_check_result_names_the_failed_check(result, message):
+    # The checker's failure is a library bug when it checks a built result;
+    # on the first read of a hand-built one it is the caller's input error.
     with pytest.raises(InternalCheckError) as excinfo:
-        _check_result(result, pure)
+        _check_result(result)
     assert str(excinfo.value) == message
+    copy = dataclasses.replace(result)
+    for _ in range(2):  # a failed check caches nothing
+        with pytest.raises(InvalidResult) as excinfo:
+            h_decomposition(copy)
+        assert str(excinfo.value) == message
 
 
 def test_size_estimate_base_values():

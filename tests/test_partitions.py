@@ -200,8 +200,9 @@ TAMPERINGS = [_drop, _duplicate, _foreign_bottom, _empty_bottom, _lowered_top,
 @given(small_complexes(min_facets=1), st.data())
 def test_verifier_reports_tampered_certificates_as_the_reference_does(c, data):
     result = nonpure_extender_for_complex(c)
+    relative = relative_family(result.extender, result.base)
     for fam, p in ((result.extender, result.extender_partition),
-                   (result.relative, result.relative_partition)):
+                   (relative, result.relative_partition)):
         pairs = list(p)
         assert verify_by_enumeration(fam.faces, pairs)[0]
         if not pairs:

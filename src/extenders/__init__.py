@@ -10,7 +10,6 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
-    adjoin_face,
     build_complex,
     f_triangle,
     f_vector,
@@ -34,7 +33,6 @@ from .construct import (
     total_size_estimate,
 )
 from .errors import (
-    AlreadyPresent,
     ExtendersError,
     InternalCheckError,
     InvalidParameters,

@@ -29,11 +29,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import (
-    AlreadyPresent,
-    InvalidParameters,
-    NotASubcomplex,
-)
+from .errors import InvalidParameters, NotASubcomplex
 
 Face = frozenset
 
@@ -346,11 +342,3 @@ def pair_family(
     """``big`` itself when ``small`` is None, else the relative family of
     the pair; either way its ``dim`` is ``big``'s."""
     return big if small is None else relative_family(big, small)
-
-
-def adjoin_face(fam: FaceFamily, s: Iterable[int]) -> FaceFamily:
-    """Add one face to a family."""
-    s = frozenset(s)
-    if s in fam.faces:
-        raise AlreadyPresent(f"face {format_face(s)} is already a member")
-    return FaceFamily(fam.faces | {s}, fam.dim)

@@ -13,10 +13,6 @@ class NotASubcomplex(ExtendersError):
     """The second complex of a pair is not contained in the first."""
 
 
-class AlreadyPresent(ExtendersError):
-    """Attempted to adjoin a face that is already a member."""
-
-
 class InvalidPartitioning(ExtendersError):
     """An operation required a valid interval partitioning."""
 

@@ -11,7 +11,7 @@ from math import comb
 
 import hypothesis.strategies as st
 
-from extenders import build_complex
+from extenders import FaceFamily, build_complex
 
 
 def poly_h(f):
@@ -24,6 +24,16 @@ def poly_h(f):
         for m in range(n + 1):
             coeffs[m] += fj * comb(n, m) * (-1) ** (n - m)
     return tuple(coeffs[d + 1 - i] for i in range(d + 2))
+
+
+def off_facet_family(marked, with_face=False):
+    """The faces of a marked complex outside its specified facet, with the
+    specified face adjoined when ``with_face``."""
+    facet = marked.specified_facet
+    faces = {f for f in marked.complex.faces if not f <= facet}
+    if with_face:
+        faces.add(marked.specified_face)
+    return FaceFamily(frozenset(faces), marked.complex.dim)
 
 
 def link_by_definition(c, s):

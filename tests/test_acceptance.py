@@ -42,6 +42,7 @@ from _oracles import (
     euler_from_betti,
     euler_from_f,
     naive_find_partitioning,
+    off_facet_family,
     poly_h,
     random_nonpure_complex,
     random_pure_complex,
@@ -98,9 +99,9 @@ def test_criterion_03_partition_extender_31_table():
         (F("256"), F("2568")), (F("8"), F("1568")), (F("28"), F("1268")),
         (F("258"), F("1258"))])
     ok = (marked.without_face_partition == table
-          and verify_partitioning(marked.family_with_face(),
+          and verify_partitioning(off_facet_family(marked, with_face=True),
                                   marked.with_face_partition).valid
-          and verify_partitioning(marked.family_without_face(),
+          and verify_partitioning(off_facet_family(marked),
                                   marked.without_face_partition).valid)
     report(3, ok, "the (3,1) extender reproduces the 13-interval table and "
                   "both certificates verify")
@@ -173,8 +174,8 @@ def test_criterion_08_seed_profile_closed_form():
     for d in range(0, 6):
         for k in range(0, d + 1):
             marked = _prepartition(d, k)
-            profile = h_from_partitioning(marked.family_with_face(),
-                                          marked.with_face_partition)
+            family = off_facet_family(marked, with_face=True)
+            profile = h_from_partitioning(family, marked.with_face_partition)
             for size in range(1, k + 1):
                 ok = ok and profile[size] == d - k
             ok = ok and profile[k + 1] == d - k + 1

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from extenders import (
-    AlreadyPresent,
     FaceFamily,
     NotASubcomplex,
-    adjoin_face,
     build_complex,
     f_triangle,
     f_vector,
@@ -183,18 +181,3 @@ def test_relative_family_golden():
 def test_relative_family_requires_subcomplex():
     with pytest.raises(NotASubcomplex):
         relative_family(BOWTIE, build_complex([[1, 6]]))
-
-
-def test_adjoin_face():
-    base = build_complex([[1, 2], [2, 3], [3, 4], [2, 4]])
-    fam = relative_family(base, build_complex([[1, 2]]))
-    grown = adjoin_face(fam, [2])
-    assert grown.faces == {fs([2]), fs([3]), fs([4]),
-                           fs([2, 3]), fs([3, 4]), fs([2, 4])}
-    assert adjoin_face(FaceFamily(fs(), -1), []).faces == {fs()}
-    singleton = adjoin_face(
-        relative_family(build_complex([[1, 2, 3]]), build_complex([[1, 2, 3]])),
-        [1, 2])
-    assert singleton.faces == {fs([1, 2])}
-    with pytest.raises(AlreadyPresent):
-        adjoin_face(grown, [3])

@@ -37,6 +37,7 @@ from extenders.construct import _check_result, _prepartition
 from _oracles import (
     f_triangle_by_definition,
     facet_depth_by_definition,
+    off_facet_family,
     poly_h,
     pure_complexes,
     random_nonpure_complex,
@@ -102,7 +103,8 @@ def test_seed_cover_property():
 def _seed_profile(d, k):
     """Interval counts of the seed certificate, by bottom size."""
     marked = _prepartition(d, k)
-    return h_from_partitioning(marked.family_with_face(), marked.with_face_partition)
+    return h_from_partitioning(off_facet_family(marked, with_face=True),
+                               marked.with_face_partition)
 
 
 def test_seed_profile_golden():
@@ -141,18 +143,68 @@ def test_partition_extender_31_matches_golden_table():
         (F("256"), F("2568")), (F("8"), F("1568")), (F("28"), F("1268")),
         (F("258"), F("1258"))])
     assert verify_partitioning(
-        marked.family_with_face(), marked.with_face_partition).valid
+        off_facet_family(marked, with_face=True), marked.with_face_partition).valid
     assert verify_partitioning(
-        marked.family_without_face(), marked.without_face_partition).valid
+        off_facet_family(marked), marked.without_face_partition).valid
 
 
 def test_partition_extender_base_case():
-    for d in range(0, 4):
+    for d in range(-1, 7):
         marked = partition_extender(d, d)
         assert marked.complex == build_complex([range(1, d + 2)])
         assert list(marked.with_face_partition) == [
             (marked.specified_face, marked.specified_face)]
         assert len(marked.without_face_partition) == 0
+        assert marked.attachments == ()
+        full = 2 ** (d + 1) - 1
+        assert construct._partition_extender(d, d)[1] == construct._Gadget(
+            d + 1, tuple(range(d + 1)), 0, (), (), ((full, full),), ())
+
+
+def _mask_checks(monkeypatch):
+    """The list that every later ``construct._verify_masks`` call appends
+    its pairs to; ``construct`` verifies nothing any other way."""
+    calls = []
+    verify = construct._verify_masks
+    monkeypatch.setattr(construct, "_verify_masks", lambda *args:
+                        calls.append(args[1]) or verify(*args))
+    return calls
+
+
+def test_each_gadget_is_checked_twice_on_masks(monkeypatch):
+    construct._partition_extender.cache_clear()
+    calls = _mask_checks(monkeypatch)
+    try:
+        for d in range(1, 4):
+            for k in range(-1, d + 1):
+                partition_extender(d, k)
+    finally:
+        construct._partition_extender.cache_clear()
+    # 12 gadgets, the base cases k = d included, each with-face and
+    # without-face certificate checked once.
+    assert len(calls) == 24
+
+
+def test_bad_seed_is_caught_inside_its_gadget(monkeypatch):
+    prepartition = construct._prepartition
+
+    def short_seed(d, k):
+        seed = prepartition(d, k)
+        if (d, k) != (2, 0):
+            return seed
+        # The last interval is ({2}, {2,3,4}), not the one under the
+        # specified face.
+        return dataclasses.replace(seed, with_face_partition=IntervalPartition(
+            seed.with_face_partition.intervals[:-1]))
+
+    construct._partition_extender.cache_clear()
+    monkeypatch.setattr(construct, "_prepartition", short_seed)
+    try:
+        with pytest.raises(InternalCheckError,
+                           match=r"adjoined certificate for \(d=2, k=0\)"):
+            partition_extender(2, 0)
+    finally:
+        construct._partition_extender.cache_clear()
 
 
 def test_partition_extender_codim_one_swaps_one_interval():
@@ -173,10 +225,10 @@ def test_recursive_assembly_certificates_and_swap():
         for k in range(-1, d + 1):
             marked = partition_extender(d, k)
             assert verify_partitioning(
-                marked.family_with_face(), marked.with_face_partition).valid
+                off_facet_family(marked, with_face=True),
+                marked.with_face_partition).valid
             assert verify_partitioning(
-                marked.family_without_face(),
-                marked.without_face_partition).valid
+                off_facet_family(marked), marked.without_face_partition).valid
             if k == d:
                 continue
             seed = _prepartition(d, k)
@@ -381,12 +433,7 @@ def test_library_result_is_validated_once(monkeypatch):
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     extender_for_complex(bowtie)  # builds the gadgets
     handmade = _lidded_bowtie()
-    calls = []
-    # A built result is checked on masks; a frozenset check would count too.
-    for name in ("_verify_masks", "verify_partitioning"):
-        original = getattr(construct, name)
-        monkeypatch.setattr(construct, name, lambda *args, original=original:
-                            calls.append(args[1]) or original(*args))
+    calls = _mask_checks(monkeypatch)
     res = extender_for_complex(bowtie)
     h_decomposition(res)
     res.h_triangles

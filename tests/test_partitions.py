@@ -12,7 +12,6 @@ from extenders import (
     InvalidPartitioning,
     NotAPermutation,
     SizeLimitExceeded,
-    adjoin_face,
     build_complex,
     check_shelling_order,
     f_triangle,
@@ -55,14 +54,14 @@ SQUARE_TAIL = build_complex([[1, 2], [2, 3], [3, 4], [2, 4]])
 # The square-with-tail complex minus the subcomplex of its facet {1,2},
 # with and without the vertex 2 adjoined.
 OFF_FACET = relative_family(SQUARE_TAIL, build_complex([[1, 2]]))
-OFF_FACET_PLUS = adjoin_face(OFF_FACET, [2])
+OFF_FACET_PLUS = FaceFamily(OFF_FACET.faces | {fs([2])}, OFF_FACET.dim)
 
 # Canonical seed for (d, k) = (3, 1), written out literally.
 SEED_31 = build_complex(
     [[1, 2, 5, 6], [3, 4, 5, 6], [1, 2, 3, 6], [1, 2, 3, 5], [2, 3, 4, 6],
      [2, 3, 4, 5]])
-SEED_31_FAMILY = adjoin_face(
-    relative_family(SEED_31, build_complex([[3, 4, 5, 6]])), [5, 6])
+SEED_31_FAMILY = FaceFamily(
+    relative_family(SEED_31, build_complex([[3, 4, 5, 6]])).faces | {fs([5, 6])}, 3)
 SEED_31_INTERVALS = IntervalPartition.of([
     ([5, 6], [1, 2, 5, 6]), ([1], [1, 2, 3, 6]), ([2], [2, 3, 4, 6]),
     ([1, 5], [1, 2, 3, 5]), ([2, 5], [2, 3, 4, 5])])

@@ -6,7 +6,8 @@ set by set; nothing is assumed about the family being closed under
 subsets.  It runs on ``int`` face masks: :func:`verify_partitioning`
 reads a frozenset family and its intervals as masks once and hands them
 to :func:`_verify_masks`, which the construction core also calls on the
-masks it built, so both give the same report, word for word.  The
+masks it built, so both give the same report, word for word.  Every
+failure names its least offending face by :func:`face_key`.  The
 searches are exhaustive backtracking with fully lexicographic
 tie-breaking, so both witnesses and failure verdicts are reproducible.
 
@@ -14,7 +15,8 @@ Every function here reads only ``faces`` and ``dim``, which a complex
 and a relative family both expose, so either can be passed as it is; the
 faces are the members of the family being partitioned.  The shelling
 functions take a complex and an optional subcomplex and read the pair
-through :func:`pair_family`.
+through :func:`pair_family`; each shelling step adds the Boolean interval
+[R(F), F] of its facet F, read off the restriction face R(F) (Björner).
 
 The layer and h-compatibility checks run on a partitioning validated once,
 plus the family's facet-size map (each member's largest containing member).
@@ -32,7 +34,6 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _MaskCodec,
-    _bit_values,
     _facet_sizes,
     _submasks,
     between,
@@ -117,31 +118,16 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
                          [(mask(b), mask(t)) for b, t in p], codec)
 
 
-def _first_offence(b: int, t: int, members: set, covered: set,
-                   codec: _MaskCodec) -> str:
-    """The violation of the first face of [b, t], in :func:`between` order,
-    that is not a member or is in ``covered``."""
-    gap = t & ~b
-    for r in range(gap.bit_count() + 1):
-        for combo in itertools.combinations(_bit_values(gap), r):
-            s = b | sum(combo)
-            if s not in members:
-                return (f"interval [{codec.name(b)}, {codec.name(t)}] requires "
-                        f"{codec.name(s)}, which is not a member")
-            if s in covered:
-                return f"face {codec.name(s)} is covered twice"
-    raise AssertionError("the interval has no offending face")
-
-
 def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
                   codec: _MaskCodec) -> PartitionReport:
     """:func:`verify_partitioning` on masks: ``members`` is the family and
     ``pairs`` the (bottom, top) intervals, in the order they are checked;
     ``codec`` names faces in the report.
 
-    Each interval's faces are enumerated as submasks of its gap.  The
-    first violation found is reported, worded and chosen as a walk over
-    the faces of each interval in :func:`between` order would choose it.
+    Each interval's faces are enumerated as submasks of its gap.  A
+    failed interval names its least offending face by :func:`face_key`:
+    the first that a walk in :func:`between` order meets, since faces of
+    equal size over one bottom order as their added parts do.
     """
     stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
@@ -174,10 +160,13 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
         while True:
             s = b | sub
             if s in covered or s not in members:
-                # Submasks run downwards: those above ``sub`` are this
-                # interval's, so the faces covered before it are the rest.
-                covered.difference_update(b | x for x in _submasks(gap) if x > sub)
-                return report(_first_offence(b, t, members, covered, codec))
+                # Submasks run downwards, so the faces above ``sub`` passed.
+                first = min((f for f in (b | x for x in _submasks(gap) if x <= sub)
+                             if f in covered or f not in members), key=codec.key)
+                if first in members:
+                    return report(f"face {codec.name(first)} is covered twice")
+                return report(f"interval {label(b, t)} requires "
+                              f"{codec.name(first)}, which is not a member")
             add(s)
             if not sub:
                 break
@@ -293,7 +282,7 @@ def find_partitioning(
         for bottom, cube in pending[-1]:
             if room[len(bottom)] and covered.isdisjoint(cube):
                 covered |= cube
-                if covered.issuperset(due[idx]) and (idx < last or covered == members):
+                if covered.issuperset(due[idx]):
                     break
                 covered -= cube
         else:
@@ -311,11 +300,19 @@ def find_partitioning(
     return None
 
 
-def _shelling_step(facet: Face, closed) -> bool:
-    """Whether the subsets of ``facet`` outside ``closed`` have a unique
-    minimal element."""
-    step = {s for s in subsets_of(facet) if s not in closed}
-    return sum(1 for s in step if not any(t < s for t in step)) == 1
+def _restriction(facet: Face, closed) -> Optional[Face]:
+    """The restriction face R = {v in facet : facet - {v} in closed} if R
+    is not in ``closed``, else None.
+
+    ``closed`` is closed under subsets, so the new faces of ``facet`` (its
+    subsets outside ``closed``) are closed upward inside it, and each
+    contains R: if v in R is missing from s, then s lies in facet - {v},
+    which is in ``closed``.  So the new faces have a unique minimal
+    element exactly when R is new, and then they are [R, facet].  If
+    ``facet`` is in ``closed``, R is ``facet`` and there is no step.
+    """
+    r = frozenset(v for v in facet if facet - {v} in closed)
+    return None if r in closed else r
 
 
 def check_shelling_order(
@@ -325,21 +322,23 @@ def check_shelling_order(
 ) -> bool:
     """Whether ``order`` is a shelling of ``big`` relative to ``small``.
 
-    Each step's new faces (the subsets of the next facet not generated by
-    the earlier facets together with ``small``) must have a unique minimal
-    element.  The first step is checked against ``small`` alone.
+    Each step's new faces (the subsets of the next facet F not generated
+    by the earlier facets together with ``small``) must have a unique
+    minimal element, R(F) (:func:`_restriction`).  The first step is
+    checked against ``small`` alone.
     """
     fam = pair_family(big, small)
-    expected = maximal_faces(fam.faces)
+    # ``small`` is a subcomplex, so the pair's maximal members are big's facets.
+    expected = big.facets & fam.faces
     ordered = [frozenset(f) for f in order]
     if len(ordered) != len(expected) or set(ordered) != expected:
         raise NotAPermutation(
             "order is not a permutation of the maximal members of the pair")
     closed = set(big.faces - fam.faces)
     for facet in ordered:
-        if not _shelling_step(facet, closed):
+        if (bottom := _restriction(facet, closed)) is None:
             return False
-        closed.update(subsets_of(facet))
+        closed.update(between(bottom, facet))
     return True
 
 
@@ -355,7 +354,7 @@ def find_shelling(
     that cuts only failing subtrees, and the witness is unchanged.
     """
     fam = pair_family(big, small)
-    facets = sorted(maximal_faces(fam.faces), key=lambda f: (-len(f), lex_key(f)))
+    facets = sorted(big.facets & fam.faces, key=lambda f: (-len(f), lex_key(f)))
     if len(facets) > max_facets:
         raise SizeLimitExceeded(
             f"pair has {len(facets)} facets, above the search bound of "
@@ -375,7 +374,7 @@ def find_shelling(
     pending = [iter(facets)]
     while pending:
         for facet in pending[-1]:
-            if facet not in placed and _shelling_step(facet, closed):
+            if facet not in placed and (bottom := _restriction(facet, closed)) is not None:
                 break
         else:
             failed.add(frozenset(placed))
@@ -391,7 +390,7 @@ def find_shelling(
         if frozenset(placed) in failed:
             placed.discard(facet)
             continue
-        added = [s for s in subsets_of(facet) if s not in closed]
+        added = list(between(bottom, facet))
         closed.update(added)
         order.append((facet, added))
         pending.append(iter(facets))

@@ -11,6 +11,10 @@ re-implements a library check.  Uses in ``tests/`` do not count: code that
 only the tests call is dead.  The package's ``__init__.py`` only
 re-exports names, so its imports are not uses.  Dunder methods are called
 by the language and are not checked.
+
+Nor does a module of the package import a name that it never references,
+``from __future__`` aside; ``__init__.py`` is exempt, as its imports are
+its re-exports.
 """
 
 import ast
@@ -90,3 +94,25 @@ def test_every_package_definition_is_referenced():
               and (method or (name, False) not in references)]
     assert not unused, f"defined but never used outside tests/: {unused}"
     assert ALLOWED <= {name for _, name, _ in definitions}
+
+
+def _unused_imports(tree):
+    """The names a module imports and never references, ``__future__``
+    imports aside."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    unused = [f"{path.name}: {name}" for path, tree in TREES.items()
+              if path.parent == PACKAGE and path != REEXPORTS
+              for name in _unused_imports(tree)]
+    assert not unused, f"imported but never used: {unused}"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -28,7 +29,7 @@ from extenders import (
     verify_partitioning,
 )
 from extenders import partitions
-from extenders.complexes import lex_key
+from extenders.complexes import between, lex_key, subsets_of
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -157,6 +158,23 @@ def test_first_offender_ignores_the_faces_of_its_own_interval():
     fam = FaceFamily(frozenset(build_complex([[1, 2, 3]]).faces - {fs({1, 2})}), 2)
     report = verify_partitioning(fam, part(([], [1, 2, 3])))
     assert report.violation == "interval [{}, {1,2,3}] requires {1,2}, which is not a member"
+
+
+def test_double_cover_names_the_least_face_an_earlier_interval_covered():
+    # The walk over [{}, {1,2,3}] fails at {2,3}, but {1}, covered by the
+    # second interval, comes first in between() order.
+    c = build_complex([[1, 2, 3], [2, 3, 4], [1, 5]])
+    p = IntervalPartition(((fs({2, 3}), fs({2, 3, 4})), (fs({1}), fs({1, 5})),
+                           (fs(), fs({1, 2, 3}))))
+    assert verify_partitioning(c, p).violation == "face {1} is covered twice"
+
+
+def test_missing_face_is_the_least_non_member_of_the_interval():
+    # The walk fails at {2}, but {1} comes first in between() order.
+    fam = FaceFamily(fs({fs(), fs({1, 2})}), 1)
+    p = IntervalPartition(((fs(), fs({1, 2})),))
+    assert verify_partitioning(fam, p).violation == (
+        "interval [{}, {1,2}] requires {1}, which is not a member")
 
 
 def _drop(pairs, i):
@@ -430,6 +448,62 @@ def test_check_shelling_order_relative_first_step_counts():
 def test_check_shelling_order_rejects_non_permutation():
     with pytest.raises(NotAPermutation):
         check_shelling_order(TRIANGLE_BOUNDARY, [fs([1, 2])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes(labels=5, max_facets=5, max_size=4),
+       st.frozensets(st.integers(1, 5), max_size=4))
+def test_restriction_face_is_the_unique_minimal_new_face(c, facet):
+    closed = set(c.faces)
+    new = {s for s in subsets_of(facet) if s not in closed}
+    minimal = [s for s in new if not any(t < s for t in new)]
+    bottom = partitions._restriction(facet, closed)
+    assert (bottom is not None) == (len(minimal) == 1)
+    if bottom is not None:
+        assert minimal == [bottom]
+        assert set(between(bottom, facet)) == new
+
+
+def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
+    big, small = build_complex([[1, 2], [2, 3]]), build_complex([[1, 2]])
+
+    def forbidden(*args):
+        raise AssertionError("the shelling functions read steps off intervals")
+
+    monkeypatch.setattr(partitions, "maximal_faces", forbidden)
+    monkeypatch.setattr(partitions, "subsets_of", forbidden)
+    order = find_shelling(TRIANGLE_BOUNDARY)
+    assert order == (fs([1, 2]), fs([1, 3]), fs([2, 3]))
+    assert check_shelling_order(TRIANGLE_BOUNDARY, order)
+    assert find_shelling(big, small) == (fs([2, 3]),)
+    assert check_shelling_order(big, [fs([2, 3])], small)
+
+
+def _triangle_corpus():
+    """20 pure 2-complexes on the labels 1..8 from ``random.Random(5)``;
+    the i-th has (20, 22, 24)[i % 3] distinct triangles."""
+    rng = random.Random(5)
+    corpus = []
+    for i in range(20):
+        triangles = set()
+        while len(triangles) < (20, 22, 24)[i % 3]:
+            triangles.add(fs(rng.sample(range(1, 9), 3)))
+        corpus.append(build_complex(triangles))
+    return corpus
+
+
+# The members of the corpus that are shellable; the other 7 take seconds
+# to refute, so they stay out of the suite.
+SHELLABLE_CORPUS = (0, 1, 2, 4, 5, 6, 8, 12, 13, 14, 16, 17, 19)
+
+
+def test_find_shelling_matches_the_oracle_on_the_shellable_corpus():
+    corpus = _triangle_corpus()
+    for i in SHELLABLE_CORPUS:
+        order = find_shelling(corpus[i], max_facets=100)
+        assert order is not None
+        assert order == first_shelling_by_backtracking(corpus[i])
+        assert check_shelling_order(corpus[i], order)
 
 
 def test_find_shelling():

@@ -466,14 +466,17 @@ def _verify_report_document(path: str) -> _Report:
             f"{path}: expected a report with a 'certificates' list "
             f"(or pass an intervals file as the second argument)")
     results = []
+    # Certificates share face lists (each of a build-extender report names
+    # the extender), so each distinct complex is built, and read, once.
+    built = functools.cache(build_complex)
     for cert in data["certificates"]:
         try:
             facets, records, minus = cert["facets"], cert["intervals"], cert.get("minus")
         except (KeyError, TypeError) as exc:
             raise InputError(f"{path}: bad certificate: {exc}")
-        big = build_complex(_faces(facets, path))
+        big = built(frozenset(_faces(facets, path)))
         partition = _intervals(records, path)
-        small = None if minus is None else build_complex(_faces(minus, path))
+        small = None if minus is None else built(frozenset(_faces(minus, path)))
         outcome = verify_partitioning(pair_family(big, small), partition)
         results.append({
             "label": cert.get("label"),

@@ -16,8 +16,9 @@ function, so results can be shared freely between concurrent tasks.
 Inside the construction and verification core a face is an ``int`` mask
 over densely relabelled vertices: bit i stands for the i-th smallest
 label, so label order is bit order and every sort key reads the same on
-either side.  :class:`_MaskCodec` is the one place that crosses between
-masks and frozensets, and it converts each face once.
+either side.  A complex's or family's lazily cached mask view
+(:func:`_mask_view`) is the one place that crosses between its frozensets
+and masks, and every mask reader takes it instead of encoding again.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import InvalidParameters, NotASubcomplex
 
@@ -94,8 +95,8 @@ def _submasks(mask: int) -> Iterator[int]:
 class _Faces(dict):
     """Mask -> frozenset face over a label list, filled on first lookup."""
 
-    def __init__(self, labels: list):
-        super().__init__()
+    def __init__(self, labels: list, faces=()):
+        super().__init__(faces)
         self.labels = labels
 
     def __missing__(self, mask: int) -> Face:
@@ -105,18 +106,22 @@ class _Faces(dict):
 
 
 class _MaskCodec:
-    """Faces as masks over a sorted label list, and back.
+    """Faces as masks over a label list, and back.
 
-    ``labels[i]`` is the label of bit i; labels may be appended (fresh
-    vertices, larger than all earlier ones) while masks are in use.  Each
-    mask is turned into its frozenset once, through ``face``, which a
-    caller may also fill in bulk.
+    ``labels[i]`` is the label of bit i; labels may be appended while masks
+    are in use, and need not be larger than the earlier ones: sort keys are
+    read off the decoded faces, not the bits.  Each mask is turned into its
+    frozenset once, through ``face``, which a caller may also fill in bulk.
     """
 
-    def __init__(self, labels: Iterable[int]):
+    def __init__(self, labels: Iterable[int], faces=()):
         self.labels = list(labels)
         self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.face = _Faces(self.labels)
+        self.face = _Faces(self.labels, faces)
+
+    def extended(self, labels: Iterable[int]) -> "_MaskCodec":
+        """A copy, decode table included, with ``labels`` appended."""
+        return _MaskCodec([*self.labels, *labels], self.face)
 
     def extend(self, labels: Iterable[int]) -> None:
         for v in labels:
@@ -133,10 +138,24 @@ class _MaskCodec:
         return format_face(self.face[mask])
 
 
-def maximal_faces(faces: Iterable[Face]) -> set[Face]:
-    """Inclusion-maximal elements of a finite set of faces: those that no
-    larger member contains."""
-    return {f for f, size in _facet_sizes(frozenset(faces)).items() if size == len(f)}
+class _MaskView(NamedTuple):
+    """A face set as masks: ``codec`` over its sorted labels, its decode table
+    holding the set's frozensets, and ``masks``; shared, so never extended."""
+
+    codec: _MaskCodec
+    masks: frozenset
+
+    def reading(self, labels: Iterable[int]) -> _MaskCodec:
+        """The codec, or a copy extended by the ``labels`` it lacks."""
+        extra = set(labels).difference(self.codec.bit)
+        return self.codec.extended(sorted(extra)) if extra else self.codec
+
+
+def _mask_view(x: "ComplexOrFamily") -> _MaskView:
+    """The mask view of ``x``'s faces, cached on ``x`` as ``x._view``."""
+    codec = _MaskCodec(sorted(set().union(*x.faces)))
+    codec.face.update((codec.mask(f), f) for f in x.faces)
+    return _MaskView(codec, frozenset(codec.face))
 
 
 @dataclass(frozen=True)
@@ -150,6 +169,7 @@ class SimplicialComplex:
     """
 
     faces: frozenset
+    _view = cached_property(_mask_view)
 
     @cached_property
     def facets(self) -> frozenset:
@@ -176,9 +196,6 @@ class SimplicialComplex:
     def __contains__(self, face) -> bool:
         return frozenset(face) in self.faces
 
-    def sorted_faces(self) -> list[Face]:
-        return sorted(self.faces, key=face_key)
-
 
 @dataclass(frozen=True)
 class FaceFamily:
@@ -191,6 +208,7 @@ class FaceFamily:
 
     faces: frozenset
     dim: int
+    _view = cached_property(_mask_view)
 
     def __post_init__(self):
         top = max((len(f) for f in self.faces), default=0) - 1
@@ -222,8 +240,8 @@ def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
 def f_vector(x: ComplexOrFamily) -> tuple[int, ...]:
     """Face counts by cardinality; entry i counts faces of i vertices."""
     counts = [0] * (x.dim + 2)
-    for f in x.faces:
-        counts[len(f)] += 1
+    for size, n in Counter(map(len, x.faces)).items():
+        counts[size] = n
     return tuple(counts)
 
 
@@ -248,43 +266,25 @@ def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
     return SimplicialComplex(frozenset(f for f in c.faces if len(f) <= r + 1))
 
 
-def _facet_sizes(members) -> dict[Face, int]:
-    """Map each member to the size of the largest member containing it.
+def _facet_sizes(masks) -> dict[int, int]:
+    """Map each member mask to the size of the largest member containing it.
+
     Members are visited by decreasing size; one not yet reached is maximal
-    and passes its size to its unreached subsets that are members."""
-    sizes: dict[Face, int] = {}
-    for top in sorted(members, key=len, reverse=True):
-        if top not in sizes:
-            # A wide top in a sparse family: scanning the members is cheaper.
-            below = subsets_of(top) if 2 ** len(top) <= len(members) else (
-                s for s in members if s <= top)
-            for s in below:
-                if s not in sizes and s in members:
-                    sizes[s] = len(top)
-    return sizes
-
-
-def _mask_facet_sizes(masks) -> dict[int, int]:
-    """:func:`_facet_sizes` of a face set closed under subsets, given as
-    masks.  Faces are visited by decreasing size; one not yet reached is
-    maximal and passes its size to its unreached subsets, which are all
-    faces of the set."""
+    and passes its size to its unreached submasks, or, for a wide top in a
+    sparse family, to the members under it.  A walk may reach faces that
+    are not members; only then is the map restricted to the members."""
     sizes: dict[int, int] = {}
     reach = sizes.setdefault
     for top in sorted(masks, key=int.bit_count, reverse=True):
         if top not in sizes:
             size = top.bit_count()
-            for s in _submasks(top):
+            below = _submasks(top) if 1 << size <= len(masks) else (
+                s for s in masks if s & top == s)
+            for s in below:
                 reach(s, size)
+    if len(sizes) > len(masks):
+        return {m: sizes[m] for m in masks}
     return sizes
-
-
-def _mask_f_vector(masks: Iterable[int], d: int) -> tuple[int, ...]:
-    """:func:`f_vector` of a family of dimension ``d`` given as masks."""
-    counts = [0] * (d + 2)
-    for size, n in Counter(map(int.bit_count, masks)).items():
-        counts[size] = n
-    return tuple(counts)
 
 
 def _mask_layers(sizes: dict[int, int]) -> Counter:
@@ -307,8 +307,7 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     Row i lists, by cardinality j, the faces whose largest containing
     member has i vertices.  Column sums reproduce the f-vector.
     """
-    sizes = _facet_sizes(x.faces)
-    return _f_triangle(Counter(zip(sizes.values(), map(len, sizes))), x.dim)
+    return _f_triangle(_mask_layers(_facet_sizes(x._view.masks)), x.dim)
 
 
 def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

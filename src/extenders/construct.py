@@ -17,22 +17,23 @@ before anything is returned.
 
 Both constructions glue through one mutable builder and differ only in
 which list each mapped piece certificate joins.  The builder works on
-``int`` face masks (see :class:`~extenders.complexes._MaskCodec`): each
-gadget is cached as masks together with its marked complex, and gluing
-maps a gadget mask through a table over its specified facet plus one
-shift for its fresh vertices.  Frozensets appear only at the result
-boundary, :meth:`_Builder.freeze`, which turns each face into a frozenset
-once and canonicalises each built certificate once.
+``int`` face masks from a copy of its host's mask view: each gadget is
+cached as masks together with its marked complex, and gluing maps a
+gadget mask through a table over its specified facet plus one shift for
+its fresh vertices.  Frozensets appear only at the result boundary,
+:meth:`_Builder.freeze`, which turns each face into a frozenset once and
+canonicalises each built certificate once.
 
 One checker, :func:`_check_result`, checks every result and is the only
 code that derives a value from one: it reads the result as masks (a built
-result passes the masks it was frozen from), validates both certificates,
-and caches the h-vectors and h-triangles on the result, which
-:func:`h_decomposition` and the CLI read.  Whether the pure shortcut
-applies is read off the result itself: a pure base whose certificates
-have only full tops needs no facet-size pass.  A result is frozen, so the
-cached values stay true of it; a hand-built or copied result starts with
-empty caches and is checked on the first read of either.
+result passes the masks it was frozen from, any other is read through its
+extender's view), validates both certificates, and caches the h-vectors
+and h-triangles on the result, which :func:`h_decomposition` and the CLI
+read.  Whether the pure shortcut applies is read off the result itself: a
+pure base whose certificates have only full tops needs no facet-size
+pass.  A result is frozen, so the cached values stay true of it; a
+hand-built or copied result starts with empty caches and is checked on
+the first read of either.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .complexes import (
     SimplicialComplex,
     _bit_values,
     _f_triangle,
+    _facet_sizes,
     _h_from_f_triangle,
-    _mask_f_vector,
-    _mask_facet_sizes,
     _mask_layers,
     _MaskCodec,
     _submasks,
@@ -72,7 +72,6 @@ from .partitions import (
     IntervalPartition,
     PartitionReport,
     _h_compatible,
-    _layer_compatible,
     _verify_masks,
 )
 
@@ -205,9 +204,8 @@ class _Builder:
     through the codec, each face once."""
 
     def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
-        self.codec = codec = _MaskCodec(sorted(host.vertices))
-        codec.face.update((codec.mask(f), f) for f in host.faces)
-        self.faces = set(codec.face)
+        self.codec = codec = host._view.codec.extended(())
+        self.faces = set(host._view.masks)
         self.next_label = max(host.vertices, default=-1) + 1
         self.with_parts = [(codec.mask(b), codec.mask(t)) for b, t in with_parts]
         self.without_parts = [(codec.mask(b), codec.mask(t)) for b, t in without_parts]
@@ -350,16 +348,16 @@ def partition_extender(d: int, k: int) -> MarkedComplex:
 
 def _assemble(base: SimplicialComplex) -> ExtenderResult:
     build = _Builder(base)
-    base_masks = frozenset(build.faces)
-    mask = build.codec.mask
-    for sigma in base.sorted_faces():
-        # The largest facet containing sigma, lexicographically first among
-        # equals; its size is sigma's facet depth.
-        target = min((f for f in base.facets if sigma <= f),
-                     key=lambda f: (-len(f), lex_key(f)))
+    base_masks, face = base._view.masks, build.codec.face
+    # The facets, largest first and then lexicographically, so a face's
+    # target, the first that contains it, has its facet depth.
+    facets = sorted((m for m in base_masks if face[m] in base.facets),
+                    key=lambda f: (-f.bit_count(), lex_key(face[f])))
+    for sigma in sorted(base_masks, key=build.codec.key):
+        target = next(f for f in facets if f & sigma == sigma)
         mapped_with, mapped_without = build.attach(
-            _partition_extender(len(target) - 1, len(sigma) - 1)[1],
-            mask(target), mask(sigma))
+            _partition_extender(target.bit_count() - 1, sigma.bit_count() - 1)[1],
+            target, sigma)
         build.with_parts.extend(mapped_with)
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
@@ -373,7 +371,8 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     """Check a result on masks and cache its h-vectors and h-triangles on
     it.  ``masks`` is (codec, base faces, extender faces, (extender pairs,
     relative pairs)): a built result passes the masks it was frozen from,
-    and any other result is read as masks once, here.
+    and any other is read through its extender's view, whose codec, or a
+    copy extended by the labels it lacks, reads the base and intervals.
 
     If the base is pure and every top of both certificates is full (d + 1
     vertices), every member of the three families lies under a full top:
@@ -388,11 +387,11 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     only once every check has passed."""
     if masks is None:
         parts = (result.extender_partition, result.relative_partition)
-        codec = _MaskCodec(sorted(set().union(*result.extender.faces, *result.base.faces,
-                                              *itertools.chain(*parts[0], *parts[1]))))
+        view = result.extender._view
+        codec = view.reading(itertools.chain(
+            *result.base.faces, *itertools.chain(*parts[0], *parts[1])))
         mask = codec.mask
-        masks = (codec, frozenset(map(mask, result.base.faces)),
-                 set(map(mask, result.extender.faces)),
+        masks = (codec, frozenset(map(mask, result.base.faces)), view.masks,
                  tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
     codec, base, big, pairs = masks
     d = result.extender.dim
@@ -405,7 +404,7 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     # Certified: both partitionings and, if nonpure, depths, layers and
     # h-compatibility.  Relative counts are the extender's less the base's
     # through linear maps, so h(base) = h(extender) - h(relative) by arithmetic.
-    f_base, f_big = _mask_f_vector(base, d), _mask_f_vector(big, d)
+    f_base, f_big = f_vector(result.base), f_vector(result.extender)
     h_vectors = tuple(map(h_from_f, (
         f_base, f_big, tuple(a - b for a, b in zip(f_big, f_base)))))
     for what, report in zip(_CERTIFICATES, reports):
@@ -416,7 +415,7 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         vars(result).update(h_vectors=h_vectors,
                             h_triangles=tuple((*zero_rows, h) for h in h_vectors))
         return
-    base_sizes, sizes = _mask_facet_sizes(base), _mask_facet_sizes(big)
+    base_sizes, sizes = _facet_sizes(base), _facet_sizes(big)
     changed = [s for s in base if base_sizes[s] != sizes[s]]
     if changed:
         raise InternalCheckError(
@@ -430,7 +429,7 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         _h_from_f_triangle(_f_triangle(layers, d))
         for layers in (layers_base, layers_big, layers_big - layers_base))
     for what, part, report, h_tri in zip(_CERTIFICATES, pairs, reports, h_triangles[1:]):
-        if not _layer_compatible(part, sizes):
+        if not all(sizes[b] == sizes[t] for b, t in part):  # as in is_layer_compatible
             raise InternalCheckError(f"{what} certificate is not layer-compatible")
         if not _h_compatible(report, h_tri):
             raise InternalCheckError(f"{what} certificate is not h-compatible")

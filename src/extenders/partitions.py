@@ -4,7 +4,7 @@ A partitioning claims that a face family is a disjoint union of Boolean
 intervals whose tops are maximal members.  Verification checks the claim
 set by set; nothing is assumed about the family being closed under
 subsets.  It runs on ``int`` face masks: :func:`verify_partitioning`
-reads a frozenset family and its intervals as masks once and hands them
+hands the family's mask view and the intervals, read through its codec,
 to :func:`_verify_masks`, which the construction core also calls on the
 masks it built, so both give the same report, word for word.  Every
 failure names its least offending face by :func:`face_key`.  The
@@ -19,7 +19,8 @@ through :func:`pair_family`; each shelling step adds the Boolean interval
 [R(F), F] of its facet F, read off the restriction face R(F) (Björner).
 
 The layer and h-compatibility checks run on a partitioning validated once,
-plus the family's facet-size map (each member's largest containing member).
+plus the facet-size map of the family's view (each member's largest
+containing member), from which the search also reads its tops.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .complexes import (
     h_triangle,
     h_vector,
     lex_key,
-    maximal_faces,
     pair_family,
     subsets_of,
 )
@@ -109,13 +109,12 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     Valid means: every set between each bottom and top is a member, the
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
-    The family and the intervals are read as masks once, and
-    :func:`_verify_masks` checks them.
+    :func:`_verify_masks` checks the family's mask view and the intervals,
+    read through its codec (a copy extended by any label it lacks).
     """
-    codec = _MaskCodec(sorted(set().union(*fam.faces, *itertools.chain(*p))))
+    codec = fam._view.reading(itertools.chain(*itertools.chain(*p)))
     mask = codec.mask
-    return _verify_masks(set(map(mask, fam.faces)),
-                         [(mask(b), mask(t)) for b, t in p], codec)
+    return _verify_masks(fam._view.masks, [(mask(b), mask(t)) for b, t in p], codec)
 
 
 def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
@@ -193,14 +192,6 @@ def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int
     return tuple(counts)
 
 
-def _layer_compatible(pairs, sizes: dict) -> bool:
-    """Layer compatibility of a valid partitioning, given the facet-size map:
-    every face of [b, t] has facet size between ``sizes[t]`` and
-    ``sizes[b]``.  A top is a maximal member, so ``sizes[t]`` is its own
-    size.  Faces may be frozensets or masks."""
-    return all(sizes[b] == sizes[t] for b, t in pairs)
-
-
 def _h_compatible(report: PartitionReport, h_tri: tuple) -> bool:
     """Whether a valid report's (top size, bottom size) counts match ``h_tri``."""
     counts = report.stats()
@@ -213,10 +204,13 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
 
     For each r, the intervals whose tops have dimension at least r must be
     a valid partitioning of the members lying under a maximal member of
-    dimension at least r.
+    dimension at least r.  For a valid partitioning that holds when each
+    bottom has its top's facet size: every face of [b, t] has a facet size
+    between the top's own size and the bottom's.
     """
-    _require_valid(fam, p)
-    return _layer_compatible(p, _facet_sizes(fam.faces))
+    _require_valid(fam, p)  # so the view's codec reads every interval face
+    mask, sizes = fam._view.codec.mask, _facet_sizes(fam._view.masks)
+    return all(sizes[mask(b)] == sizes[mask(t)] for b, t in p)
 
 
 def is_h_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
@@ -248,7 +242,9 @@ def find_partitioning(
             limit=max_members, parameter="max_members")
     if not members:
         return IntervalPartition.of([])
-    tops = sorted(maximal_faces(members), key=lambda f: (-len(f), lex_key(f)))
+    face, sizes = fam._view.codec.face, _facet_sizes(fam._view.masks)
+    tops = sorted((face[m] for m in sizes if sizes[m] == m.bit_count()),
+                  key=lambda f: (-len(f), lex_key(f)))
     # room[i]: how many more intervals with bottom size i may be chosen.
     if all(len(top) == fam.dim + 1 for top in tops):
         room = list(h_vector(fam))
@@ -350,7 +346,8 @@ def find_shelling(
     """Backtracking search for a shelling order; ``None`` proves none exists.
 
     Whether a prefix extends depends only on the set of facets it placed,
-    so each set that failed once is skipped when another order reaches it;
+    so each set that failed once (an ``int``, one bit per facet) is
+    skipped when another order reaches it;
     that cuts only failing subtrees, and the witness is unchanged.
     """
     fam = pair_family(big, small)
@@ -362,36 +359,37 @@ def find_shelling(
             limit=max_facets, parameter="max_facets")
     if not facets:
         return ()
-    failed: set[frozenset] = set()
+    failed: set[int] = set()
     # Depth-first, as a loop so that long orders stay off the call stack:
-    # ``order`` holds each placed facet with the faces it added to
-    # ``closed``, and ``pending`` the facets still to try after each prefix.
-    # Candidates are tried in the order a recursion would try them, and an
-    # undone step takes its faces out of ``closed`` again.
-    placed: set[Face] = set()
-    closed = set(big.faces - fam.faces)
-    order: list[tuple[Face, list]] = []
-    pending = [iter(facets)]
+    # bit i of ``placed`` is set while ``facets[i]`` is placed, ``order``
+    # holds each placed index with the faces it added to ``closed``, and
+    # ``pending`` the indices still to try after each prefix.  Candidates
+    # are tried in the order a recursion would try them, and an undone step
+    # takes its faces out of ``closed`` again.
+    indices, placed, closed = range(len(facets)), 0, set(big.faces - fam.faces)
+    order: list[tuple[int, list]] = []
+    pending = [iter(indices)]
     while pending:
-        for facet in pending[-1]:
-            if facet not in placed and (bottom := _restriction(facet, closed)) is not None:
+        for i in pending[-1]:
+            if not placed >> i & 1 and (
+                    bottom := _restriction(facets[i], closed)) is not None:
                 break
         else:
-            failed.add(frozenset(placed))
+            failed.add(placed)
             pending.pop()
             if order:
-                facet, added = order.pop()
-                placed.discard(facet)
+                i, added = order.pop()
+                placed ^= 1 << i
                 closed.difference_update(added)
             continue
-        placed.add(facet)
-        if len(placed) == len(facets):
-            return tuple(f for f, _ in order) + (facet,)
-        if frozenset(placed) in failed:
-            placed.discard(facet)
+        placed |= 1 << i
+        if len(order) + 1 == len(facets):
+            return tuple(facets[j] for j, _ in order) + (facets[i],)
+        if placed in failed:
+            placed ^= 1 << i
             continue
-        added = list(between(bottom, facet))
+        added = list(between(bottom, facets[i]))
         closed.update(added)
-        order.append((facet, added))
-        pending.append(iter(facets))
+        order.append((i, added))
+        pending.append(iter(indices))
     return None

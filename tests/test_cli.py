@@ -393,6 +393,19 @@ def test_partitionable_report_read_back(write, capsys, tmp_path):
     assert status == 0 and "all valid" in out
 
 
+def test_report_verification_builds_each_certificate_complex_once(write, capsys, monkeypatch):
+    # Both certificates of a build-extender report name the extender's
+    # facets; the relative one also names the base's.
+    _, report, _ = run(capsys, "build-extender", write("bowtie.json", BOWTIE), "--json")
+    path = write("report.json", report)
+    built = []
+    build = cli.build_complex
+    monkeypatch.setattr(cli, "build_complex", lambda faces: built.append(1) or build(faces))
+    status, out, _ = run(capsys, "verify-partition", path)
+    assert (status, out.splitlines()[-1]) == (0, "all valid")
+    assert len(built) == 2
+
+
 def test_byte_identical_reports(write, capsys):
     bowtie = write("bowtie.json", BOWTIE)
     _, first, _ = run(capsys, "build-extender", bowtie, "--json")
@@ -553,20 +566,18 @@ def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch
     # the extender's; the relative family's is the extender's, restricted.
     mixed = write("mixed.json", {"facets": [[1, 2, 3], [3, 4], [5]]})
     _, expected, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
-    mask_calls, frozenset_calls = [], []
-    original = complexes._mask_facet_sizes
+    calls = []
+    original = complexes._facet_sizes
 
     def counted(masks):
-        mask_calls.append(len(masks))
+        calls.append(len(masks))
         return original(masks)
-    monkeypatch.setattr(construct, "_mask_facet_sizes", counted)
-    for module in (complexes, partitions):
-        monkeypatch.setattr(module, "_facet_sizes",
-                            lambda members: frozenset_calls.append(members))
+    for module in (complexes, partitions, construct):
+        monkeypatch.setattr(module, "_facet_sizes", counted)
     status, out, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
     base_faces = 11  # the empty face, 5 vertices, 4 edges and 1 triangle
-    assert (status, out, frozenset_calls) == (0, expected, [])
-    assert len(mask_calls) == 2 and mask_calls[0] == base_faces < mask_calls[1]
+    assert (status, out) == (0, expected)
+    assert len(calls) == 2 and calls[0] == base_faces < calls[1]
 
 
 def test_pure_report_reads_no_facet_sizes(write, capsys, monkeypatch):
@@ -576,9 +587,8 @@ def test_pure_report_reads_no_facet_sizes(write, capsys, monkeypatch):
              write("bowtie.json", BOWTIE)]
     expected = [run(capsys, "build-extender", path, "--json")[1] for path in paths]
     calls = []
-    for module, name in ((complexes, "_facet_sizes"), (partitions, "_facet_sizes"),
-                         (complexes, "_mask_facet_sizes"), (construct, "_mask_facet_sizes")):
-        monkeypatch.setattr(module, name, lambda members: calls.append(members))
+    for module in (complexes, partitions, construct):
+        monkeypatch.setattr(module, "_facet_sizes", lambda masks: calls.append(masks))
     for path, out in zip(paths, expected):
         assert run(capsys, "build-extender", path, "--json")[:2] == (0, out)
     assert calls == []

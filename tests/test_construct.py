@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -608,3 +610,30 @@ def test_warm_gadgets_leave_no_mask_form_to_build(monkeypatch):
     built.clear()
     extender_for_complex(build_complex([[1, 2, 3], [3, 4, 5]]))
     assert built == []
+
+
+def test_each_face_set_is_encoded_once(monkeypatch):
+    # A complex's mask view is built on its first read and serves every
+    # later one: the search's tops, the builder, and the verifier.  The
+    # labels stay clear of the gadgets' own, so only the base is counted.
+    facets = [[101, 102, 103], [102, 103, 104], [103, 104, 105]]
+    partition = find_partitioning(build_complex(facets))
+    extender_for_complex(build_complex(facets))  # warms the gadgets
+    encoded = Counter()
+    mask = _MaskCodec.mask
+
+    def counted(codec, face):
+        encoded[frozenset(face)] += 1
+        return mask(codec, face)
+    monkeypatch.setattr(_MaskCodec, "mask", counted)
+    base = build_complex(facets)
+    assert find_partitioning(base) == partition
+    extender_for_complex(base)
+    assert {encoded[f] for f in base.faces} == {1}
+    encoded.clear()
+    again = build_complex(facets)
+    for _ in range(2):
+        assert verify_partitioning(again, partition).valid
+    # Each call reads the interval faces; every other face only the view did.
+    unnamed = again.faces - set(itertools.chain(*partition))
+    assert unnamed and {encoded[f] for f in unnamed} == {1}

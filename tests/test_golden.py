@@ -16,6 +16,7 @@ import pytest
 
 from extenders import partition_extender
 from extenders.cli import main
+from extenders.complexes import face_key
 
 COMPLEXES = {
     "bowtie": [[1, 2, 3], [3, 4, 5]],
@@ -101,7 +102,7 @@ def _gadget_rendering(d, k):
     marked = partition_extender(d, k)
     without = marked.without_face_partition
     return json.dumps({
-        "faces": [sorted(f) for f in marked.complex.sorted_faces()],
+        "faces": [sorted(f) for f in sorted(marked.complex.faces, key=face_key)],
         "with_face": marked.with_face_partition.to_records(),
         "without_face": None if without is None else without.to_records(),
     }, sort_keys=True)

@@ -29,7 +29,7 @@ from extenders import (
     verify_partitioning,
 )
 from extenders import partitions
-from extenders.complexes import between, lex_key, subsets_of
+from extenders.complexes import between, face_key, lex_key, subsets_of
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -391,17 +391,20 @@ def test_layer_compatible_implies_h_compatible(c):
         assert is_h_compatible(c, p)
 
 
-def _oracle_families(c, small_faces):
-    """The complex itself and its relative family over a subcomplex."""
-    return c, relative_family(c, build_complex(small_faces))
+def _oracle_families(c, small_faces, some_faces):
+    """The complex itself, its relative family over a subcomplex, and a
+    family of some of its faces, which need be neither."""
+    return (c, relative_family(c, build_complex(small_faces)),
+            FaceFamily(frozenset(some_faces), c.dim))
 
 
 @settings(max_examples=120, deadline=None)
 @given(cycles_with_faces(), st.data())
 def test_f_triangle_and_layer_check_match_oracles(c, data):
-    faces = c.sorted_faces()
+    faces = sorted(c.faces, key=face_key)
     small_faces = data.draw(st.lists(st.sampled_from(faces), max_size=2))
-    for fam in _oracle_families(c, small_faces):
+    some_faces = data.draw(st.lists(st.sampled_from(faces), unique=True))
+    for fam in _oracle_families(c, small_faces, some_faces):
         members, d = fam.faces, fam.dim
         assert f_triangle(fam) == f_triangle_by_definition(members, d)
         for pairs in itertools.islice(all_partitionings(members), 12):
@@ -470,7 +473,7 @@ def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the shelling functions read steps off intervals")
 
-    monkeypatch.setattr(partitions, "maximal_faces", forbidden)
+    monkeypatch.setattr(partitions, "_facet_sizes", forbidden)
     monkeypatch.setattr(partitions, "subsets_of", forbidden)
     order = find_shelling(TRIANGLE_BOUNDARY)
     assert order == (fs([1, 2]), fs([1, 3]), fs([2, 3]))
@@ -563,7 +566,7 @@ def test_complex_and_its_family_give_the_same_answers(c, data):
     fam = FaceFamily(c.faces, c.dim)
     for stat in (f_vector, h_vector, f_triangle, h_triangle):
         assert _outcome(stat, c) == _outcome(stat, fam)
-    small = build_complex(data.draw(st.lists(st.sampled_from(c.sorted_faces()),
+    small = build_complex(data.draw(st.lists(st.sampled_from(sorted(c.faces, key=face_key)),
                                              max_size=3)) if c.faces else [])
     witnesses = [_outcome(find_partitioning, x) for x in (c, fam)]
     assert witnesses[0] == witnesses[1]

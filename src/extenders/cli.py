@@ -39,13 +39,13 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
+    _h_from_f_triangle,
     build_complex,
     f_triangle,
     f_vector,
     face_key,
     face_of,
     format_face,
-    h_triangle,
     h_vector,
     pair_family,
 )
@@ -396,14 +396,15 @@ def _format_intervals(records: list) -> list:
 def cmd_info(args) -> _Report:
     doc = load_complex_document(args.complex)
     c = doc.complex
+    f_tri = f_triangle(c)
     result = {
         "dimension": c.dim,
         "pure": c.is_pure,
         "void": c.is_void,
         "f_vector": list(f_vector(c)),
         "h_vector": list(h_vector(c)),
-        "f_triangle": _triangle_json(f_triangle(c)),
-        "h_triangle": _triangle_json(h_triangle(c)),
+        "f_triangle": _triangle_json(f_tri),
+        "h_triangle": _triangle_json(_h_from_f_triangle(f_tri)),
         "num_faces": len(c.faces),
     }
     lines = [

@@ -18,7 +18,8 @@ over densely relabelled vertices: bit i stands for the i-th smallest
 label, so label order is bit order and every sort key reads the same on
 either side.  A complex's or family's lazily cached mask view
 (:func:`_mask_view`) is the one place that crosses between its frozensets
-and masks, and every mask reader takes it instead of encoding again.
+and masks: every algorithm reads its faces there, and decodes a face only
+to order, return or name it.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ def subsets_of(face: Face) -> Iterator[Face]:
     for r in range(len(verts) + 1):
         for combo in itertools.combinations(verts, r):
             yield frozenset(combo)
-
-
-def between(bottom: Face, top: Face) -> Iterator[Face]:
-    """All sets in the Boolean interval [bottom, top]."""
-    gap = sorted(top - bottom)
-    for r in range(len(gap) + 1):
-        for combo in itertools.combinations(gap, r):
-            yield bottom | frozenset(combo)
 
 
 def _bit_values(mask: int) -> Iterator[int]:

@@ -6,10 +6,11 @@ reduction ranks them exactly: integer combinations over the rationals,
 arithmetic mod p over an odd prime field, and XOR on bitset columns over
 GF(2).  Floating point never enters, so every Betti number and every depth
 verdict is exact.  One link walk builds every boundary column from a
-single face index: each face's boundary entries are listed once, stars
-are narrowed level by level, and a link's columns are read off the star.
-The walk starts at the empty face, whose link is the complex or pair
-itself, which gives ``reduced_betti`` and ``relative_betti``.
+single face index, the complex's mask view: each face's boundary entries
+are listed once, stars are narrowed level by level, and a link's columns
+are read off the star.  The walk starts at the empty face, whose link is
+the complex or pair itself, which gives ``reduced_betti`` and
+``relative_betti``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _bit_values,
     build_complex,
-    face_key,
     pair_family,
     relative_family,
     skeleton,
@@ -172,40 +173,41 @@ def _link_betti(
     first as the empty face, whose link is the pair itself, so the first
     entry holds the pair's own Betti numbers.
 
-    One index serves the whole walk.  Faces get ids in ``face_key`` order,
-    and each face's boundary entries are listed once as (vertex, row id,
-    sign).  The star of sigma is the part of the star of sigma - max(sigma)
-    that contains max(sigma), so stars are built level by level, keeping
-    the previous level's only.  A link's column at t is t's boundary,
-    restricted to vertices outside sigma and rows in the pair."""
-    faces = sorted(big.faces, key=face_key)
-    ids = {f: i for i, f in enumerate(faces)}
-    in_pair = [f in pair_faces for f in faces]
+    One index, ``big``'s mask view, serves the whole walk.  Its masks get
+    ids in ``face_key`` order, and each one's boundary entries are listed
+    once as (vertex bit, row id, sign), bits in label order.  The star of
+    sigma is the part of the star of sigma - max(sigma) that contains
+    max(sigma), so stars are built level by level, keeping the previous
+    level's only.  A link's column at t is t's boundary, restricted to
+    vertices outside sigma and rows in the pair."""
+    face, masks = big._view.codec.face, sorted(big._view.masks, key=big._view.codec.key)
+    ids = {m: i for i, m in enumerate(masks)}
+    in_pair = [face[m] in pair_faces for m in masks]
     # The link's sign at (v, t) is (-1)^pos(v, t - sigma), big's is
     # (-1)^pos(v, t); they differ by phi(t)*phi(t - v), where
     # phi(f) = (-1)^(sum over w in f - sigma of #{u in sigma : u < w}).
     # That rescales rows and columns by +-1, so no rank over any field
     # changes.
-    boundary = [[(v, ids[f - {v}], -1 if pos % 2 else 1)
-                 for pos, v in enumerate(sorted(f))] for f in faces]
-    level, stars, previous = 0, {frozenset(): range(len(faces))}, {}
-    for sigma in faces:
-        k = len(sigma)
+    boundary = [[(b, ids[m ^ b], -1 if pos % 2 else 1)
+                 for pos, b in enumerate(_bit_values(m))] for m in masks]
+    level, stars, previous = 0, {0: range(len(masks))}, {}
+    for sigma in masks:
+        k = sigma.bit_count()
         if k > level:  # sigma is the first face of the next size
             level, previous, stars = k, stars, {}
         if k:
-            top = max(sigma)
-            stars[sigma] = [t for t in previous[sigma - {top}] if top in faces[t]]
+            top = 1 << sigma.bit_length() - 1
+            stars[sigma] = [t for t in previous[sigma ^ top] if masks[t] & top]
         star = stars[sigma]  # in face_key order, so its last face is largest
-        columns: list[list[dict]] = [[] for _ in range(len(faces[star[-1]]) - k + 1)]
+        columns: list[list[dict]] = [[] for _ in range(masks[star[-1]].bit_count() - k + 1)]
         for t in star:
             if in_pair[t]:
-                columns[len(faces[t]) - k].append(
-                    {r: sign for v, r, sign in boundary[t]
-                     if v not in sigma and in_pair[r]})
+                columns[masks[t].bit_count() - k].append(
+                    {r: sign for b, r, sign in boundary[t]
+                     if not b & sigma and in_pair[r]})
         ranks = [0, *(matrix_rank(m, field) for m in columns[1:]), 0]
-        yield sigma, tuple(len(m) - ranks[t] - ranks[t + 1]
-                           for t, m in enumerate(columns))
+        yield face[sigma], tuple(len(m) - ranks[t] - ranks[t + 1]
+                                 for t, m in enumerate(columns))
 
 
 def is_relative_cm(

@@ -8,15 +8,15 @@ hands the family's mask view and the intervals, read through its codec,
 to :func:`_verify_masks`, which the construction core also calls on the
 masks it built, so both give the same report, word for word.  Every
 failure names its least offending face by :func:`face_key`.  The
-searches are exhaustive backtracking with fully lexicographic
-tie-breaking, so both witnesses and failure verdicts are reproducible.
+searches backtrack exhaustively over the view's masks, with fully
+lexicographic tie-breaking, so witnesses and verdicts are reproducible.
 
-Every function here reads only ``faces`` and ``dim``, which a complex
-and a relative family both expose, so either can be passed as it is; the
-faces are the members of the family being partitioned.  The shelling
-functions take a complex and an optional subcomplex and read the pair
-through :func:`pair_family`; each shelling step adds the Boolean interval
-[R(F), F] of its facet F, read off the restriction face R(F) (Björner).
+Every function here reads only ``faces`` and ``dim`` and the view of the
+faces, which a complex and a relative family both expose, so either can
+be passed as it is; the faces are the members of the family.  The
+shelling functions take a complex and an optional subcomplex, read the
+pair through :func:`pair_family`, and add each facet F's Boolean
+interval [R(F), F] of masks, read off the restriction face R(F) (Björner).
 
 The layer and h-compatibility checks run on a partitioning validated once,
 plus the facet-size map of the family's view (each member's largest
@@ -36,15 +36,14 @@ from .complexes import (
     SimplicialComplex,
     _MaskCodec,
     _facet_sizes,
+    _bit_values,
     _submasks,
-    between,
     face_of,
     format_face,
     h_triangle,
     h_vector,
     lex_key,
     pair_family,
-    subsets_of,
 )
 from .errors import (
     InvalidParameters,
@@ -124,9 +123,9 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
     ``codec`` names faces in the report.
 
     Each interval's faces are enumerated as submasks of its gap.  A
-    failed interval names its least offending face by :func:`face_key`:
-    the first that a walk in :func:`between` order meets, since faces of
-    equal size over one bottom order as their added parts do.
+    failed interval names its least offending face by :func:`face_key`,
+    which a walk of the interval by size and then lexicographically meets
+    first: faces of equal size over one bottom order as their added parts.
     """
     stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
@@ -234,37 +233,34 @@ def find_partitioning(
     intervals is cut.  Both prunes cut only failing subtrees, so the
     witness is the one the plain search finds.
     """
-    members = fam.faces
-    if len(members) > max_members:
+    if len(fam.faces) > max_members:
         raise SizeLimitExceeded(
-            f"family has {len(members)} members, above the search bound of "
+            f"family has {len(fam.faces)} members, above the search bound of "
             f"{max_members}",
             limit=max_members, parameter="max_members")
-    if not members:
+    if not fam.faces:
         return IntervalPartition.of([])
-    face, sizes = fam._view.codec.face, _facet_sizes(fam._view.masks)
-    tops = sorted((face[m] for m in sizes if sizes[m] == m.bit_count()),
-                  key=lambda f: (-len(f), lex_key(f)))
+    members, face = fam._view.masks, fam._view.codec.face
+    sizes = _facet_sizes(members)
+    tops = sorted((m for m in sizes if sizes[m] == m.bit_count()),
+                  key=lambda m: (-m.bit_count(), lex_key(face[m])))
     # room[i]: how many more intervals with bottom size i may be chosen.
-    if all(len(top) == fam.dim + 1 for top in tops):
+    if all(top.bit_count() == fam.dim + 1 for top in tops):
         room = list(h_vector(fam))
         if min(room) < 0:
             return None
     else:
         room = [len(tops)] * (fam.dim + 2)
-    options = []
-    for top in tops:
-        choices = []
-        for bottom in sorted(subsets_of(top), key=lex_key):
-            cube = frozenset(between(bottom, top))
-            if cube <= members:
-                choices.append((bottom, cube))
-        options.append(choices)
     # A member is due at the last top that can still cover it; once that
     # top is assigned, the member must already be covered.
-    due: list[list[Face]] = [[] for _ in tops]
+    due_at = {s: i for i, top in enumerate(tops) for s in _submasks(top)}
+    due: list[list[int]] = [[] for _ in tops]
     for m in members:
-        due[max(i for i, top in enumerate(tops) if m <= top)].append(m)
+        due[due_at[m]].append(m)
+    options = [sorted(((b, cube) for b in _submasks(top)
+                       if (cube := _interval(b, top)) <= members),
+                      key=lambda choice: lex_key(face[choice[0]]))
+               for top in tops]
 
     # Depth-first, as a loop so that long families stay off the call stack:
     # ``path`` holds the (bottom, cube) chosen for each assigned top, and
@@ -276,7 +272,7 @@ def find_partitioning(
     while pending:
         idx = len(path)
         for bottom, cube in pending[-1]:
-            if room[len(bottom)] and covered.isdisjoint(cube):
+            if room[bottom.bit_count()] and covered.isdisjoint(cube):
                 covered |= cube
                 if covered.issuperset(due[idx]):
                     break
@@ -286,19 +282,19 @@ def find_partitioning(
             if path:
                 bottom, cube = path.pop()
                 covered -= cube
-                room[len(bottom)] += 1
+                room[bottom.bit_count()] += 1
             continue
-        if idx == last:
-            return IntervalPartition.of(zip([b for b, _ in path] + [bottom], tops))
         path.append((bottom, cube))
-        room[len(bottom)] -= 1
+        if idx == last:
+            return IntervalPartition.of((face[b], face[t]) for (b, _), t in zip(path, tops))
+        room[bottom.bit_count()] -= 1
         pending.append(iter(options[idx + 1]))
     return None
 
 
-def _restriction(facet: Face, closed) -> Optional[Face]:
+def _restriction(facet: int, closed) -> Optional[int]:
     """The restriction face R = {v in facet : facet - {v} in closed} if R
-    is not in ``closed``, else None.
+    is not in ``closed``, else None; faces are masks.
 
     ``closed`` is closed under subsets, so the new faces of ``facet`` (its
     subsets outside ``closed``) are closed upward inside it, and each
@@ -307,8 +303,13 @@ def _restriction(facet: Face, closed) -> Optional[Face]:
     element exactly when R is new, and then they are [R, facet].  If
     ``facet`` is in ``closed``, R is ``facet`` and there is no step.
     """
-    r = frozenset(v for v in facet if facet - {v} in closed)
+    r = sum(b for b in _bit_values(facet) if facet ^ b in closed)
     return None if r in closed else r
+
+
+def _interval(bottom: int, top: int) -> frozenset:
+    """The faces of the Boolean interval [bottom, top], as masks."""
+    return frozenset(bottom | s for s in _submasks(top & ~bottom))
 
 
 def check_shelling_order(
@@ -323,18 +324,17 @@ def check_shelling_order(
     minimal element, R(F) (:func:`_restriction`).  The first step is
     checked against ``small`` alone.
     """
-    fam = pair_family(big, small)
     # ``small`` is a subcomplex, so the pair's maximal members are big's facets.
-    expected = big.facets & fam.faces
+    expected = big.facets & pair_family(big, small).faces
     ordered = [frozenset(f) for f in order]
     if len(ordered) != len(expected) or set(ordered) != expected:
         raise NotAPermutation(
             "order is not a permutation of the maximal members of the pair")
-    closed = set(big.faces - fam.faces)
-    for facet in ordered:
+    closed = set() if small is None else set(map(big._view.codec.mask, small.faces))
+    for facet in map(big._view.codec.mask, ordered):
         if (bottom := _restriction(facet, closed)) is None:
             return False
-        closed.update(between(bottom, facet))
+        closed.update(_interval(bottom, facet))
     return True
 
 
@@ -350,15 +350,17 @@ def find_shelling(
     skipped when another order reaches it;
     that cuts only failing subtrees, and the witness is unchanged.
     """
-    fam = pair_family(big, small)
-    facets = sorted(big.facets & fam.faces, key=lambda f: (-len(f), lex_key(f)))
-    if len(facets) > max_facets:
+    expected = big.facets & pair_family(big, small).faces
+    if len(expected) > max_facets:
         raise SizeLimitExceeded(
-            f"pair has {len(facets)} facets, above the search bound of "
+            f"pair has {len(expected)} facets, above the search bound of "
             f"{max_facets}",
             limit=max_facets, parameter="max_facets")
-    if not facets:
+    if not expected:
         return ()
+    face = big._view.codec.face
+    facets = sorted((m for m in big._view.masks if face[m] in expected),
+                    key=lambda m: (-m.bit_count(), lex_key(face[m])))
     failed: set[int] = set()
     # Depth-first, as a loop so that long orders stay off the call stack:
     # bit i of ``placed`` is set while ``facets[i]`` is placed, ``order``
@@ -366,8 +368,9 @@ def find_shelling(
     # ``pending`` the indices still to try after each prefix.  Candidates
     # are tried in the order a recursion would try them, and an undone step
     # takes its faces out of ``closed`` again.
-    indices, placed, closed = range(len(facets)), 0, set(big.faces - fam.faces)
-    order: list[tuple[int, list]] = []
+    indices, placed = range(len(facets)), 0
+    closed = set() if small is None else set(map(big._view.codec.mask, small.faces))
+    order: list[tuple[int, frozenset]] = []
     pending = [iter(indices)]
     while pending:
         for i in pending[-1]:
@@ -384,11 +387,11 @@ def find_shelling(
             continue
         placed |= 1 << i
         if len(order) + 1 == len(facets):
-            return tuple(facets[j] for j, _ in order) + (facets[i],)
+            return tuple(face[facets[j]] for j, _ in order) + (face[facets[i]],)
         if placed in failed:
             placed ^= 1 << i
             continue
-        added = list(between(bottom, facets[i]))
+        added = _interval(bottom, facets[i])
         closed.update(added)
         order.append((i, added))
         pending.append(iter(indices))

@@ -62,6 +62,20 @@ def test_info_json(write, capsys):
     assert report["input"]["name"] == "bowtie"
 
 
+def test_info_makes_one_facet_size_pass(write, capsys, monkeypatch):
+    # The h-triangle is read off the f-triangle already in hand.
+    path = write("mixed.json", {"facets": [[1, 2, 3], [3, 4], [5]]})
+    calls = []
+    original = complexes._facet_sizes
+
+    def counted(masks):
+        calls.append(len(masks))
+        return original(masks)
+    monkeypatch.setattr(complexes, "_facet_sizes", counted)
+    assert run(capsys, "info", path)[0] == 0
+    assert calls == [11]  # the empty face, 5 vertices, 4 edges and 1 triangle
+
+
 def test_text_format_and_empty_facet_line(write, capsys):
     path = write("c.txt", "1 2\n-\n3\n")
     status, out, _ = run(capsys, "info", path)

@@ -24,6 +24,7 @@ from extenders import (
     skeleton,
 )
 from extenders import homology
+from extenders.complexes import _MaskCodec
 from extenders.homology import matrix_rank
 from _oracles import (
     DENSE_RANKS,
@@ -147,6 +148,25 @@ def test_link_betti_matches_literal_links(pair):
             if sigma in small.faces:
                 lk -= link_by_definition(small, sigma)
             assert betti == betti_by_elimination(lk, levels, rank)
+
+
+def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):
+    # The walk builds the complex's mask view on its first read and leaves
+    # it cached; a later walk or shelling search encodes no face again.
+    c = build_complex([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+    assert "_view" not in vars(c)
+    assert reduced_betti(c).betti == (0, 0, 0, 0)
+    assert "_view" in vars(c)
+    encoded = []
+    mask = _MaskCodec.mask
+
+    def counted(codec, face):
+        encoded.append(frozenset(face))
+        return mask(codec, face)
+    monkeypatch.setattr(_MaskCodec, "mask", counted)
+    assert is_cohen_macaulay(c)
+    assert find_shelling(c) == (fs([1, 2, 3]), fs([2, 3, 4]), fs([3, 4, 5]))
+    assert encoded == []
 
 
 def test_matrix_rank_calls_keep_the_tracer_contract(monkeypatch):

@@ -1,9 +1,13 @@
-"""Only ``complexes.py`` makes a mask codec.
+"""Only ``complexes.py`` makes a mask codec, and the searches, the shelling
+steps and the link walk walk no frozensets of their own.
 
 Every other module of the package reads a complex's or family's cached
 mask view, or a copy of its codec, so no face set is encoded twice.  The
-check is static: a call of ``_MaskCodec`` by name or as an attribute, in
-any module of ``src/extenders`` but ``complexes.py``, fails it.
+checks are static: a call of ``_MaskCodec`` by name or as an attribute, in
+any module of ``src/extenders`` but ``complexes.py``, fails the first; a
+use of ``subsets_of`` in ``partitions.py`` or ``homology.py``, or of
+``face_key`` in ``homology.py``, called or passed as a sort key, fails
+the second.
 """
 
 import ast
@@ -11,20 +15,34 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "extenders"
 
+# The frozenset walks that each module's algorithms read off the view instead.
+VIEW_READERS = {"partitions.py": {"subsets_of"},
+                "homology.py": {"subsets_of", "face_key"}}
 
-def _codec_calls(path):
+
+def _name_uses(path, names, calls_only=False):
+    """``file:line`` of every reference to one of ``names``, by name or as
+    an attribute; only the called ones when ``calls_only``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "_MaskCodec":
-                yield f"{path.name}:{node.lineno}"
+        if calls_only:
+            if not isinstance(node, ast.Call):
+                continue
+            node = node.func
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in names:
+            yield f"{path.name}:{node.lineno}"
 
 
 def test_only_complexes_makes_a_mask_codec():
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "complexes.py" in modules
     calls = [where for path in modules if path.name != "complexes.py"
-             for where in _codec_calls(path)]
+             for where in _name_uses(path, {"_MaskCodec"}, calls_only=True)]
     assert not calls, f"_MaskCodec called outside complexes.py: {calls}"
+
+
+def test_searches_and_link_walk_read_faces_off_the_view():
+    uses = [where for module, names in VIEW_READERS.items()
+            for where in _name_uses(PACKAGE / module, names)]
+    assert not uses, f"frozenset walks beside the mask view: {uses}"

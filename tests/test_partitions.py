@@ -29,10 +29,11 @@ from extenders import (
     verify_partitioning,
 )
 from extenders import partitions
-from extenders.complexes import between, face_key, lex_key, subsets_of
+from extenders.complexes import face_key, lex_key, subsets_of
 from _oracles import (
     all_partitionings,
     complex_pairs,
+    cube,
     cycles_with_faces,
     f_triangle_by_definition,
     first_partitioning_by_backtracking,
@@ -162,7 +163,7 @@ def test_first_offender_ignores_the_faces_of_its_own_interval():
 
 def test_double_cover_names_the_least_face_an_earlier_interval_covered():
     # The walk over [{}, {1,2,3}] fails at {2,3}, but {1}, covered by the
-    # second interval, comes first in between() order.
+    # second interval, comes first by size and then lexicographically.
     c = build_complex([[1, 2, 3], [2, 3, 4], [1, 5]])
     p = IntervalPartition(((fs({2, 3}), fs({2, 3, 4})), (fs({1}), fs({1, 5})),
                            (fs(), fs({1, 2, 3}))))
@@ -170,7 +171,7 @@ def test_double_cover_names_the_least_face_an_earlier_interval_covered():
 
 
 def test_missing_face_is_the_least_non_member_of_the_interval():
-    # The walk fails at {2}, but {1} comes first in between() order.
+    # The walk fails at {2}, but {1} comes first lexicographically.
     fam = FaceFamily(fs({fs(), fs({1, 2})}), 1)
     p = IntervalPartition(((fs(), fs({1, 2})),))
     assert verify_partitioning(fam, p).violation == (
@@ -332,7 +333,7 @@ def test_find_partitioning_on_a_long_path_takes_the_counted_bottoms():
 
 def test_find_partitioning_refuses_negative_h_at_the_root(monkeypatch):
     # The bowtie has h = (1, 2, -1, 0); the search never starts.
-    monkeypatch.setattr(partitions, "between", None)
+    monkeypatch.setattr(partitions, "_submasks", None)
     assert find_partitioning(BOWTIE) is None
 
 
@@ -358,10 +359,15 @@ def _assert_unpruned_witness(fam):
 
 
 @settings(max_examples=80, deadline=None)
-@given(complex_pairs())
-def test_find_partitioning_witness_matches_unpruned_search(pair):
+@given(complex_pairs(), st.data())
+def test_find_partitioning_witness_matches_unpruned_search(pair, data):
     big, small = pair
-    for fam in (big, relative_family(big, small)):
+    # A family of some faces, neither closed nor relative: its tops may
+    # have subsets outside it.
+    faces = sorted(big.faces, key=face_key)
+    some_faces = data.draw(st.lists(st.sampled_from(faces), unique=True))
+    for fam in (big, relative_family(big, small),
+                FaceFamily(frozenset(some_faces), big.dim)):
         _assert_unpruned_witness(fam)
 
 
@@ -457,14 +463,16 @@ def test_check_shelling_order_rejects_non_permutation():
 @given(small_complexes(labels=5, max_facets=5, max_size=4),
        st.frozensets(st.integers(1, 5), max_size=4))
 def test_restriction_face_is_the_unique_minimal_new_face(c, facet):
-    closed = set(c.faces)
-    new = {s for s in subsets_of(facet) if s not in closed}
+    new = {s for s in subsets_of(facet) if s not in c.faces}
     minimal = [s for s in new if not any(t < s for t in new)]
-    bottom = partitions._restriction(facet, closed)
+    codec = c._view.reading(facet)
+    top = codec.mask(facet)
+    bottom = partitions._restriction(top, set(c._view.masks))
     assert (bottom is not None) == (len(minimal) == 1)
     if bottom is not None:
-        assert minimal == [bottom]
-        assert set(between(bottom, facet)) == new
+        assert minimal == [codec.face[bottom]]
+        step = {codec.face[m] for m in partitions._interval(bottom, top)}
+        assert step == cube(codec.face[bottom], facet) == new
 
 
 def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
@@ -473,13 +481,23 @@ def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the shelling functions read steps off intervals")
 
+    # A step walks the faces of its own interval only: the faces it adds.
+    walked, submasks = [], partitions._submasks
+
+    def counted(gap):
+        walked.append(1 << gap.bit_count())
+        return submasks(gap)
     monkeypatch.setattr(partitions, "_facet_sizes", forbidden)
-    monkeypatch.setattr(partitions, "subsets_of", forbidden)
+    monkeypatch.setattr(partitions, "_submasks", counted)
     order = find_shelling(TRIANGLE_BOUNDARY)
     assert order == (fs([1, 2]), fs([1, 3]), fs([2, 3]))
+    walked.clear()
     assert check_shelling_order(TRIANGLE_BOUNDARY, order)
+    assert walked == [4, 2, 1]  # [{}, {1,2}], then [{3}, {1,3}], then {2,3}
     assert find_shelling(big, small) == (fs([2, 3]),)
+    walked.clear()
     assert check_shelling_order(big, [fs([2, 3])], small)
+    assert walked == [2]  # [{3}, {2,3}]
 
 
 def _triangle_corpus():

@@ -128,9 +128,14 @@ def _parse_text_complex(text: str, path: str) -> list:
             where = f"{path}:{lineno}:{token.start() + 1}"
             if not _LABEL.fullmatch(token[0]):
                 raise InputError(f"{where}: expected an integer label, got {token[0]!r}")
-            if int(token[0]) < 0:
+            try:
+                label = int(token[0])
+            except ValueError:  # more digits than int() converts
+                raise InputError(f"{where}: label has more than "
+                                 f"{sys.get_int_max_str_digits()} digits")
+            if label < 0:
                 raise InputError(f"{where}: labels must be nonnegative")
-            labels.append(int(token[0]))
+            labels.append(label)
         facets.append(labels)
     return facets
 

@@ -7,8 +7,9 @@ the faces in one place and cached.  A face family is an arbitrary finite
 set of faces with an explicit dimension; it holds a relative complex
 (Gamma, Delta), or any family that is not closed under subsets.  Both
 expose ``faces`` and ``dim``, the only two things every statistic reads.
-:func:`relative_family` is the one place that checks a subcomplex lies in
-its complex.
+:func:`relative_family` is the one place that relates a subcomplex to its
+complex: it checks that the subcomplex lies in the complex, and gives the
+family the complex's mask codec, so a pair is encoded once.
 
 Every public value here is immutable and every public operation is a pure
 function, so results can be shared freely between concurrent tasks.
@@ -132,8 +133,9 @@ class _MaskCodec:
 
 
 class _MaskView(NamedTuple):
-    """A face set as masks: ``codec`` over its sorted labels, its decode table
-    holding the set's frozensets, and ``masks``; shared, so never extended."""
+    """A face set as masks: ``codec`` over sorted labels, its decode table
+    holding the set's frozensets, and ``masks``.  The codec is shared by a
+    complex and its relative families, so it is never extended."""
 
     codec: _MaskCodec
     masks: frozenset
@@ -319,13 +321,22 @@ def h_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
 
 def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFamily:
     """Faces of ``big`` not in ``small``, with ``big``'s dimension, after
-    checking that ``small`` lies in ``big``."""
+    checking that ``small`` lies in ``big``.
+
+    The family's mask view is written into it here, once: ``big``'s codec,
+    shared, and ``big``'s masks less ``small``'s.  So a member's mask is
+    the same int in both views, which the shelling steps and the link walk
+    rely on."""
     if not small.faces <= big.faces:
         extra = min(small.faces - big.faces, key=face_key)
         raise NotASubcomplex(
             f"face {format_face(extra)} of the subcomplex is missing from the "
             f"ambient complex")
-    return FaceFamily(big.faces - small.faces, big.dim)
+    fam = FaceFamily(big.faces - small.faces, big.dim)
+    view = big._view
+    vars(fam)["_view"] = _MaskView(
+        view.codec, view.masks.difference(map(view.codec.mask, small.faces)))
+    return fam
 
 
 def pair_family(

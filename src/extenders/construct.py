@@ -20,9 +20,10 @@ which list each mapped piece certificate joins.  The builder works on
 ``int`` face masks from a copy of its host's mask view: each gadget is
 cached as masks together with its marked complex, and gluing maps a
 gadget mask through a table over its specified facet plus one shift for
-its fresh vertices.  Frozensets appear only at the result boundary,
-:meth:`_Builder.freeze`, which turns each face into a frozenset once and
-canonicalises each built certificate once.
+its fresh vertices, which also gives each glued face's frozenset, made
+once as the gadget is glued.  Frozensets leave the builder only at the
+result boundary, :meth:`_Builder.freeze`, which canonicalises each built
+certificate once.
 
 One checker, :func:`_check_result`, checks every result and is the only
 code that derives a value from one: it reads the result as masks (a built
@@ -198,10 +199,10 @@ class _Gadget(NamedTuple):
 class _Builder:
     """A complex under construction, on masks: face set, codec (labels of
     the host's vertices, then of the fresh ones), with-face and
-    without-face (bottom, top) lists, attachment log, and what each
-    attachment glued.  Each attachment adds a closed face set, so the face
-    set stays closed; :meth:`freeze` turns the masks into frozensets
-    through the codec, each face once."""
+    without-face (bottom, top) lists and attachment log.  Each attachment
+    adds a closed face set, so the face set stays closed, and writes the
+    frozenset of each face it adds into the codec's decode table, so each
+    face is decoded once."""
 
     def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
         self.codec = codec = host._view.codec.extended(())
@@ -210,7 +211,6 @@ class _Builder:
         self.with_parts = [(codec.mask(b), codec.mask(t)) for b, t in with_parts]
         self.without_parts = [(codec.mask(b), codec.mask(t)) for b, t in without_parts]
         self.log: list[tuple] = []
-        self.glued: list[tuple] = []
 
     def attach(self, piece: _Gadget, facet: int, face: int) -> tuple:
         """Glue ``piece``'s specified facet onto ``facet`` and its specified
@@ -234,12 +234,14 @@ class _Builder:
         self.codec.extend(fresh)
         self.next_label += piece.fresh
         self.log.append((face, facet, fresh, mapped_with, mapped_without))
-        # labels[i]: the codec's label of the bit that piece bit i maps to,
-        # read off the same table and shift as the images.
+        # The glued faces are decoded in bulk: image(i) is the codec's label
+        # of the bit that piece bit i maps to, read off the same table and
+        # shift as the images, so no image is decoded bit by bit.
         labels = self.codec.labels
-        self.glued.append((images, piece.face_bits,
-                           [labels[tab[1 << i].bit_length() - 1] for i in range(width)]
-                           + labels[shift:shift + piece.fresh]))
+        image = ([labels[tab[1 << i].bit_length() - 1] for i in range(width)]
+                 + labels[shift:shift + piece.fresh]).__getitem__
+        self.codec.face.update(
+            zip(images, [frozenset(map(image, bits)) for bits in piece.face_bits]))
         return mapped_with, mapped_without
 
     def freeze(self) -> tuple:
@@ -248,15 +250,10 @@ class _Builder:
         Every frozenset returned is ``codec.face[m]`` for a mask ``m`` of
         the builder, so what is verified on the masks is true of the
         result, and the complex, intervals and log share those frozensets.
-        The glued faces are written into ``codec.face`` in bulk: a glued
-        image's labels are the codec's labels of its bits, taken through
-        the piece's bit positions, which are known without decoding the
-        image.  The with-face and without-face lists are sorted in place
-        into the partitions' canonical order."""
+        :meth:`attach` has already written each glued face into
+        ``codec.face``.  The with-face and without-face lists are sorted in
+        place into the partitions' canonical order."""
         face = self.codec.face
-        for images, face_bits, labels in self.glued:
-            image = labels.__getitem__
-            face.update(zip(images, [frozenset(map(image, bits)) for bits in face_bits]))
         complex_ = SimplicialComplex(frozenset(map(face.__getitem__, self.faces)))
 
         def pairs(masks):

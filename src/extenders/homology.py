@@ -8,9 +8,10 @@ GF(2).  Floating point never enters, so every Betti number and every depth
 verdict is exact.  One link walk builds every boundary column from a
 single face index, the complex's mask view: each face's boundary entries
 are listed once, stars are narrowed level by level, and a link's columns
-are read off the star.  The walk starts at the empty face, whose link is
-the complex or pair itself, which gives ``reduced_betti`` and
-``relative_betti``.
+are read off the star.  A pair is its relative family, whose view shares
+the complex's codec, so the walk reads pair membership off the family's
+masks.  The walk starts at the empty face, whose link is the complex or
+pair itself, which gives ``reduced_betti`` and ``relative_betti``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import gcd, isqrt
 from typing import Iterator, Optional, Union
 
 from .complexes import (
+    ComplexOrFamily,
     Face,
     FaceFamily,
     SimplicialComplex,
@@ -151,7 +153,7 @@ def relative_betti(
     fam = pair_family(big, small)  # checks that small lies in big, even if void
     if big.is_void:
         return HomologyProfile(())
-    return HomologyProfile(next(_link_betti(big, fam.faces, field))[1])
+    return HomologyProfile(next(_link_betti(big, fam, field))[1])
 
 
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
@@ -163,12 +165,14 @@ def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> boo
 
 
 def _link_betti(
-    big: SimplicialComplex, pair_faces: frozenset, field: FieldSpec
+    big: SimplicialComplex, pair: ComplexOrFamily, field: FieldSpec
 ) -> Iterator[tuple[Face, tuple[int, ...]]]:
     """Yield ``(sigma, Betti numbers of the pair's link at sigma)`` for every
     face of ``big`` in ``face_key`` order, degrees indexed from -1 up to the
-    dimension of ``big``'s link.  The pair's link is ``t - sigma`` over the
-    faces ``t`` in ``pair_faces`` (the pair's faces) that contain sigma.
+    dimension of ``big``'s link.  ``pair`` is ``big`` itself or a relative
+    family of ``big`` (:func:`pair_family`), whose view shares ``big``'s
+    codec, so its members are read off its masks.  The pair's link is
+    ``t - sigma`` over the members ``t`` of ``pair`` that contain sigma.
     This is the package's only builder of boundary columns.  Sigma comes
     first as the empty face, whose link is the pair itself, so the first
     entry holds the pair's own Betti numbers.
@@ -182,7 +186,7 @@ def _link_betti(
     vertices outside sigma and rows in the pair."""
     face, masks = big._view.codec.face, sorted(big._view.masks, key=big._view.codec.key)
     ids = {m: i for i, m in enumerate(masks)}
-    in_pair = [face[m] in pair_faces for m in masks]
+    in_pair = list(map(pair._view.masks.__contains__, masks))
     # The link's sign at (v, t) is (-1)^pos(v, t - sigma), big's is
     # (-1)^pos(v, t); they differ by phi(t)*phi(t - v), where
     # phi(f) = (-1)^(sum over w in f - sigma of #{u in sigma : u < w}).
@@ -219,7 +223,7 @@ def is_relative_cm(
     fam = pair_family(big, small)
     d = big.dim
     return all(not value or len(sigma) + idx - 1 == d
-               for sigma, betti in _link_betti(big, fam.faces, field)
+               for sigma, betti in _link_betti(big, fam, field)
                for idx, value in enumerate(betti))
 
 
@@ -231,7 +235,7 @@ def _depth_and_witness(
     order, whose link homology attains it; None when the depth is dim + 1."""
     d = c.dim
     value, witness = d + 1, None
-    for sigma, betti in _link_betti(c, c.faces, field):
+    for sigma, betti in _link_betti(c, c, field):
         for i, b in enumerate(betti[1:d + 1]):
             if b and len(sigma) + i + 1 < value:
                 value, witness = len(sigma) + i + 1, (sigma, i)

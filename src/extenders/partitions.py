@@ -14,9 +14,11 @@ lexicographic tie-breaking, so witnesses and verdicts are reproducible.
 Every function here reads only ``faces`` and ``dim`` and the view of the
 faces, which a complex and a relative family both expose, so either can
 be passed as it is; the faces are the members of the family.  The
-shelling functions take a complex and an optional subcomplex, read the
-pair through :func:`pair_family`, and add each facet F's Boolean
-interval [R(F), F] of masks, read off the restriction face R(F) (Björner).
+shelling functions take a complex and an optional subcomplex and read the
+pair through :func:`pair_family`, whose view shares the complex's codec:
+the faces of the subcomplex are the complex's masks less the family's.
+Each step adds a facet F's Boolean interval [R(F), F] of masks, read off
+the restriction face R(F) (Björner).
 
 The layer and h-compatibility checks run on a partitioning validated once,
 plus the facet-size map of the family's view (each member's largest
@@ -324,13 +326,14 @@ def check_shelling_order(
     minimal element, R(F) (:func:`_restriction`).  The first step is
     checked against ``small`` alone.
     """
+    fam = pair_family(big, small)
     # ``small`` is a subcomplex, so the pair's maximal members are big's facets.
-    expected = big.facets & pair_family(big, small).faces
+    expected = big.facets & fam.faces
     ordered = [frozenset(f) for f in order]
     if len(ordered) != len(expected) or set(ordered) != expected:
         raise NotAPermutation(
             "order is not a permutation of the maximal members of the pair")
-    closed = set() if small is None else set(map(big._view.codec.mask, small.faces))
+    closed = set(big._view.masks - fam._view.masks)
     for facet in map(big._view.codec.mask, ordered):
         if (bottom := _restriction(facet, closed)) is None:
             return False
@@ -350,7 +353,8 @@ def find_shelling(
     skipped when another order reaches it;
     that cuts only failing subtrees, and the witness is unchanged.
     """
-    expected = big.facets & pair_family(big, small).faces
+    fam = pair_family(big, small)
+    expected = big.facets & fam.faces
     if len(expected) > max_facets:
         raise SizeLimitExceeded(
             f"pair has {len(expected)} facets, above the search bound of "
@@ -359,7 +363,7 @@ def find_shelling(
     if not expected:
         return ()
     face = big._view.codec.face
-    facets = sorted((m for m in big._view.masks if face[m] in expected),
+    facets = sorted((m for m in fam._view.masks if face[m] in expected),
                     key=lambda m: (-m.bit_count(), lex_key(face[m])))
     failed: set[int] = set()
     # Depth-first, as a loop so that long orders stay off the call stack:
@@ -369,7 +373,7 @@ def find_shelling(
     # are tried in the order a recursion would try them, and an undone step
     # takes its faces out of ``closed`` again.
     indices, placed = range(len(facets)), 0
-    closed = set() if small is None else set(map(big._view.codec.mask, small.faces))
+    closed = set(big._view.masks - fam._view.masks)
     order: list[tuple[int, frozenset]] = []
     pending = [iter(indices)]
     while pending:

@@ -104,11 +104,19 @@ def test_parse_error_reports_position(write, capsys):
     # The bad token's text also starts an earlier, valid token.
     ("1 2\n+1 +\n", "2:4", "expected an integer label, got '+'"),
     ("1 2\n 4  -3\n", "2:5", "labels must be nonnegative"),
+    # Beyond the digit limit, int() raises ValueError.
+    pytest.param("1 2\n" + "9" * 5000 + " 2\n", "2:1", "label has more than 4300 digits",
+                 id="label-beyond-the-digit-limit"),
 ])
 def test_text_label_errors_name_the_token(tmp_path, capsys, text, where, message):
     target = tmp_path / "bad.txt"
     target.write_text(text, encoding="utf-8")
     status, out, err = run(capsys, "info", str(target))
+    assert (status, out) == (2, "")
+    assert err == f"error: {target}:{where}: {message}\n"
+    complex_ = tmp_path / "edge.txt"
+    complex_.write_text("1 2\n", encoding="utf-8")
+    status, out, err = run(capsys, "shelling-check", str(complex_), str(target))
     assert (status, out) == (2, "")
     assert err == f"error: {target}:{where}: {message}\n"
 
@@ -415,9 +423,16 @@ def test_report_verification_builds_each_certificate_complex_once(write, capsys,
     built = []
     build = cli.build_complex
     monkeypatch.setattr(cli, "build_complex", lambda faces: built.append(1) or build(faces))
+    # The relative family reads the extender's view, so only the extender
+    # is encoded: the mask views are counted where both classes cache them.
+    viewed = []
+    for cls in (complexes.SimplicialComplex, complexes.FaceFamily):
+        view = cls.__dict__["_view"]
+        monkeypatch.setattr(view, "func", lambda x, read=view.func: viewed.append(x) or read(x))
     status, out, _ = run(capsys, "verify-partition", path)
     assert (status, out.splitlines()[-1]) == (0, "all valid")
     assert len(built) == 2
+    assert len(viewed) == 1
 
 
 def test_byte_identical_reports(write, capsys):
@@ -640,7 +655,10 @@ _documents = st.one_of(
     _json, _faces, _records,
     st.fixed_dictionaries({"facets": _faces}, optional={"name": _json}),
     st.fixed_dictionaries({"certificates": st.lists(_certificate, max_size=2)}))
-_contents = st.binary(max_size=24) | _documents.map(lambda v: json.dumps(v).encode())
+# A text document whose label has more digits than int() converts.
+_long_label = ("9" * 5000 + " 2\n").encode()
+_contents = (st.binary(max_size=24) | _documents.map(lambda v: json.dumps(v).encode())
+             | st.just(_long_label))
 _commands = st.sampled_from([
     ["info", "a"], ["partitionable", "a"], ["partitionable", "a", "--minus", "b"],
     ["verify-partition", "a"], ["verify-partition", "a", "b"],

@@ -14,7 +14,7 @@ from extenders import (
     skeleton,
 )
 from extenders.complexes import SimplicialComplex, face_key
-from _oracles import link_by_definition, poly_h, small_complexes
+from _oracles import complex_pairs, link_by_definition, poly_h, small_complexes
 
 fs = frozenset
 
@@ -176,6 +176,17 @@ def test_relative_family_golden():
     assert relative_family(BOWTIE, BOWTIE).faces == fs()
     fam2 = relative_family(build_complex([[1, 2, 3]]), build_complex([[1, 2]]))
     assert fam2.faces == {fs([3]), fs([1, 3]), fs([2, 3]), fs([1, 2, 3])}
+
+
+@settings(max_examples=60)
+@given(complex_pairs())
+def test_relative_family_reads_through_its_complexs_codec(pair):
+    big, small = pair
+    labels = list(big._view.codec.labels)
+    fam = relative_family(big, small)
+    codec = fam._view.codec
+    assert codec is big._view.codec and codec.labels == labels
+    assert {codec.face[m] for m in fam._view.masks} == fam.faces
 
 
 def test_relative_family_requires_subcomplex():

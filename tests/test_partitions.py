@@ -419,6 +419,29 @@ def test_f_triangle_and_layer_check_match_oracles(c, data):
                 layer_compatible_by_definition(members, d, pairs)
 
 
+@settings(max_examples=120, deadline=None)
+@given(cycles_with_faces(), st.data())
+def test_relative_family_reads_as_a_family_encoded_apart(c, data):
+    # The relative family shares the complex's codec; a family of the same
+    # faces encodes them over its own labels.  Interval faces are drawn from
+    # the complex and beyond it (labels 8 and 9), so invalid reports and
+    # labels outside either codec are read too.
+    faces = sorted(c.faces, key=face_key)
+    small_faces = data.draw(st.lists(st.sampled_from(faces), max_size=2))
+    relative = _oracle_families(c, small_faces, ())[1]
+    apart = FaceFamily(relative.faces, relative.dim)
+    assert relative._view.codec is c._view.codec
+    assert apart._view.codec is not c._view.codec
+    drawn = data.draw(st.lists(st.tuples(
+        st.sampled_from(faces), st.frozensets(st.integers(1, 9), max_size=2)), max_size=4))
+    candidates = [*itertools.islice(all_partitionings(relative.faces), 6),
+                  [(b, b | extra) for b, extra in drawn]]
+    for pairs in candidates:
+        p = IntervalPartition.of(pairs)
+        assert verify_partitioning(relative, p) == verify_partitioning(apart, p)
+    assert find_partitioning(relative) == find_partitioning(apart)
+
+
 def test_cycle_with_vertex_has_both_layer_verdicts():
     # The empty face may top out at the vertex 5 instead of at an edge.
     c = build_complex([[1, 2], [2, 3], [3, 4], [4, 1], [5]])

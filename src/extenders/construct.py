@@ -43,6 +43,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .complexes import (
@@ -268,9 +269,14 @@ class _Builder:
 
 def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:
     """Sort mask pairs in place as :meth:`IntervalPartition.of` orders
-    pairs, by top and then bottom as sorted labels, and wrap their faces."""
+    pairs, by top and then bottom as sorted labels, and wrap their faces.
+    Distinct tops, which every valid certificate has, already order the
+    pairs, so the bottoms are read only when a top repeats."""
     face = codec.face
-    parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
+    if len(set(map(itemgetter(1), parts))) == len(parts):
+        parts.sort(key=lambda bt: sorted(face[bt[1]]))
+    else:
+        parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
     return IntervalPartition(tuple([(face[b], face[t]) for b, t in parts]))
 
 

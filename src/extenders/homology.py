@@ -220,10 +220,14 @@ def is_relative_cm(
     field: FieldSpec = RATIONALS,
 ) -> bool:
     """Whether pair link homology vanishes away from degree d - |face|."""
-    fam = pair_family(big, small)
+    return _pair_is_cm(big, pair_family(big, small), field)
+
+
+def _pair_is_cm(big: SimplicialComplex, pair: ComplexOrFamily, field: FieldSpec) -> bool:
+    """:func:`is_relative_cm` on ``big`` and its pair's family."""
     d = big.dim
     return all(not value or len(sigma) + idx - 1 == d
-               for sigma, betti in _link_betti(big, fam, field)
+               for sigma, betti in _link_betti(big, pair, field)
                for idx, value in enumerate(betti))
 
 
@@ -294,7 +298,8 @@ def cm_extender(
         gamma = build_complex(combinations(sorted(c.vertices), d + 1))
         if not is_cohen_macaulay(gamma, field):
             raise InternalCheckError("skeleton extender is not Cohen-Macaulay")
-        if not is_relative_cm(gamma, c, field):
+        relative = relative_family(gamma, c)
+        if not _pair_is_cm(gamma, relative, field):
             raise InternalCheckError("skeleton extender pair is not relative CM")
-        return CmExtender(gamma, c, relative_family(gamma, c))
+        return CmExtender(gamma, c, relative)
     return NoExtender(*witness)

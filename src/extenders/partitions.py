@@ -1,15 +1,18 @@
 """Boolean-interval partitionings: verification, statistics, and search.
 
 A partitioning claims that a face family is a disjoint union of Boolean
-intervals whose tops are maximal members.  Verification checks the claim
-set by set; nothing is assumed about the family being closed under
-subsets.  It runs on ``int`` face masks: :func:`verify_partitioning`
-hands the family's mask view and the intervals, read through its codec,
-to :func:`_verify_masks`, which the construction core also calls on the
-masks it built, so both give the same report, word for word.  Every
-failure names its least offending face by :func:`face_key`.  The
-searches backtrack exhaustively over the view's masks, with fully
-lexicographic tie-breaking, so witnesses and verdicts are reproducible.
+intervals whose tops are maximal members.  Verification decides the
+claim in bulk: the faces of all intervals, each enumerated, must be the
+family once over, and only a failing claim is walked interval by interval
+to name its first offence.  Nothing is assumed about the family being
+closed under subsets.  It runs on ``int`` face masks:
+:func:`verify_partitioning` hands the family's mask view and the
+intervals, read through its codec, to :func:`_verify_masks`, which the
+construction core also calls on the masks it built, so both give the same
+report, word for word.  Every failure names its least offending face by
+:func:`face_key`.  The searches backtrack exhaustively over the view's
+masks, with fully lexicographic tie-breaking, so witnesses and verdicts
+are reproducible.
 
 Every function here reads only ``faces`` and ``dim`` and the view of the
 faces, which a complex and a relative family both expose, so either can
@@ -124,17 +127,73 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
     ``pairs`` the (bottom, top) intervals, in the order they are checked;
     ``codec`` names faces in the report.
 
-    Each interval's faces are enumerated as submasks of its gap.  A
+    The claim is decided in bulk.  Every interval's faces, the submasks of
+    its gap over its bottom, go into one list; the claim is valid when
+    each bottom lies in its top, the list has no repeats, its set is the
+    family, and each top is maximal.  An exact cover puts every member
+    under a top, so a top of the largest top size is maximal, and only
+    smaller tops are tested against the larger members.  A claim that
+    fails any of these is walked by :func:`_name_offence`, which names its
+    first offence.
+    """
+    stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
+    stats_out = tuple(sorted(stats.items()))
+    faces: list[int] = []
+    add = faces.append
+    for b, t in pairs:
+        if b & ~t:
+            break
+        gap = sub = t ^ b
+        while True:
+            add(b | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & gap
+    else:
+        exact = set(faces)
+        if (len(exact) == len(faces) and exact == members
+                and not _small_top_covered(members, pairs, stats)):
+            return PartitionReport(True, None, stats_out)
+    violation = _name_offence(members, pairs, codec)
+    return PartitionReport(violation is None, violation, stats_out)
+
+
+def _small_top_covered(members: set, pairs: Sequence[tuple[int, int]],
+                       stats: Counter) -> bool:
+    """Whether a top below the largest top size lies in a larger member;
+    ``stats`` counts the pairs by (top size, bottom size)."""
+    top_sizes = {size for size, _ in stats}
+    if len(top_sizes) < 2:
+        return False
+    top_size = max(top_sizes)
+    small = [t for _, t in pairs if t.bit_count() < top_size]
+    return _in_larger(small, _by_size(members), top_size)
+
+
+def _by_size(members: set) -> dict[int, list[int]]:
+    """The members grouped by size."""
+    by_size: dict[int, list[int]] = {}
+    for m in members:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    return by_size
+
+
+def _in_larger(tops: list, by_size: dict, top_size: int) -> bool:
+    """Whether one of ``tops`` lies in a larger member of at most
+    ``top_size`` vertices, read off the members by size."""
+    return any(m & t == t for t in tops
+               for bigger in range(t.bit_count() + 1, top_size + 1)
+               for m in by_size.get(bigger, ()))
+
+
+def _name_offence(members: set, pairs: Sequence[tuple[int, int]],
+                  codec: _MaskCodec) -> Optional[str]:
+    """The first offence of a claim, or None: the intervals are walked in
+    order, and each one's faces are enumerated as submasks of its gap.  A
     failed interval names its least offending face by :func:`face_key`,
     which a walk of the interval by size and then lexicographically meets
     first: faces of equal size over one bottom order as their added parts.
     """
-    stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
-    stats_out = tuple(sorted(stats.items()))
-
-    def report(violation):
-        return PartitionReport(False, violation, stats_out)
-
     def label(b, t):
         return f"[{codec.name(b)}, {codec.name(t)}]"
 
@@ -144,18 +203,15 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
     add = covered.add
     for b, t in pairs:
         if t not in members:
-            return report(f"top of {label(b, t)} is not a member")
+            return f"top of {label(b, t)} is not a member"
         size = t.bit_count()
         if size < top_size:
-            if not by_size:
-                for m in members:
-                    by_size.setdefault(m.bit_count(), []).append(m)
-            if any(m & t == t for bigger in range(size + 1, top_size + 1)
-                   for m in by_size.get(bigger, ())):
+            by_size = by_size or _by_size(members)
+            if _in_larger([t], by_size, top_size):
                 above = min((m for m in members if m & t == t and m != t),
                             key=codec.key)
-                return report(f"top of {label(b, t)} is not maximal: it is "
-                              f"contained in {codec.name(above)}")
+                return (f"top of {label(b, t)} is not maximal: it is "
+                        f"contained in {codec.name(above)}")
         gap = sub = t & ~b
         while True:
             s = b | sub
@@ -164,17 +220,17 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
                 first = min((f for f in (b | x for x in _submasks(gap) if x <= sub)
                              if f in covered or f not in members), key=codec.key)
                 if first in members:
-                    return report(f"face {codec.name(first)} is covered twice")
-                return report(f"interval {label(b, t)} requires "
-                              f"{codec.name(first)}, which is not a member")
+                    return f"face {codec.name(first)} is covered twice"
+                return (f"interval {label(b, t)} requires "
+                        f"{codec.name(first)}, which is not a member")
             add(s)
             if not sub:
                 break
             sub = (sub - 1) & gap
     if len(covered) != len(members):
         missing = min(members - covered, key=codec.key)
-        return report(f"face {codec.name(missing)} is not covered")
-    return PartitionReport(True, None, stats_out)
+        return f"face {codec.name(missing)} is not covered"
+    return None
 
 
 def _require_valid(fam: ComplexOrFamily, p: IntervalPartition) -> PartitionReport:

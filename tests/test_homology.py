@@ -24,7 +24,7 @@ from extenders import (
     relative_family,
     skeleton,
 )
-from extenders import homology
+from extenders import complexes, homology
 from extenders.complexes import _MaskCodec
 from extenders.homology import matrix_rank
 from _oracles import (
@@ -337,6 +337,28 @@ def test_cm_extender_builds_no_complex_beyond_its_extender(monkeypatch):
     outcome = cm_extender(path)
     assert isinstance(outcome, CmExtender) and len(outcome.extender.faces) == 172
     assert sizes and max(sizes) <= 172
+
+
+def test_cm_extender_walks_the_relative_family_it_returns(monkeypatch):
+    built, walked = [], []
+    make, walk = complexes.relative_family, homology._link_betti
+
+    def counted(big, small):
+        built.append(make(big, small))
+        return built[-1]
+
+    def recorded(big, pair, field):
+        walked.append(pair)
+        return walk(big, pair, field)
+
+    monkeypatch.setattr(complexes, "relative_family", counted)
+    monkeypatch.setattr(homology, "relative_family", counted)
+    monkeypatch.setattr(homology, "_link_betti", recorded)
+    outcome = cm_extender(BOWTIE)
+    assert isinstance(outcome, CmExtender)
+    assert len(built) == 1 and outcome.relative is built[0]
+    assert any(pair is outcome.relative for pair in walked)
+    assert outcome.relative.faces == outcome.extender.faces - BOWTIE.faces
 
 
 def test_cm_extender_two_triangles_obstructed():

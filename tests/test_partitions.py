@@ -15,10 +15,12 @@ from extenders import (
     SizeLimitExceeded,
     build_complex,
     check_shelling_order,
+    extender_for_complex,
     f_triangle,
     f_vector,
     find_partitioning,
     find_shelling,
+    h_decomposition,
     h_from_partitioning,
     h_triangle,
     h_vector,
@@ -28,7 +30,7 @@ from extenders import (
     relative_family,
     verify_partitioning,
 )
-from extenders import partitions
+from extenders import construct, partitions
 from extenders.complexes import face_key, lex_key, subsets_of
 from _oracles import (
     all_partitionings,
@@ -210,8 +212,18 @@ def _foreign_top(pairs, i):
     return _replace(pairs, i, b, t | {99})
 
 
+def _split(pairs, i):
+    # [b, t] becomes [b + v, t] and [b, t - v]: the cover stays exact, but
+    # the top t - v lies in t, so only the maximality test can refuse it.
+    b, t = pairs[i]
+    if b == t:
+        return pairs
+    v = max(t - b)
+    return pairs[:i] + [(b | {v}, t), (b, t - {v})] + pairs[i + 1:]
+
+
 TAMPERINGS = [_drop, _duplicate, _foreign_bottom, _empty_bottom, _lowered_top,
-              _foreign_top]
+              _foreign_top, _split]
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,6 +244,34 @@ def test_verifier_reports_tampered_certificates_as_the_reference_does(c, data):
             expected = verify_by_enumeration(fam.faces, tampered)
             assert (report.valid, report.violation, report.interval_stats) == expected
             assert report.valid == (tampered == pairs)
+
+
+def test_bottom_outside_its_top_is_refused_though_the_faces_cover():
+    # The faces {2} + subsets of {1} and {} + subsets of {1} are the whole
+    # square, once each, and both tops have one vertex.
+    fam = FaceFamily(frozenset(subsets_of(fs({1, 2}))), 1)
+    pairs = [(fs({2}), fs({1})), (fs(), fs({1}))]
+    report = verify_partitioning(fam, IntervalPartition(tuple(pairs)))
+    assert report.violation == "top of [{2}, {1}] is not maximal: it is contained in {1,2}"
+    assert (report.valid, report.violation, report.interval_stats) \
+        == verify_by_enumeration(fam.faces, pairs)
+
+
+def test_valid_claims_never_reach_the_offence_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a valid claim reached the walk")
+
+    monkeypatch.setattr(partitions, "_name_offence", refuse)
+    construct._partition_extender.cache_clear()
+    try:
+        for build, base in ((extender_for_complex, BOWTIE),
+                            (nonpure_extender_for_complex,
+                             build_complex([[1, 2, 3], [3, 4], [5]]))):
+            h_decomposition(build(base))
+    finally:
+        construct._partition_extender.cache_clear()
+    report = verify_partitioning(SEED_31_FAMILY, SEED_31_INTERVALS)
+    assert report.valid and report.violation is None
 
 
 def test_verify_stats_account_for_every_member():

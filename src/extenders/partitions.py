@@ -3,8 +3,9 @@
 A partitioning claims that a face family is a disjoint union of Boolean
 intervals whose tops are maximal members.  Verification decides the
 claim in bulk: the faces of all intervals, each enumerated, must be the
-family once over, and only a failing claim is walked interval by interval
-to name its first offence.  Nothing is assumed about the family being
+family once over, so the listing stops once they outnumber the family,
+and only a failing claim is walked interval by interval to name its
+first offence.  Nothing is assumed about the family being
 closed under subsets.  It runs on ``int`` face masks:
 :func:`verify_partitioning` hands the family's mask view and the
 intervals, read through its codec, to :func:`_verify_masks`, which the
@@ -129,30 +130,35 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
 
     The claim is decided in bulk.  Every interval's faces, the submasks of
     its gap over its bottom, go into one list; the claim is valid when
-    each bottom lies in its top, the list has no repeats, its set is the
-    family, and each top is maximal.  An exact cover puts every member
-    under a top, so a top of the largest top size is maximal, and only
-    smaller tops are tested against the larger members.  A claim that
-    fails any of these is walked by :func:`_name_offence`, which names its
-    first offence.
+    each bottom lies in its top, the list has no more faces than the family
+    has members, its set is the family, and each top is maximal.  The size
+    bound stops the listing before an interval would pass it, so the work
+    is bounded by the family whatever the claim, and with it the set's
+    equality to the family leaves no room for repeats.  An exact cover
+    puts every member under a top, so a top of the largest top size is
+    maximal, and only smaller tops are tested against the larger members.
+    A claim that fails any of these is walked by :func:`_name_offence`,
+    which names its first offence.
     """
     stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
     faces: list[int] = []
     add = faces.append
+    room = len(members)
     for b, t in pairs:
         if b & ~t:
             break
         gap = sub = t ^ b
+        room -= 1 << gap.bit_count()
+        if room < 0:
+            break
         while True:
             add(b | sub)
             if not sub:
                 break
             sub = (sub - 1) & gap
     else:
-        exact = set(faces)
-        if (len(exact) == len(faces) and exact == members
-                and not _small_top_covered(members, pairs, stats)):
+        if set(faces) == members and not _small_top_covered(members, pairs, stats):
             return PartitionReport(True, None, stats_out)
     violation = _name_offence(members, pairs, codec)
     return PartitionReport(violation is None, violation, stats_out)

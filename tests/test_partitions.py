@@ -257,6 +257,15 @@ def test_bottom_outside_its_top_is_refused_though_the_faces_cover():
         == verify_by_enumeration(fam.faces, pairs)
 
 
+def test_foreign_top_of_forty_vertices_is_refused_at_once():
+    # Listing its 2**40 faces would not end; the family has seven members.
+    top = list(range(1, 41))
+    report = verify_partitioning(TRIANGLE_BOUNDARY, part(([], top)))
+    assert report.violation == (
+        f"top of [{{}}, {{{','.join(map(str, top))}}}] is not a member")
+    assert report.interval_stats == (((40, 0), 1),)
+
+
 def test_valid_claims_never_reach_the_offence_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid claim reached the walk")

@@ -30,7 +30,7 @@ code that derives a value from one: it reads the result as masks (a built
 result passes the masks it was frozen from, any other is read through its
 extender's view), validates both certificates, and caches the h-vectors
 and h-triangles on the result, which :func:`h_decomposition` and the CLI
-read.  Whether the pure shortcut applies is read off the result itself: a
+read.  Whether the pure shortcut applies is read off the result's tops: a
 pure base whose certificates have only full tops needs no facet-size
 pass.  A result is frozen, so the cached values stay true of it; a
 hand-built or copied result starts with empty caches and is checked on
@@ -377,12 +377,15 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     and any other is read through its extender's view, whose codec, or a
     copy extended by the labels it lacks, reads the base and intervals.
 
-    If the base is pure and every top of both certificates is full (d + 1
-    vertices), every member of the three families lies under a full top:
-    facet depths, layers and h-compatibility hold, and each h-triangle is
-    its h-vector in row d + 1.  Otherwise the facet sizes of the base and
-    the extender are read from one mask pass each, and every nonpure
-    condition is checked.
+    The pure shortcut is decided from the tops before anything is
+    verified.  If the base is pure and every top of both certificates is
+    full (d + 1 vertices), then once both certificates are valid every
+    member of the three families lies under a full top: facet depths,
+    layers and h-compatibility hold, each h-triangle is its h-vector in
+    row d + 1, and no facet-size map is built.  Otherwise the facet sizes
+    of the base and then the extender are read from one mask pass each;
+    the extender's map also serves both verifications as their test of
+    maximality, and every nonpure condition is checked.
 
     The values are read from the masks that the result's frozensets stand
     for, so they are true of the result; they are written into the
@@ -403,7 +406,14 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     if not base <= big:
         missing = min(base - big, key=codec.key)
         raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
-    reports = (_verify_masks(big, pairs[0], codec), _verify_masks(big - base, pairs[1], codec))
+    pure = result.base.is_pure and all(t.bit_count() == d + 1 for part in pairs for _, t in part)
+    base_sizes = sizes = None
+    if not pure:
+        base_sizes, sizes = _facet_sizes(base), _facet_sizes(big)
+    # A face of the extender that contains a relative face is relative
+    # itself, so the relative family's facet sizes are the extender's.
+    reports = (_verify_masks(big, pairs[0], codec, sizes),
+               _verify_masks(big - base, pairs[1], codec, sizes))
     # Certified: both partitionings and, if nonpure, depths, layers and
     # h-compatibility.  Relative counts are the extender's less the base's
     # through linear maps, so h(base) = h(extender) - h(relative) by arithmetic.
@@ -412,20 +422,16 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         f_base, f_big, tuple(a - b for a, b in zip(f_big, f_base)))))
     for what, report in zip(_CERTIFICATES, reports):
         _ensure_valid(report, f"{what} certificate")
-    if result.base.is_pure and all(top == d + 1 for report in reports
-                                   for top, _ in report.stats()):
+    if pure:
         zero_rows = tuple((0,) * (i + 1) for i in range(d + 1))
         vars(result).update(h_vectors=h_vectors,
                             h_triangles=tuple((*zero_rows, h) for h in h_vectors))
         return
-    base_sizes, sizes = _facet_sizes(base), _facet_sizes(big)
     changed = [s for s in base if base_sizes[s] != sizes[s]]
     if changed:
         raise InternalCheckError(
             f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
-    # A face of the extender that contains a relative face is relative
-    # itself, so the relative family's facet sizes are the extender's; and
-    # with depths preserved, the relative layers are the extender's less
+    # With depths preserved, the relative layers are the extender's less
     # the base's.
     layers_base, layers_big = _mask_layers(base_sizes), _mask_layers(sizes)
     h_triangles = tuple(

@@ -5,15 +5,19 @@ intervals whose tops are maximal members.  Verification decides the
 claim in bulk: the faces of all intervals, each enumerated, must be the
 family once over, so the listing stops once they outnumber the family,
 and only a failing claim is walked interval by interval to name its
-first offence.  Nothing is assumed about the family being
-closed under subsets.  It runs on ``int`` face masks:
+first offence.  Whether a top is maximal is read from one place, the
+family's facet-size map (:func:`_facet_sizes`): a top is maximal when
+its facet size is its own size.  Nothing is assumed about the family
+being closed under subsets.  It runs on ``int`` face masks:
 :func:`verify_partitioning` hands the family's mask view and the
 intervals, read through its codec, to :func:`_verify_masks`, which the
-construction core also calls on the masks it built, so both give the same
-report, word for word.  Every failure names its least offending face by
-:func:`face_key`.  The searches backtrack exhaustively over the view's
-masks, with fully lexicographic tie-breaking, so witnesses and verdicts
-are reproducible.
+construction core also calls on the masks it built, handing in the
+facet-size map it already holds, so both give the same report, word for
+word.  The walk visits each interval's faces by size and then in label
+order, so every failure names its least offending face by
+:func:`face_key`, the first it meets.  The searches backtrack
+exhaustively over the view's masks, with fully lexicographic
+tie-breaking, so witnesses and verdicts are reproducible.
 
 Every function here reads only ``faces`` and ``dim`` and the view of the
 faces, which a complex and a relative family both expose, so either can
@@ -123,10 +127,13 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
 
 
 def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec) -> PartitionReport:
+                  codec: _MaskCodec, sizes: Optional[dict] = None) -> PartitionReport:
     """:func:`verify_partitioning` on masks: ``members`` is the family and
     ``pairs`` the (bottom, top) intervals, in the order they are checked;
-    ``codec`` names faces in the report.
+    ``codec`` names faces in the report.  ``sizes`` is the family's
+    facet-size map (:func:`_facet_sizes`), or any map that agrees with it
+    on the members, when the caller has one; it is built here only if it
+    is needed.
 
     The claim is decided in bulk.  Every interval's faces, the submasks of
     its gap over its bottom, go into one list; the claim is valid when
@@ -135,10 +142,10 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
     bound stops the listing before an interval would pass it, so the work
     is bounded by the family whatever the claim, and with it the set's
     equality to the family leaves no room for repeats.  An exact cover
-    puts every member under a top, so a top of the largest top size is
-    maximal, and only smaller tops are tested against the larger members.
-    A claim that fails any of these is walked by :func:`_name_offence`,
-    which names its first offence.
+    puts every member under a top, so tops of one size are all maximal;
+    otherwise every top must be its own facet size.  A claim that fails
+    any of these is walked by :func:`_name_offence`, which names its first
+    offence.
     """
     stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
@@ -158,81 +165,56 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
                 break
             sub = (sub - 1) & gap
     else:
-        if set(faces) == members and not _small_top_covered(members, pairs, stats):
-            return PartitionReport(True, None, stats_out)
-    violation = _name_offence(members, pairs, codec)
+        if set(faces) == members:
+            if len({size for size, _ in stats}) < 2:
+                return PartitionReport(True, None, stats_out)
+            if sizes is None:
+                sizes = _facet_sizes(members)
+            if all(sizes[t] == t.bit_count() for _, t in pairs):
+                return PartitionReport(True, None, stats_out)
+    violation = _name_offence(members, pairs, codec, sizes)
     return PartitionReport(violation is None, violation, stats_out)
 
 
-def _small_top_covered(members: set, pairs: Sequence[tuple[int, int]],
-                       stats: Counter) -> bool:
-    """Whether a top below the largest top size lies in a larger member;
-    ``stats`` counts the pairs by (top size, bottom size)."""
-    top_sizes = {size for size, _ in stats}
-    if len(top_sizes) < 2:
-        return False
-    top_size = max(top_sizes)
-    small = [t for _, t in pairs if t.bit_count() < top_size]
-    return _in_larger(small, _by_size(members), top_size)
-
-
-def _by_size(members: set) -> dict[int, list[int]]:
-    """The members grouped by size."""
-    by_size: dict[int, list[int]] = {}
-    for m in members:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    return by_size
-
-
-def _in_larger(tops: list, by_size: dict, top_size: int) -> bool:
-    """Whether one of ``tops`` lies in a larger member of at most
-    ``top_size`` vertices, read off the members by size."""
-    return any(m & t == t for t in tops
-               for bigger in range(t.bit_count() + 1, top_size + 1)
-               for m in by_size.get(bigger, ()))
-
-
 def _name_offence(members: set, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec) -> Optional[str]:
+                  codec: _MaskCodec, sizes: Optional[dict]) -> Optional[str]:
     """The first offence of a claim, or None: the intervals are walked in
-    order, and each one's faces are enumerated as submasks of its gap.  A
-    failed interval names its least offending face by :func:`face_key`,
-    which a walk of the interval by size and then lexicographically meets
-    first: faces of equal size over one bottom order as their added parts.
+    order.  A top must be a member and its own facet size, read from
+    ``sizes``, which is built only once a top is smaller than the largest
+    member.  Each interval's faces are then visited by size, and within a
+    size by label order, so the first offending face met is the least by
+    :func:`face_key`: faces of one size over one bottom order as their
+    added parts.  Every face visited before it is a member covered once,
+    so the walk visits at most one face more than the family has members.
     """
     def label(b, t):
         return f"[{codec.name(b)}, {codec.name(t)}]"
 
+    labels = codec.labels
     top_size = max(map(int.bit_count, members), default=0)
-    by_size: dict[int, list[int]] = {}
     covered: set[int] = set()
     add = covered.add
     for b, t in pairs:
         if t not in members:
             return f"top of {label(b, t)} is not a member"
-        size = t.bit_count()
-        if size < top_size:
-            by_size = by_size or _by_size(members)
-            if _in_larger([t], by_size, top_size):
+        if t.bit_count() < top_size:
+            if sizes is None:
+                sizes = _facet_sizes(members)
+            if sizes[t] > t.bit_count():
                 above = min((m for m in members if m & t == t and m != t),
                             key=codec.key)
                 return (f"top of {label(b, t)} is not maximal: it is "
                         f"contained in {codec.name(above)}")
-        gap = sub = t & ~b
-        while True:
-            s = b | sub
-            if s in covered or s not in members:
-                # Submasks run downwards, so the faces above ``sub`` passed.
-                first = min((f for f in (b | x for x in _submasks(gap) if x <= sub)
-                             if f in covered or f not in members), key=codec.key)
-                if first in members:
-                    return f"face {codec.name(first)} is covered twice"
-                return (f"interval {label(b, t)} requires "
-                        f"{codec.name(first)}, which is not a member")
-            add(s)
-            if not sub:
-                break
-            sub = (sub - 1) & gap
+        bits = sorted(_bit_values(t & ~b), key=lambda bit: labels[bit.bit_length() - 1])
+        for size in range(len(bits) + 1):
+            for added in itertools.combinations(bits, size):
+                s = b | sum(added)
+                if s in covered:
+                    return f"face {codec.name(s)} is covered twice"
+                if s not in members:
+                    return (f"interval {label(b, t)} requires "
+                            f"{codec.name(s)}, which is not a member")
+                add(s)
     if len(covered) != len(members):
         missing = min(members - covered, key=codec.key)
         return f"face {codec.name(missing)} is not covered"

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 
 from extenders import (
+    ExtenderResult,
     ExtendersError,
     FaceFamily,
     IntervalPartition,
     InvalidParameters,
     InvalidPartitioning,
+    InvalidResult,
     NotAPermutation,
     SizeLimitExceeded,
     build_complex,
@@ -31,7 +33,8 @@ from extenders import (
     verify_partitioning,
 )
 from extenders import construct, partitions
-from extenders.complexes import face_key, lex_key, subsets_of
+from extenders.complexes import (
+    _MaskCodec, _facet_sizes, face_key, format_face, lex_key, subsets_of)
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -244,6 +247,71 @@ def test_verifier_reports_tampered_certificates_as_the_reference_does(c, data):
             expected = verify_by_enumeration(fam.faces, tampered)
             assert (report.valid, report.violation, report.interval_stats) == expected
             assert report.valid == (tampered == pairs)
+
+
+def test_split_relative_certificate_is_refused_through_the_extenders_map():
+    # The checker hands the extender's facet-size map to the relative
+    # family's verification; the split top is refused there, word for word.
+    built = nonpure_extender_for_complex(build_complex([[1, 2, 3], [3, 4], [5]]))
+    pairs = list(built.relative_partition)
+    split = IntervalPartition(tuple(_split(pairs, next(
+        i for i, (b, t) in enumerate(pairs) if b != t))))
+    report = verify_partitioning(relative_family(built.extender, built.base), split)
+    assert "is not maximal" in report.violation
+    handmade = ExtenderResult(built.extender, built.base, built.extender_partition,
+                              split, ())
+    with pytest.raises(InvalidResult) as excinfo:
+        handmade.h_vectors
+    assert str(excinfo.value) == f"relative certificate: {report.violation}"
+
+
+class _CountedSet(set):
+    """A set that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, item):
+        self.tests += 1
+        return super().__contains__(item)
+
+
+def test_naming_an_offence_is_bounded_by_the_family():
+    # The top is a member and {} is not: the walk meets {} first, where a
+    # scan of the gap's submasks would test each of its 2**16 faces.
+    top = fs(range(1, 17))
+    fam = FaceFamily(fs({top, top - {1}}), 15)
+    members, codec = _CountedSet(fam._view.masks), fam._view.codec
+    pairs = [(0, codec.mask(top))]
+    report = partitions._verify_masks(members, pairs, codec)
+    assert report.violation == (
+        f"interval [{{}}, {format_face(top)}] requires {{}}, which is not a member")
+    assert members.tests <= len(members) + len(pairs) + 2
+
+
+def test_offence_walk_reads_faces_in_label_order_not_bit_order():
+    # A codec may hold its labels out of order.  {3} has the lowest bit,
+    # but the least offending face by face_key is {2}.
+    codec = _MaskCodec([3, 1, 2])
+    members = {codec.mask(f) for f in ([], [1], [1, 2, 3])}
+    report = partitions._verify_masks(members, [(0, codec.mask([1, 2, 3]))], codec)
+    assert report.violation == "interval [{}, {1,2,3}] requires {2}, which is not a member"
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycles_with_faces(), st.data())
+def test_complexs_facet_sizes_serve_its_relative_families(c, data):
+    faces = sorted(c.faces, key=face_key)
+    small_faces = data.draw(st.lists(st.sampled_from(faces), max_size=2))
+    relative = _oracle_families(c, small_faces, ())[1]
+    members, sizes = relative._view.masks, _facet_sizes(c._view.masks)
+    assert {m: sizes[m] for m in members} == _facet_sizes(members)
+    for pairs in itertools.islice(all_partitionings(relative.faces), 4):
+        i = data.draw(st.integers(0, max(len(pairs) - 1, 0)))
+        for claim in [pairs, *(tamper(pairs, i) for tamper in TAMPERINGS if pairs)]:
+            codec = relative._view.reading(itertools.chain(*itertools.chain(*claim)))
+            masks = [(codec.mask(b), codec.mask(t)) for b, t in claim]
+            assert partitions._verify_masks(members, masks, codec, sizes) \
+                == partitions._verify_masks(members, masks, codec)
 
 
 def test_bottom_outside_its_top_is_refused_though_the_faces_cover():

@@ -20,7 +20,7 @@ label, so label order is bit order and every sort key reads the same on
 either side.  A complex's or family's lazily cached mask view
 (:func:`_mask_view`) is the one place that crosses between its frozensets
 and masks: every algorithm reads its faces there, and decodes a face only
-to order, return or name it.
+to order, return or name it.  The view also owns the set's facet-size map.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InvalidParameters, NotASubcomplex
 
@@ -132,13 +132,20 @@ class _MaskCodec:
         return format_face(self.face[mask])
 
 
-class _MaskView(NamedTuple):
+class _MaskView:
     """A face set as masks: ``codec`` over sorted labels, its decode table
     holding the set's frozensets, and ``masks``.  The codec is shared by a
-    complex and its relative families, so it is never extended."""
+    complex and its relative families, so it is never extended.  ``sizes``
+    is the facet-size map, built on first read, or the ``ambient`` view's:
+    a relative family's is its complex's, since a face over a member is not
+    in the subcomplex.  So readers look members up, never walk the keys."""
 
-    codec: _MaskCodec
-    masks: frozenset
+    def __init__(self, codec: _MaskCodec, masks, ambient: Optional["_MaskView"] = None):
+        self.codec, self.masks, self.ambient = codec, masks, ambient
+
+    @cached_property
+    def sizes(self) -> dict[int, int]:
+        return self.ambient.sizes if self.ambient else _facet_sizes(self.masks)
 
     def reading(self, labels: Iterable[int]) -> _MaskCodec:
         """The codec, or a copy extended by the ``labels`` it lacks."""
@@ -267,7 +274,8 @@ def _facet_sizes(masks) -> dict[int, int]:
     Members are visited by decreasing size; one not yet reached is maximal
     and passes its size to its unreached submasks, or, for a wide top in a
     sparse family, to the members under it.  A walk may reach faces that
-    are not members; only then is the map restricted to the members."""
+    are not members; only then is the map restricted to the members, to
+    bound its size, since readers look members up and never walk its keys."""
     sizes: dict[int, int] = {}
     reach = sizes.setdefault
     for top in sorted(masks, key=int.bit_count, reverse=True):
@@ -282,9 +290,9 @@ def _facet_sizes(masks) -> dict[int, int]:
     return sizes
 
 
-def _mask_layers(sizes: dict[int, int]) -> Counter:
-    """Counts of the masks of a facet-size map by (facet size, own size)."""
-    return Counter(zip(sizes.values(), map(int.bit_count, sizes)))
+def _mask_layers(view: _MaskView) -> Counter:
+    """Counts of a view's masks by (facet size, own size)."""
+    return Counter(zip(map(view.sizes.__getitem__, view.masks), map(int.bit_count, view.masks)))
 
 
 def _f_triangle(layers: Counter, d: int) -> tuple[tuple[int, ...], ...]:
@@ -302,7 +310,7 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     Row i lists, by cardinality j, the faces whose largest containing
     member has i vertices.  Column sums reproduce the f-vector.
     """
-    return _f_triangle(_mask_layers(_facet_sizes(x._view.masks)), x.dim)
+    return _f_triangle(_mask_layers(x._view), x.dim)
 
 
 def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -335,7 +343,7 @@ def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFam
     fam = FaceFamily(big.faces - small.faces, big.dim)
     view = big._view
     vars(fam)["_view"] = _MaskView(
-        view.codec, view.masks.difference(map(view.codec.mask, small.faces)))
+        view.codec, view.masks.difference(map(view.codec.mask, small.faces)), view)
     return fam
 
 

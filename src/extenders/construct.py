@@ -51,10 +51,10 @@ from .complexes import (
     SimplicialComplex,
     _bit_values,
     _f_triangle,
-    _facet_sizes,
     _h_from_f_triangle,
     _mask_layers,
     _MaskCodec,
+    _MaskView,
     _submasks,
     build_complex,
     f_vector,
@@ -334,10 +334,10 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # without-face ones, which hold only faces with fresh vertices, so the
     # seed's intervals must partition its off-facet faces and sigma; and its
     # tops have d + 1 vertices, so they stay maximal.
-    _ensure_valid(_verify_masks(off_facet | {mask(sigma)}, build.with_parts, build.codec),
-                  f"adjoined certificate for (d={d}, k={k})")
-    _ensure_valid(_verify_masks(off_facet, build.without_parts, build.codec),
-                  f"off-facet certificate for (d={d}, k={k})")
+    for members, parts, what in ((off_facet | {mask(sigma)}, build.with_parts, "adjoined"),
+                                 (off_facet, build.without_parts, "off-facet")):
+        _ensure_valid(_verify_masks(_MaskView(build.codec, members), parts, build.codec),
+                      f"{what} certificate for (d={d}, k={k})")
     return marked, _gadget(marked, build, seed.complex)
 
 
@@ -365,16 +365,17 @@ def _assemble(base: SimplicialComplex) -> ExtenderResult:
         build.without_parts.extend(mapped_without)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    _check_result(result, (build.codec, base_masks, build.faces,
+    _check_result(result, (_MaskView(build.codec, build.faces),
                            (build.with_parts, build.without_parts)))
     return result
 
 
 def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None:
     """Check a result on masks and cache its h-vectors and h-triangles on
-    it.  ``masks`` is (codec, base faces, extender faces, (extender pairs,
-    relative pairs)): a built result passes the masks it was frozen from,
-    and any other is read through its extender's view, whose codec, or a
+    it.  ``masks`` is (extender view, (extender pairs, relative pairs)): a
+    built result passes a view of the masks it was frozen from, kept off
+    the result, whose codec reads the base's own view bit for bit.  Any
+    other result is read through its extender's view, whose codec, or a
     copy extended by the labels it lacks, reads the base and intervals.
 
     The pure shortcut is decided from the tops before anything is
@@ -382,10 +383,11 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     full (d + 1 vertices), then once both certificates are valid every
     member of the three families lies under a full top: facet depths,
     layers and h-compatibility hold, each h-triangle is its h-vector in
-    row d + 1, and no facet-size map is built.  Otherwise the facet sizes
-    of the base and then the extender are read from one mask pass each;
-    the extender's map also serves both verifications as their test of
-    maximality, and every nonpure condition is checked.
+    row d + 1, and no facet-size map is read.  Otherwise the maps of the
+    base's view and then the extender's are read, one mask pass each; the
+    relative family's view shares the extender's, so it serves both
+    verifications as their test of maximality, and every nonpure condition
+    is checked.
 
     The values are read from the masks that the result's frozensets stand
     for, so they are true of the result; they are written into the
@@ -397,23 +399,21 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         codec = view.reading(itertools.chain(
             *result.base.faces, *itertools.chain(*parts[0], *parts[1])))
         mask = codec.mask
-        masks = (codec, frozenset(map(mask, result.base.faces)), view.masks,
-                 tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
-    codec, base, big, pairs = masks
-    d = result.extender.dim
+        base_view = _MaskView(codec, frozenset(map(mask, result.base.faces)))
+        masks = (view, tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
+    else:
+        base_view, codec = result.base._view, masks[0].codec
+    (view, pairs), base, d = masks, base_view.masks, result.extender.dim
     if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
-    if not base <= big:
-        missing = min(base - big, key=codec.key)
+    if not base <= view.masks:
+        missing = min(base - view.masks, key=codec.key)
         raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
     pure = result.base.is_pure and all(t.bit_count() == d + 1 for part in pairs for _, t in part)
-    base_sizes = sizes = None
     if not pure:
-        base_sizes, sizes = _facet_sizes(base), _facet_sizes(big)
-    # A face of the extender that contains a relative face is relative
-    # itself, so the relative family's facet sizes are the extender's.
-    reports = (_verify_masks(big, pairs[0], codec, sizes),
-               _verify_masks(big - base, pairs[1], codec, sizes))
+        base_sizes, sizes = base_view.sizes, view.sizes
+    reports = (_verify_masks(view, pairs[0], codec),
+               _verify_masks(_MaskView(codec, view.masks - base, view), pairs[1], codec))
     # Certified: both partitionings and, if nonpure, depths, layers and
     # h-compatibility.  Relative counts are the extender's less the base's
     # through linear maps, so h(base) = h(extender) - h(relative) by arithmetic.
@@ -433,7 +433,7 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
             f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
     # With depths preserved, the relative layers are the extender's less
     # the base's.
-    layers_base, layers_big = _mask_layers(base_sizes), _mask_layers(sizes)
+    layers_base, layers_big = _mask_layers(base_view), _mask_layers(view)
     h_triangles = tuple(
         _h_from_f_triangle(_f_triangle(layers, d))
         for layers in (layers_base, layers_big, layers_big - layers_base))

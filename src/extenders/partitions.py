@@ -6,18 +6,17 @@ claim in bulk: the faces of all intervals, each enumerated, must be the
 family once over, so the listing stops once they outnumber the family,
 and only a failing claim is walked interval by interval to name its
 first offence.  Whether a top is maximal is read from one place, the
-family's facet-size map (:func:`_facet_sizes`): a top is maximal when
-its facet size is its own size.  Nothing is assumed about the family
-being closed under subsets.  It runs on ``int`` face masks:
-:func:`verify_partitioning` hands the family's mask view and the
-intervals, read through its codec, to :func:`_verify_masks`, which the
-construction core also calls on the masks it built, handing in the
-facet-size map it already holds, so both give the same report, word for
-word.  The walk visits each interval's faces by size and then in label
-order, so every failure names its least offending face by
-:func:`face_key`, the first it meets.  The searches backtrack
-exhaustively over the view's masks, with fully lexicographic
-tie-breaking, so witnesses and verdicts are reproducible.
+facet-size map of the family's mask view, ``view.sizes``, built once per
+face set: a top is maximal when its facet size is its own size.  Nothing
+is assumed about the family being closed under subsets.  It runs on
+``int`` face masks: :func:`verify_partitioning` hands the family's mask
+view and the intervals, read through its codec, to :func:`_verify_masks`,
+which the construction core also calls on a view of the masks it built,
+so both give the same report, word for word.  The walk visits each
+interval's faces by size and then in label order, so every failure names
+its least offending face by :func:`face_key`, the first it meets.  The
+searches backtrack exhaustively over the view's masks, with fully
+lexicographic tie-breaking, so witnesses and verdicts are reproducible.
 
 Every function here reads only ``faces`` and ``dim`` and the view of the
 faces, which a complex and a relative family both expose, so either can
@@ -45,7 +44,7 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _MaskCodec,
-    _facet_sizes,
+    _MaskView,
     _bit_values,
     _submasks,
     face_of,
@@ -123,17 +122,15 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     """
     codec = fam._view.reading(itertools.chain(*itertools.chain(*p)))
     mask = codec.mask
-    return _verify_masks(fam._view.masks, [(mask(b), mask(t)) for b, t in p], codec)
+    return _verify_masks(fam._view, [(mask(b), mask(t)) for b, t in p], codec)
 
 
-def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec, sizes: Optional[dict] = None) -> PartitionReport:
-    """:func:`verify_partitioning` on masks: ``members`` is the family and
-    ``pairs`` the (bottom, top) intervals, in the order they are checked;
-    ``codec`` names faces in the report.  ``sizes`` is the family's
-    facet-size map (:func:`_facet_sizes`), or any map that agrees with it
-    on the members, when the caller has one; it is built here only if it
-    is needed.
+def _verify_masks(view: _MaskView, pairs: Sequence[tuple[int, int]],
+                  codec: _MaskCodec) -> PartitionReport:
+    """:func:`verify_partitioning` on masks: ``view.masks`` is the family
+    and ``pairs`` the (bottom, top) intervals, in the order they are
+    checked; ``codec`` names faces in the report.  The family's facet-size
+    map, ``view.sizes``, is read only if it is needed.
 
     The claim is decided in bulk.  Every interval's faces, the submasks of
     its gap over its bottom, go into one list; the claim is valid when
@@ -149,6 +146,7 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
     """
     stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
     stats_out = tuple(sorted(stats.items()))
+    members = view.masks
     faces: list[int] = []
     add = faces.append
     room = len(members)
@@ -168,20 +166,18 @@ def _verify_masks(members: set, pairs: Sequence[tuple[int, int]],
         if set(faces) == members:
             if len({size for size, _ in stats}) < 2:
                 return PartitionReport(True, None, stats_out)
-            if sizes is None:
-                sizes = _facet_sizes(members)
-            if all(sizes[t] == t.bit_count() for _, t in pairs):
+            if all(view.sizes[t] == t.bit_count() for _, t in pairs):
                 return PartitionReport(True, None, stats_out)
-    violation = _name_offence(members, pairs, codec, sizes)
+    violation = _name_offence(view, pairs, codec)
     return PartitionReport(violation is None, violation, stats_out)
 
 
-def _name_offence(members: set, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec, sizes: Optional[dict]) -> Optional[str]:
+def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
+                  codec: _MaskCodec) -> Optional[str]:
     """The first offence of a claim, or None: the intervals are walked in
     order.  A top must be a member and its own facet size, read from
-    ``sizes``, which is built only once a top is smaller than the largest
-    member.  Each interval's faces are then visited by size, and within a
+    ``view.sizes`` only once a top is smaller than the largest member.
+    Each interval's faces are then visited by size, and within a
     size by label order, so the first offending face met is the least by
     :func:`face_key`: faces of one size over one bottom order as their
     added parts.  Every face visited before it is a member covered once,
@@ -190,21 +186,17 @@ def _name_offence(members: set, pairs: Sequence[tuple[int, int]],
     def label(b, t):
         return f"[{codec.name(b)}, {codec.name(t)}]"
 
-    labels = codec.labels
+    labels, members = codec.labels, view.masks
     top_size = max(map(int.bit_count, members), default=0)
     covered: set[int] = set()
     add = covered.add
     for b, t in pairs:
         if t not in members:
             return f"top of {label(b, t)} is not a member"
-        if t.bit_count() < top_size:
-            if sizes is None:
-                sizes = _facet_sizes(members)
-            if sizes[t] > t.bit_count():
-                above = min((m for m in members if m & t == t and m != t),
-                            key=codec.key)
-                return (f"top of {label(b, t)} is not maximal: it is "
-                        f"contained in {codec.name(above)}")
+        if t.bit_count() < top_size and view.sizes[t] > t.bit_count():
+            above = min((m for m in members if m & t == t and m != t), key=codec.key)
+            return (f"top of {label(b, t)} is not maximal: it is "
+                    f"contained in {codec.name(above)}")
         bits = sorted(_bit_values(t & ~b), key=lambda bit: labels[bit.bit_length() - 1])
         for size in range(len(bits) + 1):
             for added in itertools.combinations(bits, size):
@@ -254,7 +246,7 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     between the top's own size and the bottom's.
     """
     _require_valid(fam, p)  # so the view's codec reads every interval face
-    mask, sizes = fam._view.codec.mask, _facet_sizes(fam._view.masks)
+    mask, sizes = fam._view.codec.mask, fam._view.sizes
     return all(sizes[mask(b)] == sizes[mask(t)] for b, t in p)
 
 
@@ -286,9 +278,8 @@ def find_partitioning(
             limit=max_members, parameter="max_members")
     if not fam.faces:
         return IntervalPartition.of([])
-    members, face = fam._view.masks, fam._view.codec.face
-    sizes = _facet_sizes(members)
-    tops = sorted((m for m in sizes if sizes[m] == m.bit_count()),
+    members, face, sizes = fam._view.masks, fam._view.codec.face, fam._view.sizes
+    tops = sorted((m for m in members if sizes[m] == m.bit_count()),
                   key=lambda m: (-m.bit_count(), lex_key(face[m])))
     # room[i]: how many more intervals with bottom size i may be chosen.
     if all(top.bit_count() == fam.dim + 1 for top in tops):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import extenders
-from extenders import cli, complexes, construct, partitions
+from extenders import cli, complexes
 from extenders.cli import main
 from extenders.errors import InternalCheckError
 
@@ -601,8 +601,7 @@ def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch
     def counted(masks):
         calls.append(len(masks))
         return original(masks)
-    for module in (complexes, partitions, construct):
-        monkeypatch.setattr(module, "_facet_sizes", counted)
+    monkeypatch.setattr(complexes, "_facet_sizes", counted)
     status, out, _ = run(capsys, "build-extender", mixed, "--nonpure", "--json")
     base_faces = 11  # the empty face, 5 vertices, 4 edges and 1 triangle
     assert (status, out) == (0, expected)
@@ -616,11 +615,30 @@ def test_pure_report_reads_no_facet_sizes(write, capsys, monkeypatch):
              write("bowtie.json", BOWTIE)]
     expected = [run(capsys, "build-extender", path, "--json")[1] for path in paths]
     calls = []
-    for module in (complexes, partitions, construct):
-        monkeypatch.setattr(module, "_facet_sizes", lambda masks: calls.append(masks))
+    monkeypatch.setattr(complexes, "_facet_sizes", lambda masks: calls.append(masks))
     for path, out in zip(paths, expected):
         assert run(capsys, "build-extender", path, "--json")[:2] == (0, out)
     assert calls == []
+
+
+def test_verifying_a_nonpure_report_makes_one_facet_size_pass(
+        write, capsys, monkeypatch, tmp_path):
+    # Both certificates name one extender, built once, and the relative
+    # family's view reads the extender's facet-size map.
+    base = write("layers.json", {"facets": [[1, 2, 3, 4], [4, 5], [6]]})
+    report = tmp_path / "layers.report.json"
+    report.write_text(run(capsys, "build-extender", base, "--nonpure", "--json")[1])
+    _, expected, _ = run(capsys, "verify-partition", str(report), "--json")
+    calls = []
+    original = complexes._facet_sizes
+
+    def counted(masks):
+        calls.append(len(masks))
+        return original(masks)
+    monkeypatch.setattr(complexes, "_facet_sizes", counted)
+    status, out, _ = run(capsys, "verify-partition", str(report), "--json")
+    assert (status, out) == (0, expected)
+    assert calls == [2817]  # the extender's faces, not the relative family's 2798
 
 
 def test_json_report_formats_no_interval_line(write, capsys, monkeypatch):

@@ -1,13 +1,16 @@
-"""Only ``complexes.py`` makes a mask codec, and the searches, the shelling
-steps and the link walk walk no frozensets of their own.
+"""Only ``complexes.py`` makes a mask codec or a facet-size map, and the
+searches, the shelling steps and the link walk walk no frozensets of their
+own.
 
 Every other module of the package reads a complex's or family's cached
 mask view, or a copy of its codec, so no face set is encoded twice.  The
 checks are static: a call of ``_MaskCodec`` by name or as an attribute, in
 any module of ``src/extenders`` but ``complexes.py``, fails the first; a
-use of ``subsets_of`` in ``partitions.py`` or ``homology.py``, or of
-``face_key`` in ``homology.py``, called or passed as a sort key, fails
-the second.
+call of ``_facet_sizes`` anywhere but the one in ``complexes.py``, the
+mask view's cached map, fails the second, so each face set builds its
+facet-size map once; a use of ``subsets_of`` in ``partitions.py`` or
+``homology.py``, or of ``face_key`` in ``homology.py``, called or passed
+as a sort key, fails the third.
 """
 
 import ast
@@ -40,6 +43,13 @@ def test_only_complexes_makes_a_mask_codec():
     calls = [where for path in modules if path.name != "complexes.py"
              for where in _name_uses(path, {"_MaskCodec"}, calls_only=True)]
     assert not calls, f"_MaskCodec called outside complexes.py: {calls}"
+
+
+def test_only_the_mask_view_builds_a_facet_size_map():
+    calls = [where for path in sorted(PACKAGE.glob("*.py"))
+             for where in _name_uses(path, {"_facet_sizes"}, calls_only=True)]
+    assert len(calls) == 1 and calls[0].startswith("complexes.py:"), (
+        f"_facet_sizes called outside the mask view's cached map: {calls}")
 
 
 def test_searches_and_link_walk_read_faces_off_the_view():

@@ -32,9 +32,9 @@ from extenders import (
     relative_family,
     verify_partitioning,
 )
-from extenders import construct, partitions
+from extenders import complexes, construct, partitions
 from extenders.complexes import (
-    _MaskCodec, _facet_sizes, face_key, format_face, lex_key, subsets_of)
+    _MaskCodec, _MaskView, _facet_sizes, face_key, format_face, lex_key, subsets_of)
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -282,7 +282,7 @@ def test_naming_an_offence_is_bounded_by_the_family():
     fam = FaceFamily(fs({top, top - {1}}), 15)
     members, codec = _CountedSet(fam._view.masks), fam._view.codec
     pairs = [(0, codec.mask(top))]
-    report = partitions._verify_masks(members, pairs, codec)
+    report = partitions._verify_masks(_MaskView(codec, members), pairs, codec)
     assert report.violation == (
         f"interval [{{}}, {format_face(top)}] requires {{}}, which is not a member")
     assert members.tests <= len(members) + len(pairs) + 2
@@ -293,7 +293,8 @@ def test_offence_walk_reads_faces_in_label_order_not_bit_order():
     # but the least offending face by face_key is {2}.
     codec = _MaskCodec([3, 1, 2])
     members = {codec.mask(f) for f in ([], [1], [1, 2, 3])}
-    report = partitions._verify_masks(members, [(0, codec.mask([1, 2, 3]))], codec)
+    report = partitions._verify_masks(
+        _MaskView(codec, members), [(0, codec.mask([1, 2, 3]))], codec)
     assert report.violation == "interval [{}, {1,2,3}] requires {2}, which is not a member"
 
 
@@ -310,8 +311,34 @@ def test_complexs_facet_sizes_serve_its_relative_families(c, data):
         for claim in [pairs, *(tamper(pairs, i) for tamper in TAMPERINGS if pairs)]:
             codec = relative._view.reading(itertools.chain(*itertools.chain(*claim)))
             masks = [(codec.mask(b), codec.mask(t)) for b, t in claim]
-            assert partitions._verify_masks(members, masks, codec, sizes) \
-                == partitions._verify_masks(members, masks, codec)
+            assert partitions._verify_masks(relative._view, masks, codec) \
+                == partitions._verify_masks(_MaskView(codec, members), masks, codec)
+
+
+def test_checks_of_one_complex_read_one_facet_size_map(monkeypatch):
+    # The search builds the complex's map on its view; the layer and h
+    # checks and every later verification read that map again.
+    c = build_complex([[1, 2, 3], [3, 4], [5]])
+    p = find_partitioning(c)
+    calls = []
+    monkeypatch.setattr(complexes, "_facet_sizes", lambda masks: calls.append(masks))
+    assert is_layer_compatible(c, p) and is_h_compatible(c, p)
+    assert verify_partitioning(c, p).valid and verify_partitioning(c, p).valid
+    assert calls == []
+
+
+def test_relative_family_reads_its_complexs_facet_size_map(monkeypatch):
+    c = build_complex([[1, 2, 3], [3, 4], [5]])
+    relative = relative_family(c, build_complex([[1, 2], [5]]))
+    calls, original = [], complexes._facet_sizes
+
+    def counted(masks):
+        calls.append(len(masks))
+        return original(masks)
+    monkeypatch.setattr(complexes, "_facet_sizes", counted)
+    assert f_triangle(relative) == f_triangle(FaceFamily(relative.faces, relative.dim))
+    f_triangle(c)
+    assert calls == [len(c.faces), len(relative.faces)]  # the second is the copy's
 
 
 def test_bottom_outside_its_top_is_refused_though_the_faces_cover():
@@ -627,7 +654,7 @@ def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
     def counted(gap):
         walked.append(1 << gap.bit_count())
         return submasks(gap)
-    monkeypatch.setattr(partitions, "_facet_sizes", forbidden)
+    monkeypatch.setattr(complexes, "_facet_sizes", forbidden)
     monkeypatch.setattr(partitions, "_submasks", counted)
     order = find_shelling(TRIANGLE_BOUNDARY)
     assert order == (fs([1, 2]), fs([1, 3]), fs([2, 3]))

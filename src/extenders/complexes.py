@@ -290,27 +290,18 @@ def _facet_sizes(masks) -> dict[int, int]:
     return sizes
 
 
-def _mask_layers(view: _MaskView) -> Counter:
-    """Counts of a view's masks by (facet size, own size)."""
-    return Counter(zip(map(view.sizes.__getitem__, view.masks), map(int.bit_count, view.masks)))
-
-
-def _f_triangle(layers: Counter, d: int) -> tuple[tuple[int, ...], ...]:
-    """The f-triangle of a family of ambient dimension ``d``, read from the
-    counts of its members by (facet size, own size)."""
-    rows = [[0] * (i + 1) for i in range(d + 2)]
-    for (depth_size, size), n in layers.items():
-        rows[depth_size][size] = n
-    return tuple(tuple(row) for row in rows)
-
-
 def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     """Face counts refined by (largest containing face size, own size).
 
     Row i lists, by cardinality j, the faces whose largest containing
     member has i vertices.  Column sums reproduce the f-vector.
     """
-    return _f_triangle(_mask_layers(x._view), x.dim)
+    masks, sizes = x._view.masks, x._view.sizes
+    rows = [[0] * (i + 1) for i in range(x.dim + 2)]
+    for (depth_size, size), n in Counter(
+            zip(map(sizes.__getitem__, masks), map(int.bit_count, masks))).items():
+        rows[depth_size][size] = n
+    return tuple(tuple(row) for row in rows)
 
 
 def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -30,11 +30,14 @@ code that derives a value from one: it reads the result as masks (a built
 result passes the masks it was frozen from, any other is read through its
 extender's view), validates both certificates, and caches the h-vectors
 and h-triangles on the result, which :func:`h_decomposition` and the CLI
-read.  Whether the pure shortcut applies is read off the result's tops: a
-pure base whose certificates have only full tops needs no facet-size
-pass.  A result is frozen, so the cached values stay true of it; a
-hand-built or copied result starts with empty caches and is checked on
-the first read of either.
+read.  It certifies h(base) = h(extender) - h(relative), and the same of
+h-triangles: only the base's numbers are counted from faces; the others
+are read off the verified certificates' interval counts, by bottom size
+(Stanley) or by (top size, bottom size) for a layer-compatible one
+(Björner and Wachs).  A pure base whose certificates have only full tops
+needs no facet-size pass.  A result is frozen, so the cached values stay
+true of it; a hand-built or copied result starts with empty caches and is
+checked on the first read of either.
 """
 
 from __future__ import annotations
@@ -43,23 +46,21 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple, Optional
 
 from .complexes import (
     Face,
     SimplicialComplex,
     _bit_values,
-    _f_triangle,
-    _h_from_f_triangle,
-    _mask_layers,
     _MaskCodec,
     _MaskView,
     _submasks,
     build_complex,
     f_vector,
     face_key,
-    h_from_f,
+    h_triangle,
+    h_vector,
     lex_key,
     subsets_of,
 )
@@ -73,7 +74,7 @@ from .errors import (
 from .partitions import (
     IntervalPartition,
     PartitionReport,
-    _h_compatible,
+    _interval_h,
     _verify_masks,
 )
 
@@ -179,17 +180,15 @@ def _prepartition(d: int, k: int) -> MarkedComplex:
 
 class _Gadget(NamedTuple):
     """A gadget's off-facet faces and certificates as masks, laid out for
-    gluing: the specified facet's vertices, sorted, take bits
-    0..facet_size-1 and the other vertices the bits above them, sorted.
-
-    Bit ``i`` of the facet goes to entry ``slots[i]`` of the host's
-    targets: the face's bits, then the rest of the facet's, each sorted.
-    ``face_bits`` lists each face's bit positions, in the order of
-    ``faces``; the pairs are in the order of the marked complex's
-    certificates."""
+    gluing: the specified face's vertices, sorted, take the lowest bits,
+    the rest of the specified facet's, sorted, the bits up to
+    facet_size - 1, and the other vertices the bits above them, sorted.
+    So bit ``i`` of the facet goes to entry ``i`` of the host's targets,
+    laid out the same way.  ``face_bits`` lists each face's bit
+    positions, in the order of ``faces``; the pairs are in the order of
+    the marked complex's certificates."""
 
     facet_size: int
-    slots: tuple
     fresh: int
     faces: tuple
     face_bits: tuple
@@ -221,8 +220,7 @@ class _Builder:
         in the piece's order."""
         targets = [*_bit_values(face), *_bit_values(facet & ~face)]
         tab = [0]  # tab[m]: the host face of the piece's facet face m
-        for slot in piece.slots:
-            bit = targets[slot]
+        for bit in targets:
             tab += [x | bit for x in tab]
         low, width, shift = len(tab) - 1, piece.facet_size, len(self.codec.labels)
         images = [tab[m & low] | (m >> width) << shift for m in piece.faces]
@@ -236,10 +234,10 @@ class _Builder:
         self.next_label += piece.fresh
         self.log.append((face, facet, fresh, mapped_with, mapped_without))
         # The glued faces are decoded in bulk: image(i) is the codec's label
-        # of the bit that piece bit i maps to, read off the same table and
-        # shift as the images, so no image is decoded bit by bit.
+        # of the bit that piece bit i maps to, the target's or a fresh one,
+        # so no image is decoded bit by bit.
         labels = self.codec.labels
-        image = ([labels[tab[1 << i].bit_length() - 1] for i in range(width)]
+        image = ([labels[bit.bit_length() - 1] for bit in targets]
                  + labels[shift:shift + piece.fresh]).__getitem__
         self.codec.face.update(
             zip(images, [frozenset(map(image, bits)) for bits in piece.face_bits]))
@@ -282,11 +280,12 @@ def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:
 
 def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> _Gadget:
     """The mask form of a frozen gadget build on ``host``.  The builder's
-    bits follow label order; the specified facet's bits move to the
-    bottom.  Fresh labels exceed every host label, so only host bits move."""
+    bits follow label order; the specified face's bits and then the rest
+    of the specified facet's move to the bottom.  Fresh labels exceed
+    every host label, so only host bits move."""
     codec, facet, face = build.codec, marked.specified_facet, marked.specified_face
     host_labels = sorted(host.vertices)
-    order = sorted(host_labels, key=lambda v: (v not in facet, v))
+    order = sorted(host_labels, key=lambda v: (v not in facet, v not in face, v))
     perm = [0]  # perm[m]: the host-bit mask m in the gadget layout
     for v in host_labels:
         bit = 1 << order.index(v)
@@ -297,11 +296,9 @@ def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> 
         return perm[m & low] | (m & ~low)
 
     closed = frozenset(_submasks(codec.mask(facet)))
-    rank = {v: i for i, v in enumerate([*sorted(face), *sorted(facet - face)])}
     faces = tuple(move(m) for m in build.faces if m not in closed)
     return _Gadget(
         facet_size=len(facet),
-        slots=tuple(rank[v] for v in sorted(facet)),
         fresh=len(codec.labels) - len(facet),
         faces=faces,
         face_bits=tuple(tuple(b.bit_length() - 1 for b in _bit_values(m)) for m in faces),
@@ -378,16 +375,22 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     other result is read through its extender's view, whose codec, or a
     copy extended by the labels it lacks, reads the base and intervals.
 
+    Certified: the base lies in the extender, of its dimension; both
+    certificates are valid; for a nonpure result, facet depths are kept
+    and both certificates are layer-compatible; and the base's h-vector
+    and h-triangle, the only numbers counted from faces, are the
+    extender's less the relative family's, which are read off the
+    certificates' interval counts (Stanley; Björner and Wachs).
+
     The pure shortcut is decided from the tops before anything is
     verified.  If the base is pure and every top of both certificates is
     full (d + 1 vertices), then once both certificates are valid every
-    member of the three families lies under a full top: facet depths,
-    layers and h-compatibility hold, each h-triangle is its h-vector in
-    row d + 1, and no facet-size map is read.  Otherwise the maps of the
-    base's view and then the extender's are read, one mask pass each; the
-    relative family's view shares the extender's, so it serves both
-    verifications as their test of maximality, and every nonpure condition
-    is checked.
+    member of the three families lies under a full top: facet depths and
+    layers hold, each h-triangle is its h-vector in row d + 1, and no
+    facet-size map is read.  Otherwise the maps of the base's view and
+    then the extender's are read, one mask pass each; the relative
+    family's view shares the extender's, so it serves both verifications
+    as their test of maximality.
 
     The values are read from the masks that the result's frozensets stand
     for, so they are true of the result; they are written into the
@@ -414,35 +417,23 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         base_sizes, sizes = base_view.sizes, view.sizes
     reports = (_verify_masks(view, pairs[0], codec),
                _verify_masks(_MaskView(codec, view.masks - base, view), pairs[1], codec))
-    # Certified: both partitionings and, if nonpure, depths, layers and
-    # h-compatibility.  Relative counts are the extender's less the base's
-    # through linear maps, so h(base) = h(extender) - h(relative) by arithmetic.
-    f_base, f_big = f_vector(result.base), f_vector(result.extender)
-    h_vectors = tuple(map(h_from_f, (
-        f_base, f_big, tuple(a - b for a, b in zip(f_big, f_base)))))
     for what, report in zip(_CERTIFICATES, reports):
         _ensure_valid(report, f"{what} certificate")
-    if pure:
-        zero_rows = tuple((0,) * (i + 1) for i in range(d + 1))
-        vars(result).update(h_vectors=h_vectors,
-                            h_triangles=tuple((*zero_rows, h) for h in h_vectors))
-        return
-    changed = [s for s in base if base_sizes[s] != sizes[s]]
-    if changed:
-        raise InternalCheckError(
-            f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
-    # With depths preserved, the relative layers are the extender's less
-    # the base's.
-    layers_base, layers_big = _mask_layers(base_view), _mask_layers(view)
-    h_triangles = tuple(
-        _h_from_f_triangle(_f_triangle(layers, d))
-        for layers in (layers_base, layers_big, layers_big - layers_base))
-    for what, part, report, h_tri in zip(_CERTIFICATES, pairs, reports, h_triangles[1:]):
-        if not all(sizes[b] == sizes[t] for b, t in part):  # as in is_layer_compatible
-            raise InternalCheckError(f"{what} certificate is not layer-compatible")
-        if not _h_compatible(report, h_tri):
-            raise InternalCheckError(f"{what} certificate is not h-compatible")
-    vars(result).update(h_vectors=h_vectors, h_triangles=h_triangles)
+    if not pure:
+        changed = [s for s in base if base_sizes[s] != sizes[s]]
+        if changed:
+            raise InternalCheckError(
+                f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
+        for what, part in zip(_CERTIFICATES, pairs):
+            if not all(sizes[b] == sizes[t] for b, t in part):  # as in is_layer_compatible
+                raise InternalCheckError(f"{what} certificate is not layer-compatible")
+    (h_big, tri_big), (h_rel, tri_rel) = (_interval_h(report, d) for report in reports)
+    h_base = tuple(map(sub, h_big, h_rel))
+    tri_base = tuple(tuple(map(sub, *rows)) for rows in zip(tri_big, tri_rel))
+    if h_vector(result.base) != h_base or not pure and h_triangle(result.base) != tri_base:
+        raise InternalCheckError("h(base) is not h(extender) - h(relative)")
+    vars(result).update(h_vectors=(h_base, h_big, h_rel),
+                        h_triangles=(tri_base, tri_big, tri_rel))
 
 
 def extender_for_complex(base: SimplicialComplex) -> ExtenderResult:

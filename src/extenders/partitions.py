@@ -27,9 +27,11 @@ the faces of the subcomplex are the complex's masks less the family's.
 Each step adds a facet F's Boolean interval [R(F), F] of masks, read off
 the restriction face R(F) (Björner).
 
-The layer and h-compatibility checks run on a partitioning validated once,
-plus the facet-size map of the family's view (each member's largest
-containing member), from which the search also reads its tops.
+The layer check runs on a partitioning validated once, plus the
+facet-size map of the family's view (each member's largest containing
+member), from which the search also reads its tops.  The h-numbers a
+partitioning witnesses are read off its report's interval counts, by
+:func:`_interval_h` for the h-compatibility check and the construction.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .complexes import (
@@ -49,6 +52,7 @@ from .complexes import (
     _submasks,
     face_of,
     format_face,
+    h_from_f,
     h_triangle,
     h_vector,
     lex_key,
@@ -106,9 +110,6 @@ class PartitionReport:
     valid: bool
     violation: Optional[str]
     interval_stats: tuple  # sorted ((top size, bottom size), count) pairs
-
-    def stats(self) -> dict[tuple[int, int], int]:
-        return dict(self.interval_stats)
 
 
 def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> PartitionReport:
@@ -220,20 +221,29 @@ def _require_valid(fam: ComplexOrFamily, p: IntervalPartition) -> PartitionRepor
     return report
 
 
+def _interval_h(report: PartitionReport, d: int) -> tuple[tuple, tuple]:
+    """The h-vector and h-triangle of the family, of ambient dimension
+    ``d``, that a valid report's intervals partition.  An interval [b, t]
+    holds C(|t| - |b|, j - |b|) faces of j vertices, which gives the
+    f-vector and so the h-vector.  The counts by (top size, bottom size)
+    are the h-triangle of a layer-compatible partitioning (Björner and
+    Wachs); with full tops only, they are the h-vector by bottom size
+    (Stanley)."""
+    f = [0] * (d + 2)
+    rows = [[0] * (i + 1) for i in range(d + 2)]
+    for (top, bottom), n in report.interval_stats:
+        rows[top][bottom] = n
+        for j in range(bottom, top + 1):
+            f[j] += n * comb(top - bottom, j - bottom)
+    return h_from_f(tuple(f)), tuple(tuple(row) for row in rows)
+
+
 def h_from_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> tuple[int, ...]:
     """Interval counts by bottom size; equals the h-vector for pure families."""
-    _require_valid(fam, p)
     counts = [0] * (fam.dim + 2)
-    for b, _ in p:
-        counts[len(b)] += 1
+    for (_, bottom), n in _require_valid(fam, p).interval_stats:
+        counts[bottom] += n
     return tuple(counts)
-
-
-def _h_compatible(report: PartitionReport, h_tri: tuple) -> bool:
-    """Whether a valid report's (top size, bottom size) counts match ``h_tri``."""
-    counts = report.stats()
-    return all(counts.get((i, j), 0) == expected
-               for i, row in enumerate(h_tri) for j, expected in enumerate(row))
 
 
 def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
@@ -252,7 +262,7 @@ def is_layer_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
 
 def is_h_compatible(fam: ComplexOrFamily, p: IntervalPartition) -> bool:
     """Whether interval counts by (top size, bottom size) match the h-triangle."""
-    return _h_compatible(_require_valid(fam, p), h_triangle(fam))
+    return _interval_h(_require_valid(fam, p), fam.dim)[1] == h_triangle(fam)
 
 
 def find_partitioning(

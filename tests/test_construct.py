@@ -33,7 +33,7 @@ from extenders import (
     total_size_estimate,
     verify_partitioning,
 )
-from extenders import construct
+from extenders import complexes, construct
 from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result, _prepartition
 from _oracles import (
@@ -160,7 +160,7 @@ def test_partition_extender_base_case():
         assert marked.attachments == ()
         full = 2 ** (d + 1) - 1
         assert construct._partition_extender(d, d)[1] == construct._Gadget(
-            d + 1, tuple(range(d + 1)), 0, (), (), ((full, full),), ())
+            d + 1, 0, (), (), ((full, full),), ())
 
 
 def _mask_checks(monkeypatch):
@@ -505,6 +505,50 @@ def test_check_result_names_the_failed_check(result, message):
         with pytest.raises(InvalidResult) as excinfo:
             h_decomposition(copy)
         assert str(excinfo.value) == message
+
+
+def test_a_miscounting_verifier_is_caught(monkeypatch):
+    # The checker reads the relative family's h-numbers off its report, so
+    # a report that stays valid but counts one interval too many breaks
+    # the identity, for the h-vector of a pure base as for the h-triangle
+    # of a nonpure one.
+    cases = ((extender_for_complex, build_complex([[1, 2, 3], [3, 4, 5]])),
+             (nonpure_extender_for_complex, build_complex([[1, 2, 3], [3, 4], [5]])))
+    for build, base in cases:
+        build(base)  # warm the gadgets, so only the result is verified below
+    verify = construct._verify_masks
+    for build, base in cases:
+        calls = []
+
+        def miscounted(*args):
+            calls.append(args)
+            report = verify(*args)
+            if len(calls) == 2:  # the relative certificate's
+                (key, count), *rest = report.interval_stats
+                report = dataclasses.replace(
+                    report, interval_stats=((key, count + 1), *rest))
+            return report
+        monkeypatch.setattr(construct, "_verify_masks", miscounted)
+        with pytest.raises(InternalCheckError) as excinfo:
+            build(base)
+        assert str(excinfo.value) == "h(base) is not h(extender) - h(relative)"
+
+
+def test_check_result_counts_no_face_of_the_extender(monkeypatch):
+    # Only the base's h-numbers are counted from faces; the extender's and
+    # the relative family's are read off their certificates.
+    read = []
+    for module in (complexes, construct):
+        for name in ("f_vector", "f_triangle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda x, count=getattr(module, name):
+                                    read.append(x) or count(x))
+    for build, facets in ((extender_for_complex, [[1, 2, 3], [3, 4, 5]]),
+                          (nonpure_extender_for_complex, [[1, 2, 3], [3, 4], [5]])):
+        base = build_complex(facets)
+        read.clear()
+        h_decomposition(build(base))
+        assert read and all(x is base for x in read)
 
 
 def test_size_estimate_base_values():

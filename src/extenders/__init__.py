@@ -30,7 +30,6 @@ from .construct import (
     nonpure_extender_for_complex,
     partition_extender,
     size_estimate,
-    total_size_estimate,
 )
 from .errors import (
     ExtendersError,

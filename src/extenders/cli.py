@@ -31,7 +31,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ from .construct import (
     extender_for_complex,
     nonpure_extender_for_complex,
     size_estimate,
-    total_size_estimate,
 )
 from .errors import ExtendersError, InternalCheckError, SizeLimitExceeded
 from .homology import (
@@ -251,16 +249,6 @@ def _complex_summary(doc: ComplexDocument) -> dict:
     }
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _int_lists(lists: list, indent: str) -> list:
     """The texts of a non-empty list of lists (not tuples) of ints, each at
     indentation ``indent``.  ``str`` writes them all in one call, as
@@ -320,7 +308,7 @@ def _encode(value, indent: str, memo: dict) -> str:
     if kind is int:
         return int.__repr__(value)
     if kind is float:
-        return _float_text(value)
+        return json.dumps(value)
     if value is None:
         return "null"
     if kind is bool:
@@ -526,7 +514,6 @@ def cmd_build_extender(args) -> _Report:
                        for name, tri in zip(names, res.h_triangles)},
         "added_vertices": len(extender.vertices) - len(base.vertices),
         "added_faces": len(extender.faces) - len(base.faces),
-        "estimated_added_faces": total_size_estimate(base),
         "attachment_log": log,
     }
     certificates = [
@@ -696,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search bound on facet count")
 
     p = add("estimate-size", cmd_estimate_size,
-            "face-count recurrence and bound for one gadget", positionals=())
+            "the paper's face-count recurrence and bound for one gadget "
+            "(the recurrence under-counts the gadgets built)", positionals=())
     p.add_argument("d", type=int)
     p.add_argument("k", type=int)
 

@@ -57,12 +57,9 @@ from .complexes import (
     _MaskView,
     _submasks,
     build_complex,
-    f_vector,
-    face_key,
     h_triangle,
     h_vector,
     lex_key,
-    subsets_of,
 )
 from .errors import (
     InternalCheckError,
@@ -318,9 +315,12 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
         seed.complex, seed.with_face_partition,
         [iv for iv in seed.with_face_partition if iv != (sigma, anchor)])
     mask = build.codec.mask
-    for tau in sorted((t for t in subsets_of(anchor) if sigma < t), key=face_key):
+    top, bottom = mask(anchor), mask(sigma)
+    # The faces strictly between sigma and its interval top, as submasks.
+    for tau in sorted((bottom | extra for extra in _submasks(top & ~bottom) if extra),
+                      key=build.codec.key):
         mapped_with, mapped_without = build.attach(
-            _partition_extender(d, len(tau) - 1)[1], mask(anchor), mask(tau))
+            _partition_extender(d, tau.bit_count() - 1)[1], top, tau)
         build.with_parts.extend(mapped_without)
         build.without_parts.extend(mapped_with)
     complex_, with_part, without_part, log = build.freeze()
@@ -467,19 +467,15 @@ def h_decomposition(result: ExtenderResult) -> tuple[tuple, tuple, tuple]:
     return h_big, h_rel, h_base
 
 
-def _growth_sequence(d: int, upto: int) -> list[int]:
-    g = [0]
-    for k in range(1, upto + 1):
-        g.append(k * (2 ** (d + 1) - 2 ** k)
-                 + sum(comb(k, j) * g[j] for j in range(k)))
-    return g
-
-
 def size_estimate(d: int, k: int) -> tuple[int, int]:
-    """Face-count recurrence and crude bound for a (d, d-k) extender.
+    """The paper's face-count recurrence g(k) and its crude bound for a
+    (d, d-k) extender.
 
-    ``k`` is the co-dimension of the attached face.  Returns the exact
-    recurrence value and the closed-form upper bound ``2**(2**k - 1 + d)``.
+    ``k`` is the co-dimension of the attached face.  Returns g(k) and the
+    closed-form upper bound ``2**(2**k - 1 + d)``.  The recurrence is the
+    paper's, and it under-counts the gadgets built here: for every
+    1 <= k <= d <= 4, the gadget :func:`partition_extender` builds adds
+    more faces than g(k), 3069 against 2920 at d = k = 4.
     """
     if not 0 <= k <= d:
         raise InvalidParameters(f"need 0 <= k <= d, got k={k}, d={d}")
@@ -487,15 +483,7 @@ def size_estimate(d: int, k: int) -> tuple[int, int]:
     # (4300 digits); d is tested first, so 2**k is never huge.
     if d > 14284 or 2 ** k - 1 + d > 14284:
         raise InvalidParameters(f"the bound 2^(2^{k}-1+{d}) has more than 4300 digits")
-    return _growth_sequence(d, k)[k], 2 ** (2 ** k - 1 + d)
-
-
-def total_size_estimate(c: SimplicialComplex) -> int:
-    """Recurrence-based estimate of the faces added by
-    :func:`extender_for_complex`, summed over the base's faces."""
-    d = c.dim
-    if c.is_void:
-        return 0
-    g = _growth_sequence(d, d + 1)
-    f = f_vector(c)
-    return sum(f[k + 1] * g[d - k] for k in range(-1, d + 1))
+    g = [0]
+    for j in range(1, k + 1):
+        g.append(j * (2 ** (d + 1) - 2 ** j) + sum(comb(j, i) * g[i] for i in range(j)))
+    return g[k], 2 ** (2 ** k - 1 + d)

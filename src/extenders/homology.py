@@ -105,8 +105,7 @@ def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
     for column in columns:
         if len(pivots) == rows:
             break
-        column = {r: x % p if p else x for r, x in column.items()}
-        column = {r: x for r, x in column.items() if x}
+        column = {r: y for r, x in column.items() if (y := x % p if p else x)}
         while column:
             low = max(column)
             pivot = pivots.get(low)

@@ -29,21 +29,21 @@ COMPLEXES = {
 
 # None: the input is not pure, so the command exits 2 with no report.
 PURE_REPORTS = {
-    "bowtie": "6e0b34975330c28ddfb994c638b584d528b7da60a5e6d5932afd5393200efb81",
-    "k4_plus_edges": "300825cf4abd373af220219bcd209bad3aa7e4a2eac8ea754504b806f0dcb241",
-    "triangle_boundary": "d87aad25767f2d28f25c9b31d4e9ae790d51ad7cb1841c4d2547c27f8a7d1df9",
+    "bowtie": "5c3b5c073996826bf1e640b23a9f45c69393a88bf9ab08523010f8bddaab82f8",
+    "k4_plus_edges": "3bcea14d2214737955aefbf18adbcd878437d2f83db565dd894d1bb114d46fb8",
+    "triangle_boundary": "04d2cf8e2e4e10bee0449179ec23b47dd401df2978e408fce4dca2af1bc1e3b2",
     "edge_plus_vertex": None,
     "triangle_boundary_plus_vertex": None,
     "mixed": None,
 }
 
 NONPURE_REPORTS = {
-    "bowtie": "6e0b34975330c28ddfb994c638b584d528b7da60a5e6d5932afd5393200efb81",
-    "k4_plus_edges": "300825cf4abd373af220219bcd209bad3aa7e4a2eac8ea754504b806f0dcb241",
-    "triangle_boundary": "d87aad25767f2d28f25c9b31d4e9ae790d51ad7cb1841c4d2547c27f8a7d1df9",
-    "edge_plus_vertex": "0bc2ebfd929f21861f7877471959dd3e74f427b8ee84315d3cfce1a46dc22efe",
-    "triangle_boundary_plus_vertex": "38adfbf7dbb9a7c7d5158d49d5cdd8474bde1b49db9524bd9f73b69748cca3ab",
-    "mixed": "ba5150b1bb78ecf82a9a27cc2fa713eedcb19ac1f62248886edae1f1d05b24bb",
+    "bowtie": "5c3b5c073996826bf1e640b23a9f45c69393a88bf9ab08523010f8bddaab82f8",
+    "k4_plus_edges": "3bcea14d2214737955aefbf18adbcd878437d2f83db565dd894d1bb114d46fb8",
+    "triangle_boundary": "04d2cf8e2e4e10bee0449179ec23b47dd401df2978e408fce4dca2af1bc1e3b2",
+    "edge_plus_vertex": "db8c0cb47d1facbc2a3cc3147b9b7a0ad387addffd5c6ca1598d01e198ab13ee",
+    "triangle_boundary_plus_vertex": "8b3f9d5d1c4c5f9e1636f17186745604ebde470b0953009c7356593e91013daf",
+    "mixed": "e1f3ce9ad200f954f1aa6e2d0ab3b4ab843ac07bd6c27379d980aecd517795d4",
 }
 
 GADGETS = {
@@ -477,35 +477,35 @@ CLI_PINS = {
     "json: partitionable void.txt":
         "0 e9f92efa87268caa4beb9be9b0d8d85ed40313cc2789b1a8b5a34bea6965cc24",
     "json: build-extender bowtie.json":
-        "0 6e0b34975330c28ddfb994c638b584d528b7da60a5e6d5932afd5393200efb81",
+        "0 5c3b5c073996826bf1e640b23a9f45c69393a88bf9ab08523010f8bddaab82f8",
     "json: build-extender edge_plus_vertex.json":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "json: build-extender k4_plus_edges.json":
-        "0 300825cf4abd373af220219bcd209bad3aa7e4a2eac8ea754504b806f0dcb241",
+        "0 3bcea14d2214737955aefbf18adbcd878437d2f83db565dd894d1bb114d46fb8",
     "json: build-extender mixed.json":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "json: build-extender triangle_boundary.json":
-        "0 d87aad25767f2d28f25c9b31d4e9ae790d51ad7cb1841c4d2547c27f8a7d1df9",
+        "0 04d2cf8e2e4e10bee0449179ec23b47dd401df2978e408fce4dca2af1bc1e3b2",
     "json: build-extender triangle_boundary_plus_vertex.json":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "json: build-extender bowtie.txt":
-        "0 5b18cbc4f3396edf3d8135429e3513aeb2eebb1959eb351730cd287bf5bf49d7",
+        "0 ef284b069015e33b34ef7d71dd0560cbfecac9290fccba86dc007a866a3f8a4a",
     "json: build-extender void.txt":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "json: build-extender --nonpure bowtie.json":
-        "0 6e0b34975330c28ddfb994c638b584d528b7da60a5e6d5932afd5393200efb81",
+        "0 5c3b5c073996826bf1e640b23a9f45c69393a88bf9ab08523010f8bddaab82f8",
     "json: build-extender --nonpure edge_plus_vertex.json":
-        "0 0bc2ebfd929f21861f7877471959dd3e74f427b8ee84315d3cfce1a46dc22efe",
+        "0 db8c0cb47d1facbc2a3cc3147b9b7a0ad387addffd5c6ca1598d01e198ab13ee",
     "json: build-extender --nonpure k4_plus_edges.json":
-        "0 300825cf4abd373af220219bcd209bad3aa7e4a2eac8ea754504b806f0dcb241",
+        "0 3bcea14d2214737955aefbf18adbcd878437d2f83db565dd894d1bb114d46fb8",
     "json: build-extender --nonpure mixed.json":
-        "0 ba5150b1bb78ecf82a9a27cc2fa713eedcb19ac1f62248886edae1f1d05b24bb",
+        "0 e1f3ce9ad200f954f1aa6e2d0ab3b4ab843ac07bd6c27379d980aecd517795d4",
     "json: build-extender --nonpure triangle_boundary.json":
-        "0 d87aad25767f2d28f25c9b31d4e9ae790d51ad7cb1841c4d2547c27f8a7d1df9",
+        "0 04d2cf8e2e4e10bee0449179ec23b47dd401df2978e408fce4dca2af1bc1e3b2",
     "json: build-extender --nonpure triangle_boundary_plus_vertex.json":
-        "0 38adfbf7dbb9a7c7d5158d49d5cdd8474bde1b49db9524bd9f73b69748cca3ab",
+        "0 8b3f9d5d1c4c5f9e1636f17186745604ebde470b0953009c7356593e91013daf",
     "json: build-extender --nonpure bowtie.txt":
-        "0 5b18cbc4f3396edf3d8135429e3513aeb2eebb1959eb351730cd287bf5bf49d7",
+        "0 ef284b069015e33b34ef7d71dd0560cbfecac9290fccba86dc007a866a3f8a4a",
     "json: build-extender --nonpure void.txt":
         "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "json: depth bowtie.json":

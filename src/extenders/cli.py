@@ -491,10 +491,10 @@ def cmd_build_extender(args) -> _Report:
     doc = load_complex_document(args.complex)
     build = nonpure_extender_for_complex if args.nonpure else extender_for_complex
     res = build(doc.complex)
-    base, extender = res.base, res.extender
     summary = _complex_summary(doc)
-    # The base is the input complex; each face list is built once and shared.
-    base_facets, extender_facets = summary["facets"], _face_lists(extender.facets)
+    # Base facets are the input's, Γ's its verified certificate's tops; each is shared.
+    tops = [t for _, t in res.extender_partition]
+    base_facets, extender_facets = summary["facets"], _face_lists(tops)
     names = ("base", "extender", "relative")
     log = [{
         "face": sorted(entry.face),
@@ -512,8 +512,8 @@ def cmd_build_extender(args) -> _Report:
         "h": {name: list(h) for name, h in zip(names, res.h_vectors)},
         "h_triangle": {name: _triangle_json(tri)
                        for name, tri in zip(names, res.h_triangles)},
-        "added_vertices": len(extender.vertices) - len(base.vertices),
-        "added_faces": len(extender.faces) - len(base.faces),
+        "added_vertices": len(frozenset().union(*tops)) - len(res.base.vertices),
+        "added_faces": len(res.extender.faces) - len(res.base.faces),
         "attachment_log": log,
     }
     certificates = [
@@ -696,7 +696,7 @@ def _error_line(exc: Exception) -> str:
     such as an echoed argument, shows its first 20 and its length."""
     if isinstance(exc, InternalCheckError):
         line = f"internal error: {exc}"
-    elif isinstance(exc, SizeLimitExceeded):
+    elif isinstance(exc, SizeLimitExceeded) and exc.parameter in ("max_members", "max_facets"):
         flag = "--max-facets" if exc.parameter == "max_facets" else "--max-faces"
         line = f"error: {exc} (raise with {flag})"
     else:

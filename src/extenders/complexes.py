@@ -8,8 +8,7 @@ set of faces with an explicit dimension; it holds a relative complex
 (Gamma, Delta), or any family that is not closed under subsets.  Both
 expose ``faces`` and ``dim``, the only two things every statistic reads.
 :func:`relative_family` is the one place that relates a subcomplex to its
-complex: it checks that the subcomplex lies in the complex, and gives the
-family the complex's mask codec, so a pair is encoded once.
+complex, and checks that the subcomplex lies in it.
 
 Every public value here is immutable and every public operation is a pure
 function, so results can be shared freely between concurrent tasks.
@@ -17,22 +16,24 @@ function, so results can be shared freely between concurrent tasks.
 Inside the construction and verification core a face is an ``int`` mask
 over densely relabelled vertices: bit i stands for the i-th smallest
 label, so label order is bit order and every sort key reads the same on
-either side.  A complex's or family's lazily cached mask view
-(:func:`_mask_view`) is the one place that crosses between its frozensets
-and masks: every algorithm reads its faces there, and decodes a face only
-to order, return or name it.  The view also owns the set's facet-size map.
+either side.  A set's cached mask view is the one place that crosses
+between its frozensets and masks: every algorithm reads its faces there,
+and decodes a face only to order, return or name it.  The view is made
+with the set by :func:`build_complex`, and by :func:`relative_family` on
+the complex's codec, so a pair is encoded once; a set made by hand is
+read into one on first use (:func:`_mask_view`).  The view also owns the
+set's facet-size map.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import InvalidParameters, NotASubcomplex
+from .errors import InvalidParameters, NotASubcomplex, SizeLimitExceeded
 
 Face = frozenset
 
@@ -58,14 +59,6 @@ def lex_key(face: Face) -> tuple[int, ...]:
 
 def format_face(face: Face) -> str:
     return "{" + ",".join(map(str, sorted(face))) + "}"
-
-
-def subsets_of(face: Face) -> Iterator[Face]:
-    """All subsets of a face, the empty face included."""
-    verts = sorted(face)
-    for r in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, r):
-            yield frozenset(combo)
 
 
 def _bit_values(mask: int) -> Iterator[int]:
@@ -175,9 +168,10 @@ class SimplicialComplex:
 
     @cached_property
     def facets(self) -> frozenset:
-        """The faces that are not a codimension-one face of another face;
-        in a set closed under subsets these are the maximal faces."""
-        return self.faces - {t - {v} for t in self.faces for v in t}
+        """Faces whose mask is no other's less one bit; in a closed set, the maximal faces."""
+        masks, face = self._view.masks, self._view.codec.face
+        return frozenset(map(face.__getitem__, masks.difference(
+            t ^ b for t in masks for b in _bit_values(t))))
 
     @cached_property
     def dim(self) -> int:
@@ -229,14 +223,29 @@ class FaceFamily:
 ComplexOrFamily = Union[SimplicialComplex, FaceFamily]
 
 
+_MAX_LISTED = 1 << 18  # the most subsets one candidate may list: 18 vertices
+
+
 def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """The complex the candidate facets generate.  Candidates are closed
-    largest first, so one already present adds nothing."""
-    faces: set[Face] = set()
-    for f in sorted({face_of(f) for f in facet_list}, key=len, reverse=True):
-        if f not in faces:
-            faces.update(subsets_of(f))
-    return SimplicialComplex(frozenset(faces))
+    """The complex the candidate facets generate, made with its mask view:
+    candidates are closed on masks, largest first, and each not yet present
+    lists its (mask, face) pairs by doubling, unless they pass ``_MAX_LISTED``."""
+    candidates = sorted({face_of(f) for f in facet_list}, key=len, reverse=True)
+    codec = _MaskCodec(sorted(set().union(*candidates)))
+    for f in candidates:
+        if codec.mask(f) not in codec.face:
+            if 1 << len(f) > _MAX_LISTED:
+                raise SizeLimitExceeded(f"a facet of {len(f)} vertices has 2^{len(f)} faces, "
+                                        f"above the closure bound of {_MAX_LISTED}", _MAX_LISTED)
+            masks, faces = [0], [frozenset()]
+            for v in f:
+                b, one = codec.bit[v], frozenset((v,))
+                masks += [m | b for m in masks]
+                faces += [s | one for s in faces]
+            codec.face.update(zip(masks, faces))
+    c = SimplicialComplex(frozenset(codec.face.values()))
+    vars(c)["_view"] = _MaskView(codec, frozenset(codec.face))
+    return c
 
 
 def f_vector(x: ComplexOrFamily) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ class NotAPermutation(ExtendersError):
 
 
 class SizeLimitExceeded(ExtendersError):
-    """Input exceeds a configurable search bound."""
+    """Input exceeds a search bound, named by ``parameter``, or the closure bound."""
 
     def __init__(self, message, limit=None, parameter=None):
         super().__init__(message)

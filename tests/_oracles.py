@@ -55,6 +55,14 @@ def cube(bottom, top):
             for sel in itertools.combinations(gap, r)}
 
 
+def subsets_of(face):
+    """All subsets of a face, the empty face included."""
+    verts = sorted(face)
+    for r in range(len(verts) + 1):
+        for combo in itertools.combinations(verts, r):
+            yield frozenset(combo)
+
+
 def _name(face):
     return "{" + ",".join(map(str, sorted(face))) + "}"
 

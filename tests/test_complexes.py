@@ -1,9 +1,11 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from extenders import (
     FaceFamily,
     NotASubcomplex,
+    SizeLimitExceeded,
     build_complex,
     f_triangle,
     f_vector,
@@ -13,8 +15,9 @@ from extenders import (
     relative_family,
     skeleton,
 )
-from extenders.complexes import SimplicialComplex, face_key
-from _oracles import complex_pairs, link_by_definition, poly_h, small_complexes
+from extenders import complexes
+from extenders.complexes import SimplicialComplex, _mask_view, face_key
+from _oracles import complex_pairs, link_by_definition, poly_h, small_complexes, subsets_of
 
 fs = frozenset
 
@@ -53,6 +56,40 @@ def test_closure_and_facet_invariants(c):
             assert face - {v} in c.faces
     maximal = {f for f in c.faces if not any(f < g for g in c.faces)}
     assert c.facets == maximal
+
+
+@st.composite
+def candidate_lists(draw):
+    """Candidate facets with repeats, candidates nested in others, and
+    possibly the empty candidate; the list itself may be empty."""
+    drawn = draw(st.lists(st.lists(st.integers(0, 7), max_size=5), max_size=5))
+    nested = [draw(st.lists(st.sampled_from(f), max_size=len(f))) for f in drawn if f]
+    repeated = draw(st.lists(st.sampled_from(drawn), max_size=2)) if drawn else []
+    empty = draw(st.sampled_from([[], [[]]]))
+    return draw(st.permutations(drawn + nested + repeated + empty))
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_lists())
+def test_build_complex_closes_candidates_with_their_mask_view(candidates):
+    c = build_complex(candidates)
+    closure = {s for f in candidates for s in subsets_of(fs(f))}
+    assert c.faces == closure
+    assert c.facets == {f for f in closure if not any(f < g for g in closure)}
+    # The view made with the complex is the one its faces would be read into.
+    view, fresh = vars(c)["_view"], _mask_view(c)
+    assert view.codec.labels == fresh.codec.labels and view.masks == fresh.masks
+    assert set(view.codec.face) == view.masks
+    assert all(view.codec.face[m] == fresh.codec.face[m] for m in view.masks)
+
+
+def test_closure_bound_is_on_each_candidate_listing(monkeypatch):
+    # Each candidate may list up to the bound, however many candidates.
+    monkeypatch.setattr(complexes, "_MAX_LISTED", 8)
+    assert len(build_complex([[1, 2, 3], [3, 4, 5], [5, 6, 7]]).faces) == 20
+    with pytest.raises(SizeLimitExceeded) as refused:
+        build_complex([[1, 2], [1, 2, 3, 4]])
+    assert (refused.value.limit, refused.value.parameter) == (8, None)
 
 
 def _check_facets_and_dim(c):

@@ -152,11 +152,9 @@ def test_link_betti_matches_literal_links(pair):
 
 
 def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):
-    # The walk builds the complex's mask view on its first read and leaves
-    # it cached; a later walk or shelling search encodes no face again.
+    # A built complex has its mask view from birth; the walks and the
+    # shelling search read it and encode no face.
     c = build_complex([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
-    assert "_view" not in vars(c)
-    assert reduced_betti(c).betti == (0, 0, 0, 0)
     assert "_view" in vars(c)
     encoded = []
     mask = _MaskCodec.mask
@@ -165,6 +163,7 @@ def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):
         encoded.append(frozenset(face))
         return mask(codec, face)
     monkeypatch.setattr(_MaskCodec, "mask", counted)
+    assert reduced_betti(c).betti == (0, 0, 0, 0)
     assert is_cohen_macaulay(c)
     assert find_shelling(c) == (fs([1, 2, 3]), fs([2, 3, 4]), fs([3, 4, 5]))
     assert encoded == []

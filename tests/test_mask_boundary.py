@@ -1,6 +1,6 @@
 """Only ``complexes.py`` makes a mask codec or a facet-size map, and the
-searches, the shelling steps, the link walk and the gadget recursion walk
-no frozensets of their own.
+closure, the searches, the shelling steps, the link walk and the gadget
+recursion walk no frozensets of their own.
 
 Every other module of the package reads a complex's or family's cached
 mask view, or a copy of its codec, so no face set is encoded twice.  The
@@ -8,9 +8,11 @@ checks are static: a call of ``_MaskCodec`` by name or as an attribute, in
 any module of ``src/extenders`` but ``complexes.py``, fails the first; a
 call of ``_facet_sizes`` anywhere but the one in ``complexes.py``, the
 mask view's cached map, fails the second, so each face set builds its
-facet-size map once; a use of ``subsets_of`` in ``partitions.py`` or
-``homology.py`` or ``construct.py``, or of ``face_key`` in ``homology.py``
-or ``construct.py``, called or passed as a sort key, fails the third.
+facet-size map once; a use of ``subsets_of`` in ``complexes.py``,
+``partitions.py``, ``homology.py`` or ``construct.py``, of
+``combinations`` in ``complexes.py``, or of ``face_key`` in
+``homology.py`` or ``construct.py``, called or passed as a sort key,
+fails the third.
 """
 
 import ast
@@ -19,7 +21,8 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "extenders"
 
 # The frozenset walks that each module's algorithms read off the view instead.
-VIEW_READERS = {"partitions.py": {"subsets_of"},
+VIEW_READERS = {"complexes.py": {"subsets_of", "combinations"},
+                "partitions.py": {"subsets_of"},
                 "homology.py": {"subsets_of", "face_key"},
                 "construct.py": {"subsets_of", "face_key"}}
 

@@ -34,7 +34,7 @@ from extenders import (
 )
 from extenders import complexes, construct, partitions
 from extenders.complexes import (
-    _MaskCodec, _MaskView, _facet_sizes, face_key, format_face, lex_key, subsets_of)
+    _MaskCodec, _MaskView, _facet_sizes, face_key, format_face, lex_key)
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -47,6 +47,7 @@ from _oracles import (
     naive_find_partitioning,
     pure_complexes,
     small_complexes,
+    subsets_of,
     verify_by_enumeration,
 )
 

@@ -227,24 +227,43 @@ _MAX_LISTED = 1 << 18  # the most subsets one candidate may list: 18 vertices
 
 
 def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """The complex the candidate facets generate, made with its mask view:
-    candidates are closed on masks, largest first, and each not yet present
-    lists its (mask, face) pairs by doubling, unless they pass ``_MAX_LISTED``."""
+    """The complex the candidate facets generate, made with its mask view.
+
+    Candidates are closed on masks, largest first, and each face is listed
+    once.  The first candidate lists all its subsets by doubling.  A later
+    one not yet present is walked down, a vertex at a time, to the subsets
+    not yet reached: the faces present are closed under subsets, so the
+    walk stops at each of them.  A candidate is refused before its listing
+    if its 2^|F| subsets would pass ``_MAX_LISTED``."""
     candidates = sorted({face_of(f) for f in facet_list}, key=len, reverse=True)
     codec = _MaskCodec(sorted(set().union(*candidates)))
+    face, bit = codec.face, codec.bit
     for f in candidates:
-        if codec.mask(f) not in codec.face:
-            if 1 << len(f) > _MAX_LISTED:
-                raise SizeLimitExceeded(f"a facet of {len(f)} vertices has 2^{len(f)} faces, "
-                                        f"above the closure bound of {_MAX_LISTED}", _MAX_LISTED)
+        top = codec.mask(f)
+        if top in face:
+            continue
+        if 1 << len(f) > _MAX_LISTED:
+            raise SizeLimitExceeded(f"a facet of {len(f)} vertices has 2^{len(f)} faces, "
+                                    f"above the closure bound of {_MAX_LISTED}", _MAX_LISTED)
+        if face:
+            face[top] = f
+            reached = [top]
+            for m in reached:  # grows as the walk reaches new faces
+                whole = face[m]
+                for v in whole:
+                    sub = m ^ bit[v]
+                    if sub not in face:
+                        face[sub] = whole - {v}
+                        reached.append(sub)
+        else:  # every subset is new, and doubling is the cheaper listing of them all
             masks, faces = [0], [frozenset()]
             for v in f:
-                b, one = codec.bit[v], frozenset((v,))
+                b, one = bit[v], frozenset((v,))
                 masks += [m | b for m in masks]
                 faces += [s | one for s in faces]
-            codec.face.update(zip(masks, faces))
-    c = SimplicialComplex(frozenset(codec.face.values()))
-    vars(c)["_view"] = _MaskView(codec, frozenset(codec.face))
+            face.update(zip(masks, faces))
+    c = SimplicialComplex(frozenset(face.values()))
+    vars(c)["_view"] = _MaskView(codec, frozenset(face))
     return c
 
 

@@ -12,6 +12,18 @@ are read off the star.  A pair is its relative family, whose view shares
 the complex's codec, so the walk reads pair membership off the family's
 masks.  The walk starts at the empty face, whose link is the complex or
 pair itself, which gives ``reduced_betti`` and ``relative_betti``.
+
+Only boundaries of link faces with three or more vertices are built and
+reduced.  The two lower ones are settled by counting, exactly over every
+field.  Up to rescaling rows and columns by +-1, the boundary of a link's
+points is a row of ones (or nothing, when sigma is outside the pair), of
+rank 1 when there is a point.  The boundary of its edges is the signed
+incidence matrix of the link's graph with the rows of points outside the
+pair deleted, which is the incidence matrix of that graph with those
+points merged into one ground node and the ground row deleted.  Such a
+matrix is totally unimodular, so its rank is the same over every field:
+the number of edges in a spanning forest (Reisner 1976; Stanley,
+*Combinatorics and Commutative Algebra*, ch. II).
 """
 
 from __future__ import annotations
@@ -182,7 +194,18 @@ def _link_betti(
     sigma is the part of the star of sigma - max(sigma) that contains
     max(sigma), so stars are built level by level, keeping the previous
     level's only.  A link's column at t is t's boundary, restricted to
-    vertices outside sigma and rows in the pair."""
+    vertices outside sigma and rows in the pair.
+
+    Columns are built, and ranked by :func:`matrix_rank`, only for link
+    faces of three or more vertices; the lower levels are counted.  The
+    boundary of the points has rank 1 when sigma is in the pair and the
+    pair has a point above it, else 0.  The boundary of the edges is a
+    +-1 rescaled signed incidence matrix with the rows outside the pair
+    deleted: one ground node stands for them all, so an edge with both
+    ends outside is a loop.  Such matrices are totally unimodular, so
+    their rank over every field is the size of a spanning forest
+    (:func:`_forest_size`).  A link of dimension at most 1 thus costs a
+    count and at most one union-find, and no :func:`matrix_rank` call."""
     face, masks = big._view.codec.face, sorted(big._view.masks, key=big._view.codec.key)
     ids = {m: i for i, m in enumerate(masks)}
     in_pair = list(map(pair._view.masks.__contains__, masks))
@@ -193,6 +216,7 @@ def _link_betti(
     # changes.
     boundary = [[(b, ids[m ^ b], -1 if pos % 2 else 1)
                  for pos, b in enumerate(_bit_values(m))] for m in masks]
+    sizes = [m.bit_count() for m in masks]
     level, stars, previous = 0, {0: range(len(masks))}, {}
     for sigma in masks:
         k = sigma.bit_count()
@@ -202,15 +226,42 @@ def _link_betti(
             top = 1 << sigma.bit_length() - 1
             stars[sigma] = [t for t in previous[sigma ^ top] if masks[t] & top]
         star = stars[sigma]  # in face_key order, so its last face is largest
-        columns: list[list[dict]] = [[] for _ in range(masks[star[-1]].bit_count() - k + 1)]
+        levels = sizes[star[-1]] - k + 1
+        counts = [0] * max(levels, 3)  # members by link level, padded for ranks
+        columns: list[list[dict]] = [[] for _ in range(levels - 3)]  # levels 3 up
+        edges = []
         for t in star:
             if in_pair[t]:
-                columns[masks[t].bit_count() - k].append(
-                    {r: sign for b, r, sign in boundary[t]
-                     if not b & sigma and in_pair[r]})
-        ranks = [0, *(matrix_rank(m, field) for m in columns[1:]), 0]
-        yield face[sigma], tuple(len(m) - ranks[t] - ranks[t + 1]
-                                 for t, m in enumerate(columns))
+                size = sizes[t] - k
+                counts[size] += 1
+                if size == 2:  # rows outside the pair are the ground node -1
+                    edges.append([r if in_pair[r] else -1
+                                  for b, r, _ in boundary[t] if not b & sigma])
+                elif size > 2:
+                    columns[size - 3].append(
+                        {r: sign for b, r, sign in boundary[t]
+                         if not b & sigma and in_pair[r]})
+        ranks = [0, min(counts[0], counts[1]), _forest_size(edges) if edges else 0,
+                 *[matrix_rank(m, field) for m in columns], 0]
+        yield face[sigma], tuple(counts[t] - ranks[t] - ranks[t + 1]
+                                 for t in range(levels))
+
+
+def _forest_size(edges) -> int:
+    """The number of edges in a spanning forest of a multigraph given as
+    ``(u, v)`` pairs, loops ``(u, u)`` allowed: the unions of a union-find
+    that join two components."""
+    parent: dict[int, int] = {}
+    joins = 0
+    for u, v in edges:
+        while u in parent:  # path halving: point u at its grandparent, go there
+            parent[u] = u = parent.get(parent[u], parent[u])
+        while v in parent:
+            parent[v] = v = parent.get(parent[v], parent[v])
+        if u != v:
+            parent[u] = v
+            joins += 1
+    return joins
 
 
 def is_relative_cm(

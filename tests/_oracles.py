@@ -418,9 +418,9 @@ def small_complexes(draw, labels=5, max_facets=4, max_size=3, min_facets=0):
 
 
 @st.composite
-def complex_pairs(draw):
+def complex_pairs(draw, labels=5, max_size=3):
     """A nonvoid complex from ``small_complexes`` and the subcomplex that
     some of its faces generate (possibly void or just the empty face)."""
-    big = draw(small_complexes(min_facets=1))
+    big = draw(small_complexes(labels=labels, max_size=max_size, min_facets=1))
     faces = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
     return big, build_complex(draw(st.lists(st.sampled_from(faces), max_size=3)))

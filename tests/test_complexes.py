@@ -92,6 +92,27 @@ def test_closure_bound_is_on_each_candidate_listing(monkeypatch):
     assert (refused.value.limit, refused.value.parameter) == (8, None)
 
 
+def test_closure_lists_each_face_once(monkeypatch):
+    # The 2-skeleton of the simplex on 9 vertices, built from its 84
+    # triangles, has 130 faces; a closure that listed every subset of every
+    # candidate would write 84 * 8 = 672.
+    writes = []
+
+    class Counted(complexes._Faces):
+        def __setitem__(self, mask, face):
+            writes.append(mask)
+            super().__setitem__(mask, face)
+
+        def update(self, pairs):
+            for mask, face in pairs:
+                self[mask] = face
+
+    monkeypatch.setattr(complexes, "_Faces", Counted)
+    sigma = build_complex([[a, b, c] for a in range(9) for b in range(a) for c in range(b)])
+    assert len(sigma.faces) == 130
+    assert sorted(writes) == sorted(sigma._view.masks)
+
+
 def _check_facets_and_dim(c):
     """Facets and dimension against their literal definitions: the faces
     with no proper superset, and the largest face size minus one."""

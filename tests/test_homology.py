@@ -135,9 +135,24 @@ def test_matrix_rank_matches_dense_elimination(rows):
         assert matrix_rank(tuple(columns), FieldSpec(p)) == rank(rows)
 
 
+# Pairs whose rows lie outside the pair.  In the first, at the empty face,
+# the edge {1, 2} joins two points of the subcomplex (a loop at the ground
+# node), and the edges {1, 3} and {2, 4} join a point of the pair to it.
+GROUNDED = [(build_complex([[1, 2, 3, 4]]), build_complex([[1], [2]])),
+            (build_complex([[1, 2, 3, 4], [4, 5]]), build_complex([[1, 2], [5]])),
+            (build_complex([[1, 2, 3], [2, 3, 4], [1, 4]]), build_complex([[2, 3], [4]])),
+            (BOWTIE_LID, BOWTIE)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(complex_pairs())
+@given(complex_pairs(labels=6, max_size=4))
+@example(GROUNDED[0])
+@example(GROUNDED[1])
+@example(GROUNDED[2])
+@example(GROUNDED[3])
 def test_link_betti_matches_literal_links(pair):
+    """Facets of up to 4 vertices give links of dimension 0, 1 and 2, whose
+    two lower ranks the walk counts instead of building columns."""
     big, small = pair
     order = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
     for p, rank in DENSE_RANKS.items():
@@ -149,6 +164,57 @@ def test_link_betti_matches_literal_links(pair):
             if sigma in small.faces:
                 lk -= link_by_definition(small, sigma)
             assert betti == betti_by_elimination(lk, levels, rank)
+
+
+def test_graphs_make_no_matrix_rank_call(monkeypatch):
+    # Every link of a complex of dimension at most 1 is settled by counts
+    # and a spanning forest.
+    def refused(*args):
+        raise AssertionError(f"matrix_rank called with {args}")
+
+    monkeypatch.setattr(homology, "matrix_rank", refused)
+    cycle_and_tail = build_complex([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]])
+    two_edges = build_complex([[1, 2], [3, 4]])
+    for field in (FieldSpec(0), GF2, FieldSpec(3)):
+        rank = DENSE_RANKS[field.characteristic]
+        assert is_cohen_macaulay(cycle_and_tail, field)
+        assert not is_cohen_macaulay(two_edges, field)
+        assert (depth(cycle_and_tail, field), depth(two_edges, field)) == (2, 1)
+        assert reduced_betti(cycle_and_tail, field).betti == (0, 0, 1)
+        assert isinstance(cm_extender(cycle_and_tail, field), CmExtender)
+        assert isinstance(cm_extender(two_edges, field), CmExtender)  # depth 1 = dim
+        for big, small in [(cycle_and_tail, build_complex([[1, 2], [5]])),
+                           (cycle_and_tail, build_complex([[]])),
+                           (two_edges, build_complex([[1], [3, 4]]))]:
+            expected = betti_by_elimination(big.faces - small.faces, 3, rank)
+            assert relative_betti(big, small, field).betti == expected
+            assert is_relative_cm(big, small, field) \
+                == relative_cm_by_definition(big, small, rank)
+
+
+def test_bowtie_ranks_only_faces_of_three_vertices_or_more(monkeypatch):
+    # The bowtie's only link of dimension 2 is at the empty face, so each
+    # walk makes one matrix_rank call, on the columns of the pair's
+    # triangles: 2 of the bowtie's, 10 of the 2-skeleton of the simplex on
+    # its 5 vertices, 8 of those outside the bowtie.
+    calls = []
+    rank = homology.matrix_rank
+
+    def recording(columns, field):
+        calls.append(len(columns))
+        return rank(columns, field)
+
+    monkeypatch.setattr(homology, "matrix_rank", recording)
+    vertex = build_complex([[3]])
+    checks = {depth: [2, 2], is_cohen_macaulay: [2], cm_extender: [2, 2, 10, 8],
+              reduced_betti: [2],
+              (lambda c, field: is_relative_cm(c, vertex, field)): [2],
+              (lambda c, field: relative_betti(c, vertex, field)): [2]}
+    for field in (FieldSpec(0), GF2):
+        for check, columns in checks.items():
+            calls.clear()
+            check(BOWTIE, field)
+            assert calls == columns
 
 
 def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):

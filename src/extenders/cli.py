@@ -57,12 +57,11 @@ from .errors import ExtendersError, InternalCheckError, SizeLimitExceeded
 from .homology import (
     FieldSpec,
     NoExtender,
+    _cm_reading,
+    _depth_and_witness,
     cm_extender,
-    depth,
     homology_report,
-    is_cohen_macaulay,
     is_relative_cm,
-    reduced_betti,
 )
 from .partitions import (
     DEFAULT_MAX_FACETS,
@@ -541,22 +540,16 @@ def _extender_lines(doc: ComplexDocument, result: dict):
 def cmd_depth(args) -> _Report:
     doc = load_complex_document(args.complex)
     field = FieldSpec(args.char)
-    value = depth(doc.complex, field)
-    result = {
-        "depth": value,
-        "homology": homology_report(reduced_betti(doc.complex, field), field),
-    }
+    value, _, profile = _depth_and_witness(doc.complex, field)
+    result = {"depth": value, "homology": homology_report(profile, field)}
     return _Report(OK, _complex_summary(doc), result, [f"depth: {value}"])
 
 
 def cmd_cm_check(args) -> _Report:
     doc = load_complex_document(args.complex)
     field = FieldSpec(args.char)
-    verdict = is_cohen_macaulay(doc.complex, field)
-    result = {
-        "cohen_macaulay": verdict,
-        "homology": homology_report(reduced_betti(doc.complex, field), field),
-    }
+    verdict, profile = _cm_reading(doc.complex, field)
+    result = {"cohen_macaulay": verdict, "homology": homology_report(profile, field)}
     return _Report(OK if verdict else FALSE, _complex_summary(doc), result,
                    ["Cohen-Macaulay" if verdict else "not Cohen-Macaulay"])
 

@@ -11,7 +11,9 @@ are listed once, stars are narrowed level by level, and a link's columns
 are read off the star.  A pair is its relative family, whose view shares
 the complex's codec, so the walk reads pair membership off the family's
 masks.  The walk starts at the empty face, whose link is the complex or
-pair itself, which gives ``reduced_betti`` and ``relative_betti``.
+pair itself, which gives ``reduced_betti`` and ``relative_betti``; so one
+walk gives a Cohen-Macaulay verdict or a depth together with the complex's
+own Betti numbers, and each CLI command walks its input once.
 
 Only boundaries of link faces with three or more vertices are built and
 reduced.  The two lower ones are settled by counting, exactly over every
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterator, Optional, Union
 
 from .complexes import (
@@ -49,6 +51,7 @@ from .errors import (
     InvalidParameters,
     VoidComplex,
 )
+from .partitions import check_shelling_order
 
 
 def _is_prime(n: int) -> bool:
@@ -170,9 +173,15 @@ def relative_betti(
 def is_cohen_macaulay(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Reisner's criterion: every link has reduced homology concentrated in
     its top allowed degree."""
+    return _cm_reading(c, field)[0]
+
+
+def _cm_reading(c: SimplicialComplex, field: FieldSpec) -> tuple[bool, HomologyProfile]:
+    """:func:`is_cohen_macaulay` and :func:`reduced_betti` of ``c``, from
+    one walk (:func:`_pair_reading`)."""
     if c.is_void:
         raise VoidComplex("the void complex is outside this criterion")
-    return is_relative_cm(c, None, field)
+    return _pair_reading(c, c, field)
 
 
 def _link_betti(
@@ -270,49 +279,75 @@ def is_relative_cm(
     field: FieldSpec = RATIONALS,
 ) -> bool:
     """Whether pair link homology vanishes away from degree d - |face|."""
-    return _pair_is_cm(big, pair_family(big, small), field)
+    return _pair_reading(big, pair_family(big, small), field)[0]
 
 
-def _pair_is_cm(big: SimplicialComplex, pair: ComplexOrFamily, field: FieldSpec) -> bool:
-    """:func:`is_relative_cm` on ``big`` and its pair's family."""
-    d = big.dim
-    return all(not value or len(sigma) + idx - 1 == d
-               for sigma, betti in _link_betti(big, pair, field)
-               for idx, value in enumerate(betti))
+def _top_only(d: int, sigma: Face, betti: tuple[int, ...]) -> bool:
+    """Reisner's condition at sigma: the link's reduced homology lies in
+    degree d - |sigma| alone."""
+    return all(not b or len(sigma) + idx - 1 == d for idx, b in enumerate(betti))
+
+
+def _pair_reading(
+    big: SimplicialComplex, pair: ComplexOrFamily, field: FieldSpec
+) -> tuple[bool, HomologyProfile]:
+    """Reisner's verdict on ``big`` and its pair's family, and the pair's
+    own Betti numbers, from one walk that stops at the first failing link.
+    The empty face comes first, so its Betti numbers are read before any
+    failure; a void ``big`` has no faces, no Betti numbers and no failing
+    link."""
+    d, own = big.dim, ()
+    for sigma, betti in _link_betti(big, pair, field):
+        if not sigma:
+            own = betti
+        if not _top_only(d, sigma, betti):
+            return False, HomologyProfile(own)
+    return True, HomologyProfile(own)
 
 
 def _depth_and_witness(
     c: SimplicialComplex, field: FieldSpec
-) -> tuple[int, Optional[tuple[Face, int]]]:
-    """Depth by the link criterion, cross-checked against the skeleton
-    criterion, and the first (face, degree), in ``face_key`` then degree
-    order, whose link homology attains it; None when the depth is dim + 1."""
+) -> tuple[int, Optional[tuple[Face, int]], HomologyProfile]:
+    """:func:`depth`, the first (face, degree), in ``face_key`` then degree
+    order, whose link homology attains it (None when the depth is dim + 1),
+    and :func:`reduced_betti` of ``c``, from one walk of its links.
+
+    The cross-check reads the skeleton criterion from the top down.
+    ``skeleton(c, d)`` is ``c``, so its r = d reading is Reisner's verdict
+    on the walk just made, not a second walk; each r < d walks a skeleton
+    of its own."""
+    if c.is_void:
+        raise VoidComplex("the void complex has no depth")
     d = c.dim
-    value, witness = d + 1, None
+    value, witness, cm, own = d + 1, None, True, ()
     for sigma, betti in _link_betti(c, c, field):
+        if not sigma:
+            own = betti
+        cm = cm and _top_only(d, sigma, betti)
         for i, b in enumerate(betti[1:d + 1]):
             if b and len(sigma) + i + 1 < value:
                 value, witness = len(sigma) + i + 1, (sigma, i)
-    oracle = next(
-        r for r in range(d, -2, -1)
+    oracle = d + 1 if cm else next(
+        r for r in range(d - 1, -2, -1)
         if is_cohen_macaulay(skeleton(c, r), field)) + 1
     if value != oracle:
         raise InternalCheckError(
             f"depth readings disagree: link criterion gives {value}, "
             f"skeleton criterion gives {oracle}")
-    return value, witness
+    return value, witness, HomologyProfile(own)
 
 
 def depth(c: SimplicialComplex, field: FieldSpec = RATIONALS) -> int:
     """Homological depth of the face ring.
 
     Computed from vanishing of low-degree link homology, capped at the
-    Krull dimension, and cross-checked against an independent reading:
-    one plus the largest r whose r-skeleton is Cohen-Macaulay.  A
+    Krull dimension, and cross-checked against the skeleton criterion:
+    one plus the largest r whose r-skeleton is Cohen-Macaulay.  The
+    r = d reading comes from the same link walk, since the d-skeleton is
+    the complex itself (Reisner's verdict against the low-degree reading);
+    every r < d is an independent walk of a smaller complex.  A
     disagreement raises InternalCheckError instead of picking a side.
     """
-    if c.is_void:
-        raise VoidComplex("the void complex has no depth")
     return _depth_and_witness(c, field)[0]
 
 
@@ -338,18 +373,35 @@ def cm_extender(
     c: SimplicialComplex, field: FieldSpec = RATIONALS
 ) -> Union[CmExtender, NoExtender]:
     """The skeleton-of-a-simplex extender when depth permits, else the
-    obstruction witness."""
+    obstruction witness.
+
+    The extender Sigma is the d-skeleton of the simplex on the base's n
+    vertices.  Its facets in lexicographic order are a shelling, and a
+    shelling proves Cohen-Macaulayness over every field (Stanley,
+    *Combinatorics and Commutative Algebra*, ch. III), so
+    :func:`check_shelling_order` certifies Sigma without any homology.
+    That check cannot see a wrong Sigma: Sigma less one facet, or plus
+    one face, may still be shellable.  So Sigma's facets are first checked
+    to be exactly the C(n, d + 1) (d + 1)-subsets of the base's vertices.
+    The pair (Sigma, base) has no certificate and is checked by Reisner's
+    criterion.  Each failed self-check raises InternalCheckError."""
     if c.is_void:
         raise VoidComplex("the void complex has no extender")
     d = c.dim
-    dep, witness = _depth_and_witness(c, field)
+    dep, witness, _ = _depth_and_witness(c, field)
     if dep >= d:  # depth >= dim of the face ring minus one
-        # The d-skeleton of the simplex on c's vertices, built from its d-faces.
-        gamma = build_complex(combinations(sorted(c.vertices), d + 1))
-        if not is_cohen_macaulay(gamma, field):
-            raise InternalCheckError("skeleton extender is not Cohen-Macaulay")
+        vertices = c.vertices
+        order = list(combinations(sorted(vertices), d + 1))  # lexicographic
+        gamma = build_complex(order)
+        if len(gamma.facets) != comb(len(vertices), d + 1) or any(
+                len(f) != d + 1 or not f <= vertices for f in gamma.facets):
+            raise InternalCheckError(
+                f"skeleton extender's facets are not the {d + 1}-subsets "
+                f"of the base's {len(vertices)} vertices")
+        if not check_shelling_order(gamma, order):
+            raise InternalCheckError("skeleton extender's lexicographic order is not a shelling")
         relative = relative_family(gamma, c)
-        if not _pair_is_cm(gamma, relative, field):
+        if not _pair_reading(gamma, relative, field)[0]:
             raise InternalCheckError("skeleton extender pair is not relative CM")
         return CmExtender(gamma, c, relative)
     return NoExtender(*witness)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import extenders
-from extenders import cli, complexes
+from extenders import cli, complexes, homology
 from extenders.cli import main
-from extenders.errors import InternalCheckError
 
 BOWTIE = {"name": "bowtie", "facets": [[1, 2, 3], [3, 4, 5]]}
 TRIANGLE = {"facets": [[1, 2], [1, 3], [2, 3]]}
@@ -602,11 +602,50 @@ def test_oversized_json_integer_is_input_error(write, capsys):
 
 
 def test_internal_check_error_is_not_reported_as_input_error(write, capsys, monkeypatch):
-    def broken(c, field):
-        raise InternalCheckError("depth readings disagree")
-    monkeypatch.setattr(cli, "depth", broken)
+    # A wrong skeleton reading: the bowtie is not Cohen-Macaulay, so depth's
+    # cross-check reads its 1-skeleton, here two disjoint edges, which is not
+    # either.  The points are, so the skeleton criterion reads 1, not 2.
+    split = complexes.build_complex([[1, 2], [4, 5]])
+    monkeypatch.setattr(homology, "skeleton", lambda c, r: complexes.skeleton(split, r))
     status, out, err = run(capsys, "depth", write("bowtie.json", BOWTIE))
-    assert (status, out, err) == (2, "", "internal error: depth readings disagree\n")
+    assert (status, out) == (2, "")
+    assert err == ("internal error: depth readings disagree: link criterion gives 2, "
+                   "skeleton criterion gives 1\n")
+
+
+def test_cm_commands_walk_their_input_once(write, capsys, monkeypatch):
+    # depth and cm-check read their report's Betti numbers off the walk that
+    # gives the answer; cm-extender walks the base and the pair (Sigma,
+    # base), and certifies Sigma by its shelling.  Only a base that is not
+    # Cohen-Macaulay sends depth's cross-check down to smaller skeleta.
+    walks = []
+    walk = homology._link_betti
+
+    def recorded(big, pair, field):
+        walks.append((sorted(map(sorted, big.facets)), pair is big))
+        return walk(big, pair, field)
+
+    monkeypatch.setattr(homology, "_link_betti", recorded)
+    disk = [[1, 2, 3], [1, 3, 4]]
+    sigma = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+    bowtie, graph = BOWTIE["facets"], [[1, 2], [1, 3], [2, 3], [3, 4], [3, 5], [4, 5]]
+    skeleton_on_five = [list(f) for f in itertools.combinations(range(1, 6), 3)]
+    expected = {  # (command, base): (exit status, walks)
+        ("depth", "disk"): (0, [(disk, True)]),
+        ("cm-check", "disk"): (0, [(disk, True)]),
+        ("cm-extender", "disk"): (0, [(disk, True), (sigma, False)]),
+        ("depth", "bowtie"): (0, [(bowtie, True), (graph, True)]),
+        ("cm-check", "bowtie"): (1, [(bowtie, True)]),
+        ("cm-extender", "bowtie"): (0, [(bowtie, True), (graph, True),
+                                        (skeleton_on_five, False)]),
+    }
+    paths = {"disk": write("disk.json", {"facets": disk}),
+             "bowtie": write("bowtie.json", BOWTIE)}
+    for (command, name), (status, walked) in expected.items():
+        for char in ("0", "2"):
+            walks.clear()
+            assert run(capsys, command, paths[name], "--char", char, "--json")[0] == status
+            assert walks == walked
 
 
 def test_nonpure_report_computes_each_h_triangle_once(write, capsys, monkeypatch):

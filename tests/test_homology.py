@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from extenders import (
     CmExtender,
     FieldSpec,
+    InternalCheckError,
     InvalidParameters,
     NoExtender,
     NotASubcomplex,
@@ -195,8 +197,10 @@ def test_graphs_make_no_matrix_rank_call(monkeypatch):
 def test_bowtie_ranks_only_faces_of_three_vertices_or_more(monkeypatch):
     # The bowtie's only link of dimension 2 is at the empty face, so each
     # walk makes one matrix_rank call, on the columns of the pair's
-    # triangles: 2 of the bowtie's, 10 of the 2-skeleton of the simplex on
-    # its 5 vertices, 8 of those outside the bowtie.
+    # triangles: 2 of the bowtie's, 8 of the 2-skeleton of the simplex on
+    # its 5 vertices outside the bowtie.  depth's cross-check walks the
+    # bowtie's 1-skeleton, a graph, and cm_extender certifies the skeleton
+    # by a shelling, so neither adds a call.
     calls = []
     rank = homology.matrix_rank
 
@@ -206,7 +210,7 @@ def test_bowtie_ranks_only_faces_of_three_vertices_or_more(monkeypatch):
 
     monkeypatch.setattr(homology, "matrix_rank", recording)
     vertex = build_complex([[3]])
-    checks = {depth: [2, 2], is_cohen_macaulay: [2], cm_extender: [2, 2, 10, 8],
+    checks = {depth: [2], is_cohen_macaulay: [2], cm_extender: [2, 8],
               reduced_betti: [2],
               (lambda c, field: is_relative_cm(c, vertex, field)): [2],
               (lambda c, field: relative_betti(c, vertex, field)): [2]}
@@ -215,6 +219,30 @@ def test_bowtie_ranks_only_faces_of_three_vertices_or_more(monkeypatch):
             calls.clear()
             check(BOWTIE, field)
             assert calls == columns
+
+
+def test_each_check_walks_a_cohen_macaulay_input_once(monkeypatch):
+    # A disk of two triangles on 4 points is Cohen-Macaulay: depth reads its
+    # r = d skeleton verdict off its own walk, and cm_extender walks the disk
+    # and the pair (Sigma, disk), where Sigma is the tetrahedron's boundary,
+    # which its shelling certifies with no walk.  Each walk is recorded as
+    # (facets of big, whether the pair is big itself).
+    walks = []
+    walk = homology._link_betti
+
+    def recorded(big, pair, field):
+        walks.append((big.facets, pair is big))
+        return walk(big, pair, field)
+
+    monkeypatch.setattr(homology, "_link_betti", recorded)
+    disk = build_complex([[1, 2, 3], [1, 3, 4]])
+    checks = {depth: [(disk.facets, True)], is_cohen_macaulay: [(disk.facets, True)],
+              cm_extender: [(disk.facets, True), (TETRA_BOUNDARY.facets, False)]}
+    for field in (FieldSpec(0), GF2):
+        for check, expected in checks.items():
+            walks.clear()
+            check(disk, field)
+            assert walks == expected
 
 
 def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):
@@ -378,6 +406,33 @@ def test_depth_and_witness_match_literal_reading(c):
             assert outcome == NoExtender(*witness)
 
 
+@settings(max_examples=60, deadline=None)
+@given(complex_pairs(labels=6, max_size=4))
+@example((BOWTIE, build_complex([])))
+@example((BOWTIE_LID, BOWTIE))
+@example((WITNESS_TIES, build_complex([])))
+def test_one_pass_readers_match_literal_readings(pair):
+    """The CLI's depth and cm-check reports read their Betti numbers off the
+    walk that gives the verdict, which stops at the first failing link."""
+    big, small = pair
+    for p, rank in DENSE_RANKS.items():
+        field = FieldSpec(p)
+        own = betti_by_elimination(big.faces, big.dim + 2, rank)
+        verdict, profile = homology._cm_reading(big, field)
+        assert profile.betti == own
+        assert verdict == relative_cm_by_definition(big, build_complex([]), rank)
+        value, witness, profile = homology._depth_and_witness(big, field)
+        expected, first = depth_and_witness_by_definition(big, rank)
+        # The literal reading names a top-degree class when the depth is the
+        # cap, dim + 1; the library names no witness then.
+        assert (value, witness) == (expected, first if value <= big.dim else None)
+        assert profile.betti == own
+        verdict, profile = homology._pair_reading(big, relative_family(big, small), field)
+        assert profile.betti == betti_by_elimination(big.faces - small.faces,
+                                                     big.dim + 2, rank)
+        assert verdict == relative_cm_by_definition(big, small, rank)
+
+
 def test_cm_extender_bowtie():
     outcome = cm_extender(BOWTIE)
     assert isinstance(outcome, CmExtender)
@@ -424,6 +479,42 @@ def test_cm_extender_walks_the_relative_family_it_returns(monkeypatch):
     assert len(built) == 1 and outcome.relative is built[0]
     assert any(pair is outcome.relative for pair in walked)
     assert outcome.relative.faces == outcome.extender.faces - BOWTIE.faces
+
+
+# A strip of three triangles on 5 points; Sigma is the 2-skeleton of the
+# simplex on them, 10 triangles.  Each mutation of build_complex below gives
+# a wrong Sigma.  Sigma less a facet of the strip used to fail as bad input
+# (NotASubcomplex); Sigma less another facet used to pass as a 9-facet
+# extender, and is still shellable, so only the facet check sees it.
+STRIP = [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda facets: [f for f in facets if set(f) != {3, 4, 5}],
+    lambda facets: [f for f in facets if set(f) != {1, 2, 4}],
+    lambda facets: [*facets, (1, 2, 3, 4)],
+], ids=["without a facet of the base", "without another facet", "with a tetrahedron"])
+def test_cm_extender_rejects_a_wrong_skeleton(monkeypatch, wrong):
+    base = build_complex(STRIP)
+    monkeypatch.setattr(homology, "build_complex",
+                        lambda facets: build_complex(wrong(list(facets))))
+    with pytest.raises(InternalCheckError,
+                       match=r"^skeleton extender's facets are not the 3-subsets "
+                             r"of the base's 5 vertices$"):
+        cm_extender(base)
+
+
+def test_cm_extender_certifies_the_skeleton_by_its_lexicographic_shelling(monkeypatch):
+    orders = []
+
+    def refusing(big, order):
+        orders.append(list(order))
+        return False
+
+    monkeypatch.setattr(homology, "check_shelling_order", refusing)
+    with pytest.raises(InternalCheckError, match="lexicographic order is not a shelling"):
+        cm_extender(build_complex(STRIP))
+    assert orders == [list(combinations(range(1, 6), 3))]
 
 
 def test_cm_extender_two_triangles_obstructed():

@@ -38,13 +38,13 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
-    _h_from_f_triangle,
     build_complex,
     f_triangle,
     f_vector,
     face_key,
     face_of,
     format_face,
+    h_from_f,
     h_vector,
     pair_family,
 )
@@ -396,7 +396,7 @@ def cmd_info(args) -> _Report:
         "f_vector": list(f_vector(c)),
         "h_vector": list(h_vector(c)),
         "f_triangle": _triangle_json(f_tri),
-        "h_triangle": _triangle_json(_h_from_f_triangle(f_tri)),
+        "h_triangle": _triangle_json(map(h_from_f, f_tri)),
         "num_faces": len(c.faces),
     }
     lines = [

@@ -189,9 +189,6 @@ class SimplicialComplex:
     def vertices(self) -> frozenset:
         return frozenset(v for f in self.facets for v in f)
 
-    def __contains__(self, face) -> bool:
-        return frozenset(face) in self.faces
-
 
 @dataclass(frozen=True)
 class FaceFamily:
@@ -212,12 +209,6 @@ class FaceFamily:
             raise InvalidParameters(
                 f"ambient dimension {self.dim} is below a member of "
                 f"dimension {top}")
-
-    def __contains__(self, face) -> bool:
-        return frozenset(face) in self.faces
-
-    def __len__(self) -> int:
-        return len(self.faces)
 
 
 ComplexOrFamily = Union[SimplicialComplex, FaceFamily]
@@ -276,11 +267,13 @@ def f_vector(x: ComplexOrFamily) -> tuple[int, ...]:
 
 
 def h_from_f(f: tuple[int, ...]) -> tuple[int, ...]:
-    """Binomial transform sending a face-count vector to an h-vector."""
-    d = len(f) - 2
+    """Binomial transform sending a face-count vector to an h-vector, with
+    n = len(f) - 1; so it also sends row n of an f-triangle, which has
+    n + 1 entries, to row n of the h-triangle."""
+    n = len(f) - 1
     return tuple(
-        sum((-1) ** (i - j) * comb(d + 1 - j, i - j) * f[j] for j in range(i + 1))
-        for i in range(d + 2))
+        sum((-1) ** (i - j) * comb(n - j, i - j) * f[j] for j in range(i + 1))
+        for i in range(n + 1))
 
 
 def h_vector(x: ComplexOrFamily) -> tuple[int, ...]:
@@ -332,18 +325,9 @@ def f_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _h_from_f_triangle(f_tri: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Row-wise binomial transform of an f-triangle."""
-    return tuple(
-        tuple(
-            sum((-1) ** (j - k) * comb(i - k, j - k) * row[k] for k in range(j + 1))
-            for j in range(i + 1))
-        for i, row in enumerate(f_tri))
-
-
 def h_triangle(x: ComplexOrFamily) -> tuple[tuple[int, ...], ...]:
-    """Row-wise binomial transform of the f-triangle."""
-    return _h_from_f_triangle(f_triangle(x))
+    """:func:`h_from_f` applied to each row of the f-triangle."""
+    return tuple(map(h_from_f, f_triangle(x)))
 
 
 def relative_family(big: SimplicialComplex, small: SimplicialComplex) -> FaceFamily:

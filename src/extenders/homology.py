@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 from typing import Iterator, Optional, Union
 
 from .complexes import (
@@ -49,6 +49,7 @@ from .complexes import (
 from .errors import (
     InternalCheckError,
     InvalidParameters,
+    NotAPermutation,
     VoidComplex,
 )
 from .partitions import check_shelling_order
@@ -62,15 +63,15 @@ def _is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: characteristic 0 (exact rationals) or a prime
-    below 2^31."""
+    below 2^31, given as an ``int`` (not a ``bool``)."""
 
     characteristic: int = 0
 
     def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
+        p = self.characteristic
+        if not isinstance(p, int) or isinstance(p, bool) or p != 0 and not _is_prime(p):
             raise InvalidParameters(
-                f"characteristic must be 0 or a prime below 2^31, "
-                f"got {self.characteristic}")
+                f"characteristic must be 0 or a prime below 2^31, got {p!r}")
 
 
 RATIONALS = FieldSpec(0)
@@ -380,10 +381,10 @@ def cm_extender(
     shelling proves Cohen-Macaulayness over every field (Stanley,
     *Combinatorics and Commutative Algebra*, ch. III), so
     :func:`check_shelling_order` certifies Sigma without any homology.
-    That check cannot see a wrong Sigma: Sigma less one facet, or plus
-    one face, may still be shellable.  So Sigma's facets are first checked
-    to be exactly the C(n, d + 1) (d + 1)-subsets of the base's vertices.
-    The pair (Sigma, base) has no certificate and is checked by Reisner's
+    Its first step checks that the order, the (d + 1)-subsets of the
+    base's vertices, is a permutation of Sigma's facets, so a Sigma that
+    lacks a facet or has another one fails there.  The pair
+    (Sigma, base) has no certificate and is checked by Reisner's
     criterion.  Each failed self-check raises InternalCheckError."""
     if c.is_void:
         raise VoidComplex("the void complex has no extender")
@@ -393,12 +394,13 @@ def cm_extender(
         vertices = c.vertices
         order = list(combinations(sorted(vertices), d + 1))  # lexicographic
         gamma = build_complex(order)
-        if len(gamma.facets) != comb(len(vertices), d + 1) or any(
-                len(f) != d + 1 or not f <= vertices for f in gamma.facets):
+        try:
+            shelled = check_shelling_order(gamma, order)
+        except NotAPermutation:
             raise InternalCheckError(
                 f"skeleton extender's facets are not the {d + 1}-subsets "
-                f"of the base's {len(vertices)} vertices")
-        if not check_shelling_order(gamma, order):
+                f"of the base's {len(vertices)} vertices") from None
+        if not shelled:
             raise InternalCheckError("skeleton extender's lexicographic order is not a shelling")
         relative = relative_family(gamma, c)
         if not _pair_reading(gamma, relative, field)[0]:

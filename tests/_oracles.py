@@ -345,7 +345,9 @@ def depth_and_witness_by_definition(c, rank):
         reached += [(len(s) + i + 1, s, i)
                     for i in range(d) if i + 1 < len(betti) and betti[i + 1]]
     value = min([d + 1] + [r for r, _, _ in reached])
-    return value, next(((s, i) for r, s, i in reached if r == value), None)
+    if value > d:
+        return value, None
+    return value, next((s, i) for r, s, i in reached if r == value)
 
 
 def relative_cm_by_definition(big, small, rank):

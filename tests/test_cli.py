@@ -1,12 +1,14 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -190,6 +192,16 @@ def test_script_runs():
     assert b"Traceback" not in proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "eba43c2317309027dee24f6ba48758175b07fad2511718ece2e92f60c09ca5a7")
+
+
+def test_console_script_entry_names_main():
+    # Python 3.10 has no tomllib, so the one line is read with a regex.
+    package_root = pathlib.Path(extenders.__file__).resolve().parent.parent
+    text = (package_root.parent / "pyproject.toml").read_text(encoding="utf-8")
+    entry = re.search(r'^\[project\.scripts\]\nextenders = "([\w.]+):(\w+)"$', text, re.M)
+    assert entry is not None
+    module, name = entry.groups()
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_readme_library_sketch_prints_its_comments():
@@ -599,6 +611,36 @@ def test_oversized_json_integer_is_input_error(write, capsys):
     status, out, err = run(capsys, "info", path)
     assert (status, out) == (2, "")
     assert _single_error_line(err) and "invalid JSON" in err
+
+
+def test_unreadable_path_is_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for path, reason in ((missing, "No such file or directory"),
+                         (str(tmp_path), "Is a directory")):
+        assert run(capsys, "info", path) == (2, "", f"error: {path}: {reason}\n")
+
+
+def test_verify_partition_refuses_malformed_documents(write, capsys):
+    triangle = write("triangle.json", TRIANGLE)
+    intervals = write("iv.json", {"intervals": 5})
+    assert run(capsys, "verify-partition", triangle, intervals) == (
+        2, "", f"error: {intervals}: expected a list of bottom/top records\n")
+    report = write("rep.json", {"certificates": [{}]})
+    assert run(capsys, "verify-partition", report) == (
+        2, "", f"error: {report}: bad certificate: 'facets'\n")
+
+
+def test_wrong_skeleton_extender_is_an_internal_error(write, capsys, monkeypatch):
+    # Sigma built without one of its facets: the shelling check's
+    # permutation test refuses it, and the CLI must not report that
+    # NotAPermutation as bad input.
+    def without_a_facet(facets):
+        return complexes.build_complex([f for f in facets if set(f) != {1, 2, 4}])
+    monkeypatch.setattr(homology, "build_complex", without_a_facet)
+    strip = write("strip.json", {"facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5]]})
+    assert run(capsys, "cm-extender", strip) == (
+        2, "", "internal error: skeleton extender's facets are not the 3-subsets "
+               "of the base's 5 vertices\n")
 
 
 def test_internal_check_error_is_not_reported_as_input_error(write, capsys, monkeypatch):

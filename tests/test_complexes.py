@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from extenders import (
     FaceFamily,
+    InvalidParameters,
     NotASubcomplex,
     SizeLimitExceeded,
     build_complex,
@@ -180,6 +181,14 @@ def test_skeleton_edges():
     assert skeleton(BOWTIE, -1) == build_complex([[]])
     assert f_vector(skeleton(BOWTIE, 1)) == (1, 5, 6)
     assert skeleton(BOWTIE, 5) == BOWTIE
+    with pytest.raises(InvalidParameters, match=r"^skeleton dimension must be >= -1, got -2$"):
+        skeleton(BOWTIE, -2)
+
+
+def test_family_dimension_below_a_member_is_refused():
+    with pytest.raises(InvalidParameters,
+                       match=r"^ambient dimension 1 is below a member of dimension 2$"):
+        FaceFamily(frozenset({fs({1, 2, 3})}), 1)
 
 
 def test_f_triangle_edge_plus_vertex():

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from extenders import (
     CmExtender,
     FieldSpec,
+    HomologyProfile,
     InternalCheckError,
     InvalidParameters,
     NoExtender,
+    NotAPermutation,
     NotASubcomplex,
     VoidComplex,
     build_complex,
@@ -62,7 +64,7 @@ def test_field_spec_validation():
     FieldSpec(0)
     FieldSpec(7)
     FieldSpec(2 ** 31 - 1)
-    for bad in (6, 1, -3, 2 ** 31, 2 ** 61 - 1):
+    for bad in (6, 1, -3, 2 ** 31, 2 ** 61 - 1, 2.0, "2", None, 0.0, False):
         with pytest.raises(InvalidParameters):
             FieldSpec(bad)
 
@@ -313,6 +315,7 @@ def test_relative_betti_disk_rel_boundary():
 def test_relative_betti_identical_pair_and_void():
     assert relative_betti(BOWTIE, BOWTIE).betti == (0, 0, 0, 0)
     assert relative_betti(BOWTIE, build_complex([])) == reduced_betti(BOWTIE)
+    assert relative_betti(build_complex([])) == HomologyProfile(())
 
 
 def test_relative_betti_lid_pair_vanishes():
@@ -423,9 +426,7 @@ def test_one_pass_readers_match_literal_readings(pair):
         assert verdict == relative_cm_by_definition(big, build_complex([]), rank)
         value, witness, profile = homology._depth_and_witness(big, field)
         expected, first = depth_and_witness_by_definition(big, rank)
-        # The literal reading names a top-degree class when the depth is the
-        # cap, dim + 1; the library names no witness then.
-        assert (value, witness) == (expected, first if value <= big.dim else None)
+        assert (value, witness) == (expected, first)
         assert profile.betti == own
         verdict, profile = homology._pair_reading(big, relative_family(big, small), field)
         assert profile.betti == betti_by_elimination(big.faces - small.faces,
@@ -489,11 +490,14 @@ def test_cm_extender_walks_the_relative_family_it_returns(monkeypatch):
 STRIP = [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
 
 
-@pytest.mark.parametrize("wrong", [
+WRONG_SKELETA = pytest.mark.parametrize("wrong", [
     lambda facets: [f for f in facets if set(f) != {3, 4, 5}],
     lambda facets: [f for f in facets if set(f) != {1, 2, 4}],
     lambda facets: [*facets, (1, 2, 3, 4)],
 ], ids=["without a facet of the base", "without another facet", "with a tetrahedron"])
+
+
+@WRONG_SKELETA
 def test_cm_extender_rejects_a_wrong_skeleton(monkeypatch, wrong):
     base = build_complex(STRIP)
     monkeypatch.setattr(homology, "build_complex",
@@ -502,6 +506,23 @@ def test_cm_extender_rejects_a_wrong_skeleton(monkeypatch, wrong):
                        match=r"^skeleton extender's facets are not the 3-subsets "
                              r"of the base's 5 vertices$"):
         cm_extender(base)
+
+
+@WRONG_SKELETA
+def test_shelling_check_refuses_the_order_of_a_wrong_skeleton(wrong):
+    # cm_extender's only check of the skeleton's facets: the lexicographic
+    # order of the right facets is not a permutation of the wrong ones.
+    order = list(combinations(range(1, 6), 3))
+    with pytest.raises(NotAPermutation):
+        check_shelling_order(build_complex(wrong(order)), order)
+
+
+def test_cm_extender_refuses_a_pair_that_is_not_relative_cm(monkeypatch):
+    monkeypatch.setattr(homology, "_pair_reading",
+                        lambda big, pair, field: (False, HomologyProfile(())))
+    with pytest.raises(InternalCheckError,
+                       match=r"^skeleton extender pair is not relative CM$"):
+        cm_extender(build_complex(STRIP))
 
 
 def test_cm_extender_certifies_the_skeleton_by_its_lexicographic_shelling(monkeypatch):

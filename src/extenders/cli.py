@@ -9,13 +9,7 @@ Every command returns a :class:`_Report`; :func:`emit` alone wraps it in
 the ``{command, input, result, certificates}`` envelope and prints it, and
 the text lines are rendered from the same ``result``.  A ``--json`` report
 is byte for byte what ``json.dumps(envelope, sort_keys=True, indent=2)``
-prints.  It is written by a small encoder of its own, because Python 3.11
-uses its C encoder only when ``indent`` is None; with an indent, ``json``
-runs a pure-Python generator that writes each integer of a face list as a
-separate chunk.  The encoder writes a face list, or a list of interval
-records, as one string from ``str`` of its int lists, and encodes a list
-that a report shares between its parts (the extender's facets, each
-partition) once per report.
+prints; :mod:`extenders.jsontext` writes it.
 
 Exit status: 0 for success / true, 1 for false / not partitionable /
 no extender / not shellable, 2 when no answer can be given.  Each failure
@@ -29,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import re
 import sys
@@ -63,6 +56,7 @@ from .homology import (
     homology_report,
     is_relative_cm,
 )
+from .jsontext import _dumps
 from .partitions import (
     DEFAULT_MAX_FACETS,
     DEFAULT_MAX_MEMBERS,
@@ -78,9 +72,6 @@ OK, FALSE, INPUT_ERROR = 0, 1, 2
 # Text-format tokens split as str.split() does; a label has ASCII digits only.
 _TOKEN, _LABEL = re.compile(r"\S+"), re.compile(r"[+-]?[0-9]+")
 _LONG_NUMBER = re.compile(r"[0-9]{41,}")
-
-_INDENT = "  "
-_quote = json.encoder.encode_basestring_ascii
 
 
 class InputError(Exception):
@@ -248,112 +239,6 @@ def _complex_summary(doc: ComplexDocument) -> dict:
     }
 
 
-def _int_lists(lists: list, indent: str) -> list:
-    """The texts of a non-empty list of lists (not tuples) of ints, each at
-    indentation ``indent``.  ``str`` writes them all in one call, as
-    ``[[1, 2], [], [3]]``; only the separators need rewriting, since no
-    digit run holds a bracket or a comma."""
-    inner = indent + _INDENT
-    sep = ",\n" + inner
-    opening, closing = "[\n" + inner, "\n" + indent + "]"
-    bodies = str(lists)[2:-2].replace(", ", sep).split("]" + sep + "[")
-    return [opening + body + closing if body else "[]" for body in bodies]
-
-
-def _records_text(records: list, indent: str) -> Optional[str]:
-    """The text of a non-empty list of dicts that share one set of str keys
-    and whose values are lists of ints, such as interval records; None for
-    any other list."""
-    keys = records[0]
-    if type(keys) is not dict or not keys or set(map(type, keys)) != {str}:
-        return None
-    keys = sorted(keys)
-    lists = []
-    for record in records:
-        if type(record) is not dict or len(record) != len(keys):
-            return None
-        lists += map(record.get, keys)
-    if set(map(type, lists)) != {list} or not set(
-            map(type, itertools.chain.from_iterable(lists))) <= {int}:
-        return None
-    inner = indent + _INDENT
-    field = inner + _INDENT
-    # One row per record, as a %-template over its value texts in key order.
-    row = "{" + ",".join(["\n" + field + _quote(key).replace("%", "%%") + ": %s"
-                          for key in keys]) + "\n" + inner + "}"
-    texts = _int_lists(lists, field)
-    rows = [row % values for values in zip(*[iter(texts)] * len(keys))]
-    return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]"
-
-
-def _encode(value, indent: str, memo: dict) -> str:
-    """The text of ``value`` at indentation ``indent``, as
-    ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
-
-    Takes the JSON types exactly: dicts with str keys, lists, tuples, str,
-    int, float, bool and None.  Anything else raises ``TypeError``.  Each
-    level of nesting is one call, as in ``json``'s own encoder, so any value
-    that ``json.loads`` could read back is written.
-
-    ``memo`` maps the ``id`` of each list, tuple and dict encoded so far in
-    one :func:`_dumps` call to its indentation and text, so a value shared
-    between parts of a report is encoded once.  At another indentation the
-    text is re-indented by rewriting the indentation after each newline;
-    that is exact, because a newline in the text is never inside a string,
-    where it is written as ``\\n``."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is not list and kind is not tuple and kind is not dict:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not value:
-        return "{}" if kind is dict else "[]"
-    seen = memo.get(id(value))
-    if seen is not None:
-        at, text = seen
-        return text if at == indent else text.replace("\n" + at, "\n" + indent)
-    inner = indent + _INDENT
-    sep = ",\n" + inner
-    if kind is dict:
-        parts = []
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(_quote(key) + ": " + _encode(value[key], inner, memo))
-        text = "{\n" + inner + sep.join(parts) + "\n" + indent + "}"
-    else:
-        kinds = set(map(type, value))
-        text = None
-        if kinds == {int}:
-            text = _int_lists([list(value)], indent)[0]
-        elif (kinds == {list} and all(value)
-              and set(map(type, itertools.chain.from_iterable(value))) == {int}):
-            # A face list: each row is a non-empty list of ints.
-            text = "[\n" + inner + sep.join(_int_lists(list(value), inner)) + "\n" + indent + "]"
-        elif kinds == {dict}:
-            text = _records_text(value, indent)
-        if text is None:
-            parts = []
-            for item in value:
-                parts.append(_encode(item, inner, memo))
-            text = "[\n" + inner + sep.join(parts) + "\n" + indent + "]"
-    memo[id(value)] = indent, text
-    return text
-
-
-def _dumps(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
-    return _encode(value, "", {})
-
-
 def emit(args, report: _Report) -> None:
     """Print the report: its text lines, or with ``--json`` the envelope as
     the same bytes as ``json.dumps(envelope, sort_keys=True, indent=2)``.
@@ -373,16 +258,53 @@ def _certificate(label: str, facets: list, minus: Optional[list], records: list)
     return {"label": label, "facets": facets, "minus": minus, "intervals": records}
 
 
-def _interval_records(pairs) -> list:
-    """Records of valid (bottom, top) pairs, in :class:`IntervalPartition`
-    order: by sorted top, then by sorted bottom."""
-    rows = sorted((sorted(t), sorted(b)) for b, t in pairs)
-    return [{"bottom": b, "top": t} for t, b in rows]
+def _attachment_log(res, records: list) -> list:
+    """The rows of ``res``'s attachment log; ``records`` are the records of
+    its extender and relative partitions.
+
+    Every interval that an entry lists is one interval of a partition, so
+    each record is handed to the row of the entry that lists its interval,
+    in partition order, which is the canonical order each row is written
+    in; the log's pairs, in gadget order, are never sorted.  Raises
+    :class:`InternalCheckError` unless the entries list each interval of
+    each partition exactly once, and no other pair."""
+    entries = res.attachment_log
+    log = [{
+        "face": sorted(entry.face),
+        "attachment_facet": sorted(entry.attachment_facet),
+        "fresh_vertices": list(entry.fresh_vertices),
+    } for entry in entries]
+    for what, field, partition, part_records in (
+            ("extender", "with_face_intervals", res.extender_partition, records[0]),
+            ("relative", "without_face_intervals", res.relative_partition, records[1])):
+        owner = {}
+        for row, entry in zip(log, entries):
+            row[what + "_intervals"] = held = []
+            for pair in getattr(entry, field):
+                if owner.setdefault(pair, held) is not held:
+                    raise InternalCheckError(
+                        f"attachment log lists interval {_interval_name(pair)} twice")
+        for pair, record in zip(partition, part_records):
+            held = owner.pop(pair, None)
+            if held is None:
+                raise InternalCheckError(
+                    f"attachment log lacks interval {_interval_name(pair)} "
+                    f"of the {what} certificate")
+            held.append(record)
+        if owner:
+            raise InternalCheckError(
+                f"attachment log lists interval {_interval_name(next(iter(owner)))} "
+                f"outside the {what} certificate")
+    return log
+
+
+def _interval_name(pair) -> str:
+    bottom, top = pair
+    return "[%s, %s]" % (format_face(bottom), format_face(top))
 
 
 def _format_intervals(records: list) -> list:
-    return ["  [%s, %s]" % (format_face(r["bottom"]), format_face(r["top"]))
-            for r in records]
+    return ["  " + _interval_name((r["bottom"], r["top"])) for r in records]
 
 
 def cmd_info(args) -> _Report:
@@ -495,25 +417,18 @@ def cmd_build_extender(args) -> _Report:
     tops = [t for _, t in res.extender_partition]
     base_facets, extender_facets = summary["facets"], _face_lists(tops)
     names = ("base", "extender", "relative")
-    log = [{
-        "face": sorted(entry.face),
-        "attachment_facet": sorted(entry.attachment_facet),
-        "fresh_vertices": list(entry.fresh_vertices),
-        # The log holds pairs in gadget order; only the report sorts them.
-        "extender_intervals": _interval_records(entry.with_face_intervals),
-        "relative_intervals": _interval_records(entry.without_face_intervals),
-    } for entry in res.attachment_log]
+    records = [res.extender_partition.to_records(), res.relative_partition.to_records()]
     result = {
         "base_facets": base_facets,
         "extender_facets": extender_facets,
-        "extender_partition": res.extender_partition.to_records(),
-        "relative_partition": res.relative_partition.to_records(),
+        "extender_partition": records[0],
+        "relative_partition": records[1],
         "h": {name: list(h) for name, h in zip(names, res.h_vectors)},
         "h_triangle": {name: _triangle_json(tri)
                        for name, tri in zip(names, res.h_triangles)},
         "added_vertices": len(frozenset().union(*tops)) - len(res.base.vertices),
         "added_faces": len(res.extender.faces) - len(res.base.faces),
-        "attachment_log": log,
+        "attachment_log": _attachment_log(res, records),
     }
     certificates = [
         _certificate("extender", extender_facets, None, result["extender_partition"]),

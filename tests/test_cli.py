@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -476,6 +478,105 @@ def test_byte_identical_reports(write, capsys):
     assert third == fourth
 
 
+def _workload_sized_complexes():
+    """Seeded complexes shaped like the benchmark's nonpure inputs, 6-10
+    triangles with free edges and isolated vertices, with the flags each
+    takes; the triangles alone, pure, are built both ways, and so is one
+    pure 3-complex."""
+    rng = random.Random(33)
+    for count in range(6, 11):
+        verts = rng.randint(10, 14)
+        triangles = sorted(map(sorted, rng.sample(
+            list(itertools.combinations(range(verts), 3)), count)))
+        covered = {e for t in triangles for e in itertools.combinations(t, 2)}
+        edges = [e for e in itertools.combinations(range(verts + 2), 2) if e not in covered]
+        extra = [list(e) for e in rng.sample(edges, rng.randint(1, 3))]
+        extra += [[verts + 2 + i] for i in range(rng.randint(1, 2))]
+        yield triangles + extra, ["--nonpure"]
+        if count % 2:
+            yield triangles, []
+            yield triangles, ["--nonpure"]
+    tetrahedra = sorted(map(sorted, rng.sample(list(itertools.combinations(range(7), 4)), 5)))
+    yield tetrahedra, []
+    yield tetrahedra, ["--nonpure"]
+
+
+@pytest.mark.parametrize("facets, flags", list(_workload_sized_complexes()))
+def test_workload_sized_reports_are_json_dumps_and_log_the_partitions(
+        write, capsys, facets, flags):
+    status, out, _ = run(capsys, "build-extender", write("in.json", {"facets": facets}),
+                         "--json", *flags)
+    assert status == 0
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    result = report["result"]
+
+    def order(record):
+        return record["top"], record["bottom"]
+    for name in ("extender", "relative"):
+        logged = [entry[f"{name}_intervals"] for entry in result["attachment_log"]]
+        # Each entry's records are in the partition's order, and together
+        # they are exactly the partition's records.
+        assert all(records == sorted(records, key=order) for records in logged)
+        assert sorted(itertools.chain(*logged), key=order) == result[f"{name}_partition"]
+
+
+def _entry_with_intervals(result):
+    return next(i for i, e in enumerate(result.attachment_log)
+                if e.with_face_intervals and e.without_face_intervals)
+
+
+def _drop(entry, other):
+    return dataclasses.replace(entry, with_face_intervals=entry.with_face_intervals[1:]), other
+
+
+def _add(entry, other):
+    extra = (frozenset(), frozenset({999}))
+    return dataclasses.replace(
+        entry, with_face_intervals=entry.with_face_intervals + (extra,)), other
+
+
+def _move(entry, other):
+    pair, *rest = entry.with_face_intervals
+    return dataclasses.replace(entry, with_face_intervals=tuple(rest),
+                               without_face_intervals=entry.without_face_intervals + (pair,)), other
+
+
+def _repeat(entry, other):
+    pair = entry.with_face_intervals[0]
+    return entry, dataclasses.replace(
+        other, with_face_intervals=other.with_face_intervals + (pair,))
+
+
+@pytest.mark.parametrize("change, message", [
+    (_drop, "attachment log lacks interval {0} of the extender certificate"),
+    (_add, "attachment log lists interval [{{}}, {{999}}] outside the extender certificate"),
+    (_move, "attachment log lacks interval {0} of the extender certificate"),
+    (_repeat, "attachment log lists interval {0} twice"),
+], ids=["drop", "add", "move", "repeat"])
+def test_log_that_disagrees_with_its_partitions_is_an_internal_error(
+        write, capsys, monkeypatch, change, message):
+    # One interval of the first entry that lists intervals of both
+    # certificates is dropped, a foreign pair added, the interval moved to
+    # the entry's relative intervals, or listed again by the next entry.
+    build = cli.nonpure_extender_for_complex
+    named = []
+
+    def wrong_log(base):
+        result = build(base)
+        log = list(result.attachment_log)
+        i = _entry_with_intervals(result)
+        log[i], log[i + 1] = change(log[i], log[i + 1])
+        bottom, top = result.attachment_log[i].with_face_intervals[0]
+        named.append("[%s, %s]" % (complexes.format_face(bottom), complexes.format_face(top)))
+        return dataclasses.replace(result, attachment_log=tuple(log))
+    monkeypatch.setattr(cli, "nonpure_extender_for_complex", wrong_log)
+    path = write("bowtie.json", BOWTIE)
+    status, out, err = run(capsys, "build-extender", path, "--nonpure", "--json")
+    assert (status, out) == (2, "")
+    assert err == "internal error: " + message.format(*named) + "\n"
+
+
 _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 1e300, math.nan, math.inf, -math.inf])
 _ints = st.integers() | st.integers(-2 ** 100, 2 ** 100)
@@ -486,9 +587,69 @@ _record_lists = st.lists(st.dictionaries(
     st.sampled_from(["bottom", "top", "extra", "100%"]),
     st.lists(_ints, max_size=3) | st.lists(_ints | st.booleans(), max_size=3) | _scalars,
     max_size=3), min_size=1, max_size=4)
+# Keys of log-shaped records; '%' must be escaped in the encoder's row template.
+_LOG_KEYS = ["face", "top", "bottom", "100%", "%s"]
+
+
+@st.composite
+def _log_shaped(draw, depth=2):
+    """A list of records shaped like the attachment log: one set of keys,
+    each key's column holding int lists or, above depth 0, lists of records.
+    A nested column is drawn as one list of records and cut between the
+    rows, so its records share their keys and some rows get an empty list."""
+    keys = draw(st.lists(st.sampled_from(_LOG_KEYS), min_size=1, max_size=3, unique=True))
+    rows = draw(st.integers(1, 4))
+    columns = []
+    for _ in keys:
+        if depth and draw(st.booleans()):
+            items = draw(_log_shaped(depth - 1))
+            cuts = sorted(draw(st.lists(st.integers(0, len(items)),
+                                        min_size=rows - 1, max_size=rows - 1)))
+            bounds = [0, *cuts, len(items)]
+            columns.append([items[a:b] for a, b in zip(bounds, bounds[1:])])
+        else:
+            columns.append(draw(st.lists(st.lists(_ints, max_size=3),
+                                         min_size=rows, max_size=rows)))
+    return [dict(zip(keys, values)) for values in zip(*columns)]
+
+
+def _leaves(records, depth=0):
+    """(depth, record, key) for each value of ``records`` that holds no record."""
+    for record in records:
+        for key, value in record.items():
+            if value and type(value[0]) is dict:
+                yield from _leaves(value, depth + 1)
+            else:
+                yield depth, record, key
+
+
+@st.composite
+def _log_near_miss(draw):
+    """A log-shaped list with one change: a row's key set differs from the
+    others' at the same size, a bool among the ints, a tuple for a list, or
+    one int list at two depths."""
+    records = draw(_log_shaped())
+    leaves = list(_leaves(records))
+    _, record, key = draw(st.sampled_from(leaves))
+    miss = draw(st.sampled_from(["keys", "bool", "tuple", "shared"]))
+    if miss == "keys":
+        record[next(k for k in _LOG_KEYS if k not in record)] = record.pop(key)
+    elif miss == "bool":
+        record[key] = [*record[key], draw(st.booleans())]
+    elif miss == "tuple":
+        record[key] = tuple(record[key])
+    else:
+        depth, other, other_key = draw(st.sampled_from(leaves))
+        if depth == 0:  # no deeper int list to share
+            other[other_key] = [{"top": record[key]}]
+        else:
+            record[key] = other[other_key]
+    return records
+
+
 _encodable = st.recursive(
     _scalars | st.lists(_ints) | st.lists(st.lists(_ints, max_size=4), max_size=4)
-    | _record_lists,
+    | _record_lists | _log_shaped() | _log_near_miss(),
     lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
     | st.lists(_ints | st.booleans(), max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),

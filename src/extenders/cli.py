@@ -262,39 +262,37 @@ def _attachment_log(res, records: list) -> list:
     """The rows of ``res``'s attachment log; ``records`` are the records of
     its extender and relative partitions.
 
-    Every interval that an entry lists is one interval of a partition, so
-    each record is handed to the row of the entry that lists its interval,
-    in partition order, which is the canonical order each row is written
-    in; the log's pairs, in gadget order, are never sorted.  Raises
-    :class:`InternalCheckError` unless the entries list each interval of
-    each partition exactly once, and no other pair."""
-    entries = res.attachment_log
-    log = [{
-        "face": sorted(entry.face),
-        "attachment_facet": sorted(entry.attachment_facet),
-        "fresh_vertices": list(entry.fresh_vertices),
-    } for entry in entries]
-    for what, field, partition, part_records in (
-            ("extender", "with_face_intervals", res.extender_partition, records[0]),
-            ("relative", "without_face_intervals", res.relative_partition, records[1])):
-        owner = {}
-        for row, entry in zip(log, entries):
-            row[what + "_intervals"] = held = []
-            for pair in getattr(entry, field):
-                if owner.setdefault(pair, held) is not held:
-                    raise InternalCheckError(
-                        f"attachment log lists interval {_interval_name(pair)} twice")
-        for pair, record in zip(partition, part_records):
-            held = owner.pop(pair, None)
-            if held is None:
+    A gadget's fresh labels exceed every base label, and each face it adds
+    holds one, so a record is handed to the row whose fresh vertices hold
+    its top's largest label.  A top with none is a base facet F, whose
+    interval (F, F) is in F's own row.  Records are handed out in
+    partition order, the canonical order each row is written in.  Raises
+    :class:`InternalCheckError` unless each interval has a row and lies in
+    that row's attachment facet and fresh vertices, and each row's
+    extender intervals include the one whose bottom is its face."""
+    log, owner = [], {}
+    for entry in res.attachment_log:
+        row = {"face": sorted(entry.face),
+               "attachment_facet": sorted(entry.attachment_facet),
+               "fresh_vertices": list(entry.fresh_vertices),
+               "extender_intervals": [], "relative_intervals": []}
+        log.append(row)
+        held = (row, entry.attachment_facet.union(entry.fresh_vertices))
+        owner.update(dict.fromkeys(entry.fresh_vertices or [tuple(row["face"])], held))
+    for what, part_records in zip(("extender", "relative"), records):
+        key = what + "_intervals"
+        for record in part_records:
+            top = record["top"]
+            held = owner.get(top[-1] if top else ()) or owner.get(tuple(top))
+            if held is None or not held[1].issuperset(top):
                 raise InternalCheckError(
-                    f"attachment log lacks interval {_interval_name(pair)} "
-                    f"of the {what} certificate")
-            held.append(record)
-        if owner:
+                    "attachment log has no entry holding interval "
+                    f"{_interval_name((record['bottom'], top))} of the {what} certificate")
+            held[0][key].append(record)
+    for row in log:
+        if all(r["bottom"] != row["face"] for r in row["extender_intervals"]):
             raise InternalCheckError(
-                f"attachment log lists interval {_interval_name(next(iter(owner)))} "
-                f"outside the {what} certificate")
+                f"attachment log entry {format_face(row['face'])} lacks its face's interval")
     return log
 
 

@@ -13,7 +13,10 @@ masks; its with-face certificate holds the seed's intervals.
 Whole-complex extenders attach one such gadget per face of the base
 complex, yielding a same-dimension supercomplex together with interval
 partitionings of both the supercomplex and the relative family, verified
-before anything is returned.
+before anything is returned.  Every face a gadget adds holds one of its
+fresh vertices, whose labels exceed every label before them, so the
+attachment log records only where each gadget went: its intervals are
+the certificates' intervals whose tops hold its fresh vertices.
 
 Both constructions glue through one mutable builder and differ only in
 which list each mapped piece certificate joins.  The builder works on
@@ -78,14 +81,14 @@ from .partitions import (
 
 @dataclass(frozen=True)
 class PieceAttachment:
-    """One glued gadget: where it went and what it contributed.  The
-    intervals are (bottom, top) pairs in the new labels, in gadget order."""
+    """One glued gadget: its face, its target facet and its fresh labels.
+    Every face it adds holds one of them, so its intervals are the host
+    certificates' intervals whose tops do; a gadget with none, on a facet
+    F, contributes only (F, F)."""
 
     face: Face
     attachment_facet: Face
     fresh_vertices: tuple
-    with_face_intervals: tuple
-    without_face_intervals: tuple
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,7 @@ class _Builder:
         fresh = tuple(range(self.next_label, self.next_label + piece.fresh))
         self.codec.extend(fresh)
         self.next_label += piece.fresh
-        self.log.append((face, facet, fresh, mapped_with, mapped_without))
+        self.log.append((face, facet, fresh))
         # The glued faces are decoded in bulk: image(i) is the codec's label
         # of the bit that piece bit i maps to, the target's or a fresh one,
         # so no image is decoded bit by bit.
@@ -251,15 +254,11 @@ class _Builder:
         place into the partitions' canonical order."""
         face = self.codec.face
         complex_ = SimplicialComplex(frozenset(map(face.__getitem__, self.faces)))
-
-        def pairs(masks):
-            return tuple([(face[b], face[t]) for b, t in masks])
-
         return (complex_,
                 _canonical(self.with_parts, self.codec),
                 _canonical(self.without_parts, self.codec),
-                tuple(PieceAttachment(face[sigma], face[facet], fresh, pairs(w), pairs(wo))
-                      for sigma, facet, fresh, w, wo in self.log))
+                tuple(PieceAttachment(face[sigma], face[facet], fresh)
+                      for sigma, facet, fresh in self.log))
 
 
 def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 import extenders
 from extenders import cli, complexes, homology
 from extenders.cli import main
+from _oracles import cube, subsets_of
 
 BOWTIE = {"name": "bowtie", "facets": [[1, 2, 3], [3, 4, 5]]}
 TRIANGLE = {"facets": [[1, 2], [1, 3], [2, 3]]}
@@ -519,62 +520,61 @@ def test_workload_sized_reports_are_json_dumps_and_log_the_partitions(
         # they are exactly the partition's records.
         assert all(records == sorted(records, key=order) for records in logged)
         assert sorted(itertools.chain(*logged), key=order) == result[f"{name}_partition"]
-
-
-def _entry_with_intervals(result):
-    return next(i for i, e in enumerate(result.attachment_log)
-                if e.with_face_intervals and e.without_face_intervals)
+    # Each entry's relative intervals cover exactly the faces of the
+    # extender that hold one of its fresh vertices, and its extender
+    # intervals those faces and its face.
+    gamma = {frozenset(f) for facet in result["extender_facets"] for f in subsets_of(facet)}
+    for entry in result["attachment_log"]:
+        fresh = set(entry["fresh_vertices"])
+        added = {f for f in gamma if not fresh.isdisjoint(f)}
+        for name, expected in (("relative", added),
+                               ("extender", added | {frozenset(entry["face"])})):
+            covered = [f for r in entry[f"{name}_intervals"]
+                       for f in cube(frozenset(r["bottom"]), frozenset(r["top"]))]
+            assert len(covered) == len(expected) and set(covered) == expected
 
 
 def _drop(entry, other):
-    return dataclasses.replace(entry, with_face_intervals=entry.with_face_intervals[1:]), other
-
-
-def _add(entry, other):
-    extra = (frozenset(), frozenset({999}))
-    return dataclasses.replace(
-        entry, with_face_intervals=entry.with_face_intervals + (extra,)), other
+    return dataclasses.replace(entry, fresh_vertices=entry.fresh_vertices[:-1]), other
 
 
 def _move(entry, other):
-    pair, *rest = entry.with_face_intervals
-    return dataclasses.replace(entry, with_face_intervals=tuple(rest),
-                               without_face_intervals=entry.without_face_intervals + (pair,)), other
+    *rest, last = entry.fresh_vertices
+    return (dataclasses.replace(entry, fresh_vertices=tuple(rest)),
+            dataclasses.replace(other, fresh_vertices=(last, *other.fresh_vertices)))
 
 
-def _repeat(entry, other):
-    pair = entry.with_face_intervals[0]
-    return entry, dataclasses.replace(
-        other, with_face_intervals=other.with_face_intervals + (pair,))
+def _swap(entry, other):
+    return (dataclasses.replace(entry, fresh_vertices=other.fresh_vertices),
+            dataclasses.replace(other, fresh_vertices=entry.fresh_vertices))
 
 
 @pytest.mark.parametrize("change, message", [
-    (_drop, "attachment log lacks interval {0} of the extender certificate"),
-    (_add, "attachment log lists interval [{{}}, {{999}}] outside the extender certificate"),
-    (_move, "attachment log lacks interval {0} of the extender certificate"),
-    (_repeat, "attachment log lists interval {0} twice"),
-], ids=["drop", "add", "move", "repeat"])
+    (_drop, "attachment log has no entry holding interval [{7,23}, {6,7,23}] "
+            "of the extender certificate"),
+    (_move, "attachment log has no entry holding interval [{7,23}, {6,7,23}] "
+            "of the extender certificate"),
+    (_swap, "attachment log entry {} lacks its face's interval"),
+], ids=["drop", "move", "swap"])
 def test_log_that_disagrees_with_its_partitions_is_an_internal_error(
         write, capsys, monkeypatch, change, message):
-    # One interval of the first entry that lists intervals of both
-    # certificates is dropped, a foreign pair added, the interval moved to
-    # the entry's relative intervals, or listed again by the next entry.
+    """The bowtie's first entry, the empty face's with fresh vertices 6-23,
+    loses its last fresh vertex, or gives it to the next entry, the face
+    {1}'s, or swaps fresh vertices with that entry.  A wrong
+    attachment_facet is caught only when an interval of its entry leaves
+    it; one that still holds the base vertices of every such top is not."""
     build = cli.nonpure_extender_for_complex
-    named = []
 
     def wrong_log(base):
         result = build(base)
         log = list(result.attachment_log)
-        i = _entry_with_intervals(result)
-        log[i], log[i + 1] = change(log[i], log[i + 1])
-        bottom, top = result.attachment_log[i].with_face_intervals[0]
-        named.append("[%s, %s]" % (complexes.format_face(bottom), complexes.format_face(top)))
+        log[0], log[1] = change(log[0], log[1])
         return dataclasses.replace(result, attachment_log=tuple(log))
     monkeypatch.setattr(cli, "nonpure_extender_for_complex", wrong_log)
     path = write("bowtie.json", BOWTIE)
     status, out, err = run(capsys, "build-extender", path, "--nonpure", "--json")
     assert (status, out) == (2, "")
-    assert err == "internal error: " + message.format(*named) + "\n"
+    assert err == "internal error: " + message + "\n"
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(

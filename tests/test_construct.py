@@ -36,12 +36,14 @@ from extenders import complexes, construct
 from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result, _prepartition
 from _oracles import (
+    cube,
     f_triangle_by_definition,
     facet_depth_by_definition,
     off_facet_family,
     poly_h,
     pure_complexes,
     random_nonpure_complex,
+    small_complexes,
     verify_by_enumeration,
 )
 
@@ -221,32 +223,44 @@ def test_partition_extender_codim_one_swaps_one_interval():
         assert set(marked.without_face_partition) == expected
 
 
+def _covered(pairs):
+    """The faces of the intervals, each listed as often as it is covered."""
+    return [f for b, t in pairs for f in cube(b, t)]
+
+
 def test_recursive_assembly_certificates_and_swap():
     for d in range(0, 5):
         for k in range(-1, d + 1):
             marked = partition_extender(d, k)
-            assert verify_partitioning(
-                off_facet_family(marked, with_face=True),
-                marked.with_face_partition).valid
-            assert verify_partitioning(
-                off_facet_family(marked), marked.without_face_partition).valid
+            with_part, without_part = marked.with_face_partition, marked.without_face_partition
+            assert verify_partitioning(off_facet_family(marked, with_face=True), with_part).valid
+            assert verify_partitioning(off_facet_family(marked), without_part).valid
             if k == d:
                 continue
             seed = _prepartition(d, k)
             sigma = marked.specified_face
-            anchor = next(t for b, t in seed.with_face_partition
-                          if b <= sigma <= t)
+            anchor = next(t for b, t in seed.with_face_partition if b <= sigma <= t)
             seed_set = set(seed.with_face_partition)
-            from_pieces_without = {
-                iv for piece in marked.attachments
-                for iv in piece.without_face_intervals}
-            from_pieces_with = {
-                iv for piece in marked.attachments
-                for iv in piece.with_face_intervals}
-            assert set(marked.with_face_partition) == \
-                seed_set | from_pieces_without
-            assert set(marked.without_face_partition) == \
-                (seed_set - {(sigma, anchor)}) | from_pieces_with
+            # The intervals whose tops hold no fresh vertex are the seed's,
+            # with (sigma, anchor) swapped for (anchor, anchor) without sigma.
+            fresh = set().union(*(piece.fresh_vertices for piece in marked.attachments))
+            assert {iv for iv in with_part if fresh.isdisjoint(iv[1])} == seed_set
+            assert {iv for iv in without_part if fresh.isdisjoint(iv[1])} == \
+                (seed_set - {(sigma, anchor)}) | {(anchor, anchor)}
+            # Each piece's faces are covered by its without-face intervals in
+            # the with-face certificate, and with its face tau by its
+            # with-face intervals in the without-face certificate.
+            for piece in marked.attachments:
+                own, tau = set(piece.fresh_vertices), piece.face
+                added = {f for f in marked.complex.faces if not own.isdisjoint(f)}
+                held_with = [iv for iv in with_part if not own.isdisjoint(iv[1])]
+                held_without = [iv for iv in without_part if not own.isdisjoint(iv[1])]
+                if tau == anchor:
+                    held_without.append((tau, tau))
+                covered_with, covered_without = _covered(held_with), _covered(held_without)
+                assert len(covered_with) == len(added) and set(covered_with) == added
+                assert len(covered_without) == len(added) + 1
+                assert set(covered_without) == added | {tau}
 
 
 def test_extender_two_disjoint_edges_size():
@@ -319,6 +333,20 @@ def test_extender_property_pure(base):
     assert _reports_agree(res)
     assert res.h_vectors == tuple(map(h_vector, (base, res.extender, relative)))
     assert res.h_triangles == _h_triangles_by_definition(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_complexes() | small_complexes(min_facets=1))
+def test_fresh_vertices_are_runs_of_new_labels_in_log_order(base):
+    # The CLI hands each interval to the entry whose fresh vertices hold its
+    # top's largest label, so fresh labels must exceed every base label.
+    build = extender_for_complex if base.is_pure else nonpure_extender_for_complex
+    res = build(base)
+    labels = [v for entry in res.attachment_log for v in entry.fresh_vertices]
+    assert labels == sorted(set(labels))
+    assert not labels or labels[-1] - labels[0] == len(labels) - 1
+    assert all(v > max(base.vertices) for v in labels)
+    assert set(labels) == res.extender.vertices - base.vertices
 
 
 def test_nonpure_edge_plus_vertex():

@@ -38,11 +38,17 @@ from .errors import InvalidParameters, NotASubcomplex, SizeLimitExceeded
 Face = frozenset
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``: the rule every
+    integer parameter and label of the package is held to."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def face_of(labels: Iterable[int]) -> Face:
     """Normalize an iterable of vertex labels into a face."""
     f = frozenset(labels)
     for v in f:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not _integer(v) or v < 0:
             raise InvalidParameters(
                 f"vertex labels must be nonnegative integers, got {v!r}")
     return f
@@ -282,6 +288,8 @@ def h_vector(x: ComplexOrFamily) -> tuple[int, ...]:
 
 def skeleton(c: SimplicialComplex, r: int) -> SimplicialComplex:
     """The subcomplex of all faces of dimension at most ``r``."""
+    if not _integer(r):
+        raise InvalidParameters(f"skeleton dimension must be an integer, got {r!r}")
     if r < -1:
         raise InvalidParameters(f"skeleton dimension must be >= -1, got {r}")
     if r >= c.dim:

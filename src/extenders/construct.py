@@ -19,21 +19,24 @@ attachment log records only where each gadget went: its intervals are
 the certificates' intervals whose tops hold its fresh vertices.
 
 Both constructions glue through one mutable builder and differ only in
-which list each mapped piece certificate joins.  The builder works on
-``int`` face masks from a copy of its host's mask view: each gadget is
-cached as masks together with its marked complex, and gluing maps a
-gadget mask through a table over its specified facet plus one shift for
-its fresh vertices, which also gives each glued face's frozenset, made
-once as the gadget is glued.  Frozensets leave the builder only at the
-result boundary, :meth:`_Builder.freeze`, which canonicalises each built
-certificate once.
+which list each mapped piece certificate joins.  The two certificates
+share most intervals, so they are kept as three lists, ``shared``,
+``with_only`` and ``without_only``: a gadget's swap moves only the last
+two, and each shared interval is mapped, decoded, ordered and verified
+once for both.  The builder works on ``int`` face masks from a copy of
+its host's mask view: each gadget is cached as masks together with its
+marked complex, and gluing maps a gadget mask through a table over its
+specified facet plus one shift for its fresh vertices, which also gives
+each glued face's frozenset, made once.  Frozensets leave the builder
+only at the result boundary, :meth:`_Builder.freeze`, which orders both
+certificates with one sort.
 
 One checker, :func:`_check_result`, checks every result and is the only
 code that derives a value from one: it reads the result as masks (a built
 result passes the masks it was frozen from, any other is read through its
-extender's view), validates both certificates, and caches the h-vectors
-and h-triangles on the result, which :func:`h_decomposition` and the CLI
-read.  It certifies h(base) = h(extender) - h(relative), and the same of
+extender's view), validates both certificates whole in one joint
+exact-cover test, and caches the h-vectors and h-triangles on the
+result, which :func:`h_decomposition` and the CLI read.  It certifies h(base) = h(extender) - h(relative), and the same of
 h-triangles: only the base's numbers are counted from faces; the others
 are read off the verified certificates' interval counts, by bottom size
 (Stanley) or by (top size, bottom size) for a layer-compatible one
@@ -49,13 +52,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from operator import itemgetter, sub
+from operator import eq, itemgetter, sub
 from typing import NamedTuple, Optional
 
 from .complexes import (
     Face,
     SimplicialComplex,
     _bit_values,
+    _integer,
     _MaskCodec,
     _MaskView,
     _submasks,
@@ -75,7 +79,7 @@ from .partitions import (
     IntervalPartition,
     PartitionReport,
     _interval_h,
-    _verify_masks,
+    _verify_joint,
 )
 
 
@@ -185,39 +189,44 @@ class _Gadget(NamedTuple):
     facet_size - 1, and the other vertices the bits above them, sorted.
     So bit ``i`` of the facet goes to entry ``i`` of the host's targets,
     laid out the same way.  ``face_bits`` lists each face's bit
-    positions, in the order of ``faces``; the pairs are in the order of
-    the marked complex's certificates."""
+    positions, in the order of ``faces``.  The with-face certificate is
+    ``shared`` and ``with_only``, the without-face one ``shared`` and
+    ``without_only``, as (bottom, top) mask pairs in build order."""
 
     facet_size: int
     fresh: int
     faces: tuple
     face_bits: tuple
-    with_pairs: tuple
-    without_pairs: tuple
+    shared: tuple
+    with_only: tuple
+    without_only: tuple
 
 
 class _Builder:
     """A complex under construction, on masks: face set, codec (labels of
-    the host's vertices, then of the fresh ones), with-face and
-    without-face (bottom, top) lists and attachment log.  Each attachment
-    adds a closed face set, so the face set stays closed, and writes the
-    frozenset of each face it adds into the codec's decode table, so each
-    face is decoded once."""
+    the host's vertices, then of the fresh ones), attachment log, and the
+    (bottom, top) lists of the with-face (or extender) certificate,
+    ``shared`` and ``with_only``, and the without-face (or relative) one,
+    ``shared`` and ``without_only``; each is verified whole.  Each
+    attachment adds a closed face set, so the face set stays closed, and
+    writes the frozenset of each face it adds into the codec's decode
+    table, so each face is decoded once."""
 
-    def __init__(self, host: SimplicialComplex, with_parts=(), without_parts=()):
+    def __init__(self, host: SimplicialComplex, shared=(), with_only=(), without_only=()):
         self.codec = codec = host._view.codec.extended(())
         self.faces = set(host._view.masks)
         self.next_label = max(host.vertices, default=-1) + 1
-        self.with_parts = [(codec.mask(b), codec.mask(t)) for b, t in with_parts]
-        self.without_parts = [(codec.mask(b), codec.mask(t)) for b, t in without_parts]
+        self.shared, self.with_only, self.without_only = (
+            [(codec.mask(b), codec.mask(t)) for b, t in part]
+            for part in (shared, with_only, without_only))
         self.log: list[tuple] = []
 
     def attach(self, piece: _Gadget, facet: int, face: int) -> tuple:
         """Glue ``piece``'s specified facet onto ``facet`` and its specified
         face onto ``face``, order-preserving on sorted labels; its other
-        vertices get the next labels, in order.  Returns its (with-face,
-        without-face) certificates in the new labels, as mask pair lists
-        in the piece's order."""
+        vertices get the next labels, in order.  Returns its shared,
+        with-only and without-only intervals in the new labels, as mask
+        pair lists, each pair mapped once."""
         targets = [*_bit_values(face), *_bit_values(facet & ~face)]
         tab = [0]  # tab[m]: the host face of the piece's facet face m
         for bit in targets:
@@ -225,10 +234,10 @@ class _Builder:
         low, width, shift = len(tab) - 1, piece.facet_size, len(self.codec.labels)
         images = [tab[m & low] | (m >> width) << shift for m in piece.faces]
         self.faces.update(images)
-        mapped_with, mapped_without = (
+        mapped = tuple(
             [(tab[b & low] | (b >> width) << shift, tab[t & low] | (t >> width) << shift)
              for b, t in pairs]
-            for pairs in (piece.with_pairs, piece.without_pairs))
+            for pairs in (piece.shared, piece.with_only, piece.without_only))
         fresh = tuple(range(self.next_label, self.next_label + piece.fresh))
         self.codec.extend(fresh)
         self.next_label += piece.fresh
@@ -241,7 +250,7 @@ class _Builder:
                  + labels[shift:shift + piece.fresh]).__getitem__
         self.codec.face.update(
             zip(images, [frozenset(map(image, bits)) for bits in piece.face_bits]))
-        return mapped_with, mapped_without
+        return mapped
 
     def freeze(self) -> tuple:
         """(complex, with-face partition, without-face partition, log).
@@ -250,28 +259,47 @@ class _Builder:
         the builder, so what is verified on the masks is true of the
         result, and the complex, intervals and log share those frozensets.
         :meth:`attach` has already written each glued face into
-        ``codec.face``.  The with-face and without-face lists are sorted in
-        place into the partitions' canonical order."""
+        ``codec.face``.  Both partitions come from one :func:`_canonical`
+        call, so a shared interval is decoded and ordered once."""
         face = self.codec.face
         complex_ = SimplicialComplex(frozenset(map(face.__getitem__, self.faces)))
         return (complex_,
-                _canonical(self.with_parts, self.codec),
-                _canonical(self.without_parts, self.codec),
+                *_canonical(self.codec, self.shared, self.with_only, self.without_only),
                 tuple(PieceAttachment(face[sigma], face[facet], fresh)
                       for sigma, facet, fresh in self.log))
 
 
-def _canonical(parts: list, codec: _MaskCodec) -> IntervalPartition:
-    """Sort mask pairs in place as :meth:`IntervalPartition.of` orders
-    pairs, by top and then bottom as sorted labels, and wrap their faces.
-    Distinct tops, which every valid certificate has, already order the
-    pairs, so the bottoms are read only when a top repeats."""
+def _canonical(codec: _MaskCodec, shared: list, *only: list) -> list:
+    """The certificates ``shared`` + ``o``, for each mask pair list ``o``
+    of ``only``, as interval partitions ordered as
+    :meth:`IntervalPartition.of` orders pairs: by top and then bottom as
+    sorted labels.  Each pair's key and frozenset pair are made once, and
+    the union is sorted once, by top.  Distinct tops, which every valid
+    certificate has, already order a certificate's pairs; one whose tops
+    repeat, side by side once sorted, is sorted again by top and bottom."""
     face = codec.face
-    if len(set(map(itemgetter(1), parts))) == len(parts):
-        parts.sort(key=lambda bt: sorted(face[bt[1]]))
-    else:
-        parts.sort(key=lambda bt: (sorted(face[bt[1]]), sorted(face[bt[0]])))
-    return IntervalPartition(tuple([(face[b], face[t]) for b, t in parts]))
+    pairs = [*shared, *itertools.chain(*only)]
+    tops = list(map(face.__getitem__, map(itemgetter(1), pairs)))
+    keys = list(map(sorted, tops))
+    decoded = list(zip(map(face.__getitem__, map(itemgetter(0), pairs)), tops))
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    certificates = []
+    common = start = len(shared)
+    for part in only:
+        stop = start + len(part)
+        mine = [i for i in order if i < common or start <= i < stop]
+        start = stop
+        ordered = list(map(keys.__getitem__, mine))
+        if any(map(eq, ordered, ordered[1:])):
+            mine.sort(key=lambda i: (keys[i], sorted(decoded[i][0])))
+        certificates.append(IntervalPartition(tuple(map(decoded.__getitem__, mine))))
+    return certificates
+
+
+def _as_masks(codec: _MaskCodec, partitions: tuple) -> list:
+    """Each partition's (bottom, top) pairs as masks, in its order."""
+    mask = codec.mask
+    return [[(mask(b), mask(t)) for b, t in part] for part in partitions]
 
 
 def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> _Gadget:
@@ -293,13 +321,15 @@ def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> 
 
     closed = frozenset(_submasks(codec.mask(facet)))
     faces = tuple(move(m) for m in build.faces if m not in closed)
+    shared, with_only, without_only = (
+        tuple((move(b), move(t)) for b, t in part)
+        for part in (build.shared, build.with_only, build.without_only))
     return _Gadget(
         facet_size=len(facet),
         fresh=len(codec.labels) - len(facet),
         faces=faces,
         face_bits=tuple(tuple(b.bit_length() - 1 for b in _bit_values(m)) for m in faces),
-        with_pairs=tuple((move(b), move(t)) for b, t in build.with_parts),
-        without_pairs=tuple((move(b), move(t)) for b, t in build.without_parts))
+        shared=shared, with_only=with_only, without_only=without_only)
 
 
 @lru_cache(maxsize=None)
@@ -311,17 +341,19 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     sigma = seed.specified_face
     anchor = next(t for b, t in seed.with_face_partition if b <= sigma <= t)
     build = _Builder(
-        seed.complex, seed.with_face_partition,
-        [iv for iv in seed.with_face_partition if iv != (sigma, anchor)])
+        seed.complex, [iv for iv in seed.with_face_partition if iv != (sigma, anchor)],
+        [(sigma, anchor)])
     mask = build.codec.mask
     top, bottom = mask(anchor), mask(sigma)
-    # The faces strictly between sigma and its interval top, as submasks.
+    # The faces strictly between sigma and its interval top, as submasks;
+    # each piece's own with-face and without-face intervals swap sides.
     for tau in sorted((bottom | extra for extra in _submasks(top & ~bottom) if extra),
                       key=build.codec.key):
-        mapped_with, mapped_without = build.attach(
+        shared, with_only, without_only = build.attach(
             _partition_extender(d, tau.bit_count() - 1)[1], top, tau)
-        build.with_parts.extend(mapped_without)
-        build.without_parts.extend(mapped_with)
+        build.shared.extend(shared)
+        build.with_only.extend(without_only)
+        build.without_only.extend(with_only)
     complex_, with_part, without_part, log = build.freeze()
     marked = MarkedComplex(complex_, seed.specified_facet, sigma,
                            with_part, without_part, log)
@@ -330,16 +362,20 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # without-face ones, which hold only faces with fresh vertices, so the
     # seed's intervals must partition its off-facet faces and sigma; and its
     # tops have d + 1 vertices, so they stay maximal.
-    for members, parts, what in ((off_facet | {mask(sigma)}, build.with_parts, "adjoined"),
-                                 (off_facet, build.without_parts, "off-facet")):
-        _ensure_valid(_verify_masks(_MaskView(build.codec, members), parts, build.codec),
-                      f"{what} certificate for (d={d}, k={k})")
+    reports = _verify_joint(
+        _MaskView(build.codec, off_facet | {bottom}), frozenset({bottom}), build.shared,
+        (build.with_only, build.without_only), build.codec,
+        lambda: _as_masks(build.codec, (with_part, without_part)))
+    for report, what in zip(reports, ("adjoined", "off-facet")):
+        _ensure_valid(report, f"{what} certificate for (d={d}, k={k})")
     return marked, _gadget(marked, build, seed.complex)
 
 
 def partition_extender(d: int, k: int) -> MarkedComplex:
     """A marked complex whose off-facet family is partitionable both with
     and without the specified face, built recursively from the seed."""
+    if not (_integer(d) and _integer(k)):
+        raise InvalidParameters(f"d and k must be integers, got d={d!r}, k={k!r}")
     if not -1 <= k <= d:
         raise InvalidParameters(f"need -1 <= k <= d, got k={k}, d={d}")
     return _partition_extender(d, k)[0]
@@ -354,25 +390,29 @@ def _assemble(base: SimplicialComplex) -> ExtenderResult:
                     key=lambda f: (-f.bit_count(), lex_key(face[f])))
     for sigma in sorted(base_masks, key=build.codec.key):
         target = next(f for f in facets if f & sigma == sigma)
-        mapped_with, mapped_without = build.attach(
+        shared, with_only, without_only = build.attach(
             _partition_extender(target.bit_count() - 1, sigma.bit_count() - 1)[1],
             target, sigma)
-        build.with_parts.extend(mapped_with)
-        build.without_parts.extend(mapped_without)
+        build.shared.extend(shared)
+        build.with_only.extend(with_only)
+        build.without_only.extend(without_only)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    _check_result(result, (_MaskView(build.codec, build.faces),
-                           (build.with_parts, build.without_parts)))
+    _check_result(result, (_MaskView(build.codec, build.faces), build.shared,
+                           (build.with_only, build.without_only)))
     return result
 
 
 def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None:
     """Check a result on masks and cache its h-vectors and h-triangles on
-    it.  ``masks`` is (extender view, (extender pairs, relative pairs)): a
-    built result passes a view of the masks it was frozen from, kept off
-    the result, whose codec reads the base's own view bit for bit.  Any
-    other result is read through its extender's view, whose codec, or a
-    copy extended by the labels it lacks, reads the base and intervals.
+    it.  ``masks`` is (extender view, shared pairs, (extender-only pairs,
+    relative-only pairs)): a built result passes a view of the masks it
+    was frozen from, kept off the result, whose codec reads the base's own
+    view bit for bit, and its intervals split as built.  Any other result
+    is read through its extender's view, whose codec, or a copy extended
+    by the labels it lacks, reads the base and intervals, and shares
+    none.  Both certificates are checked whole by one
+    :func:`_verify_joint` call; the split only says what is listed once.
 
     Certified: the base lies in the extender, of its dimension; both
     certificates are valid; for a nonpure result, facet depths are kept
@@ -395,27 +435,26 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     for, so they are true of the result; they are written into the
     instance dictionary, as a first read of the cached property would,
     only once every check has passed."""
+    parts = (result.extender_partition, result.relative_partition)
     if masks is None:
-        parts = (result.extender_partition, result.relative_partition)
         view = result.extender._view
         codec = view.reading(itertools.chain(
             *result.base.faces, *itertools.chain(*parts[0], *parts[1])))
-        mask = codec.mask
-        base_view = _MaskView(codec, frozenset(map(mask, result.base.faces)))
-        masks = (view, tuple([(mask(b), mask(t)) for b, t in p] for p in parts))
+        base_view = _MaskView(codec, frozenset(map(codec.mask, result.base.faces)))
+        masks = (view, (), _as_masks(codec, parts))
     else:
         base_view, codec = result.base._view, masks[0].codec
-    (view, pairs), base, d = masks, base_view.masks, result.extender.dim
+    (view, shared, only), base, d = masks, base_view.masks, result.extender.dim
     if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
     if not base <= view.masks:
         missing = min(base - view.masks, key=codec.key)
         raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
-    pure = result.base.is_pure and all(t.bit_count() == d + 1 for part in pairs for _, t in part)
+    pure = result.base.is_pure and set(map(int.bit_count, map(
+        itemgetter(1), itertools.chain(shared, *only)))) <= {d + 1}
     if not pure:
         base_sizes, sizes = base_view.sizes, view.sizes
-    reports = (_verify_masks(view, pairs[0], codec),
-               _verify_masks(_MaskView(codec, view.masks - base, view), pairs[1], codec))
+    reports = _verify_joint(view, base, shared, only, codec, lambda: _as_masks(codec, parts))
     for what, report in zip(_CERTIFICATES, reports):
         _ensure_valid(report, f"{what} certificate")
     if not pure:
@@ -423,8 +462,9 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         if changed:
             raise InternalCheckError(
                 f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
-        for what, part in zip(_CERTIFICATES, pairs):
-            if not all(sizes[b] == sizes[t] for b, t in part):  # as in is_layer_compatible
+        # As in is_layer_compatible; a shared pair is named with the extender.
+        for what, part in zip(_CERTIFICATES, (itertools.chain(shared, only[0]), only[1])):
+            if not all(sizes[b] == sizes[t] for b, t in part):
                 raise InternalCheckError(f"{what} certificate is not layer-compatible")
     (h_big, tri_big), (h_rel, tri_rel) = (_interval_h(report, d) for report in reports)
     h_base = tuple(map(sub, h_big, h_rel))
@@ -476,6 +516,8 @@ def size_estimate(d: int, k: int) -> tuple[int, int]:
     1 <= k <= d <= 4, the gadget :func:`partition_extender` builds adds
     more faces than g(k), 3069 against 2920 at d = k = 4.
     """
+    if not (_integer(d) and _integer(k)):
+        raise InvalidParameters(f"d and k must be integers, got d={d!r}, k={k!r}")
     if not 0 <= k <= d:
         raise InvalidParameters(f"need 0 <= k <= d, got k={k}, d={d}")
     # 2**14284 is the largest power of two that Python prints by default

@@ -41,6 +41,7 @@ from .complexes import (
     FaceFamily,
     SimplicialComplex,
     _bit_values,
+    _integer,
     build_complex,
     pair_family,
     relative_family,
@@ -69,7 +70,7 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if not isinstance(p, int) or isinstance(p, bool) or p != 0 and not _is_prime(p):
+        if not _integer(p) or p != 0 and not _is_prime(p):
             raise InvalidParameters(
                 f"characteristic must be 0 or a prime below 2^31, got {p!r}")
 

@@ -10,9 +10,14 @@ facet-size map of the family's mask view, ``view.sizes``, built once per
 face set: a top is maximal when its facet size is its own size.  Nothing
 is assumed about the family being closed under subsets.  It runs on
 ``int`` face masks: :func:`verify_partitioning` hands the family's mask
-view and the intervals, read through its codec, to :func:`_verify_masks`,
-which the construction core also calls on a view of the masks it built,
-so both give the same report, word for word.  The walk visits each
+view and the intervals, read through its codec, to :func:`_verify_masks`.
+The construction core checks its two certificates, of a family and of a
+subfamily, which share most intervals, by one :func:`_verify_joint`
+call: one exact-cover test, :func:`_exact_covers`, of which
+:func:`_verify_masks` is the one-certificate case, lists each shared
+interval's faces once for both.  A pair of claims that fails it is
+verified again one certificate at a time, so every report is the one
+:func:`verify_partitioning` gives, word for word.  The walk visits each
 interval's faces by size and then in label order, so every failure names
 its least offending face by :func:`face_key`, the first it meets.  The
 searches backtrack exhaustively over the view's masks, with fully
@@ -40,7 +45,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (
     ComplexOrFamily,
@@ -131,46 +137,97 @@ def _verify_masks(view: _MaskView, pairs: Sequence[tuple[int, int]],
     """:func:`verify_partitioning` on masks: ``view.masks`` is the family
     and ``pairs`` the (bottom, top) intervals, in the order they are
     checked; ``codec`` names faces in the report.  The family's facet-size
-    map, ``view.sizes``, is read only if it is needed.
-
-    The claim is decided in bulk.  Every interval's faces, the submasks of
-    its gap over its bottom, go into one list; the claim is valid when
-    each bottom lies in its top, the list has no more faces than the family
-    has members, its set is the family, and each top is maximal.  The size
-    bound stops the listing before an interval would pass it, so the work
-    is bounded by the family whatever the claim, and with it the set's
-    equality to the family leaves no room for repeats.  An exact cover
-    puts every member under a top, so tops of one size are all maximal;
-    otherwise every top must be its own facet size.  A claim that fails
-    any of these is walked by :func:`_name_offence`, which names its first
-    offence.
+    map, ``view.sizes``, is read only if it is needed.  This is the
+    one-certificate case of :func:`_exact_covers`; a claim that fails it
+    is walked by :func:`_name_offence`, which names its first offence.
     """
-    stats = Counter((t.bit_count(), b.bit_count()) for b, t in pairs)
-    stats_out = tuple(sorted(stats.items()))
+    stats = _stats(pairs)
+    covered = _exact_covers(view, pairs, ((frozenset(), (), stats),))
+    violation = None if covered else _name_offence(view, pairs, codec)
+    return PartitionReport(violation is None, violation, tuple(sorted(stats.items())))
+
+
+def _verify_joint(view: _MaskView, removed: frozenset, shared: Sequence[tuple[int, int]],
+                  only: Sequence, codec: _MaskCodec, full: Callable[[], Sequence]) -> tuple:
+    """The reports of two certificates that share intervals: one of the
+    family ``view.masks``, made of ``shared`` and ``only[0]``, and one of
+    the subfamily without the members ``removed``, made of ``shared`` and
+    ``only[1]``.  The two are decided together by :func:`_exact_covers`,
+    which lists each shared interval's faces once.  If they fail, each
+    certificate is verified alone by :func:`_verify_masks` on its whole
+    list, ``full()``, the subfamily's as a view over the family's, so each
+    report names the offence, word for word, that it would name alone."""
+    common = _stats(shared)
+    stats = [common + _stats(part) for part in only]
+    if _exact_covers(view, shared, ((frozenset(), only[0], stats[0]),
+                                    (removed, only[1], stats[1]))):
+        return tuple(PartitionReport(True, None, tuple(sorted(s.items()))) for s in stats)
+    views = (view, _MaskView(codec, view.masks - removed, view))
+    return tuple(_verify_masks(v, pairs, codec) for v, pairs in zip(views, full()))
+
+
+def _stats(pairs: Sequence[tuple[int, int]]) -> Counter:
+    """Interval counts by (top size, bottom size)."""
+    return Counter(zip(map(int.bit_count, map(itemgetter(1), pairs)),
+                       map(int.bit_count, map(itemgetter(0), pairs))))
+
+
+def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
+                  claims: Sequence[tuple]) -> bool:
+    """Whether, for each claim (removed, only, stats), the intervals of
+    ``shared`` and ``only`` partition the family ``view.masks`` less the
+    members ``removed``, with maximal tops.
+
+    The claims are decided in bulk, each face listed once for all.  The
+    shared faces must be distinct members; each claim's own faces must be
+    distinct members, and neither kind may be removed nor both at once,
+    and together they must number the claim's family, so that they are
+    that family once over.  The listing stops before the faces outnumber
+    a family, so the work is bounded by the family whatever the claim.
+    An exact cover puts every member under a top, so tops of one size are
+    all maximal; otherwise every top must be its own facet size in the
+    family, ``view.sizes``, and so also in the subfamily.
+    """
     members = view.masks
+    listed = _interval_faces(shared, len(members))
+    if listed is None:
+        return False
+    common = set(listed)
+    if len(common) < len(listed) or not common <= members:
+        return False
+    for removed, part, stats in claims:
+        size = len(members) - len(removed) - len(common)
+        own = _interval_faces(part, size)
+        if own is None or not (removed <= members and common.isdisjoint(removed)):
+            return False
+        distinct = set(own)
+        if not (len(distinct) == len(own) == size and distinct <= members
+                and distinct.isdisjoint(removed) and distinct.isdisjoint(common)):
+            return False
+        if len({top for top, _ in stats}) > 1 and not all(
+                view.sizes[t] == t.bit_count() for _, t in itertools.chain(shared, part)):
+            return False
+    return True
+
+
+def _interval_faces(pairs: Sequence[tuple[int, int]], room: int) -> Optional[list]:
+    """The faces of the intervals, the submasks of each gap over its
+    bottom, or None once they would outnumber ``room``.  A bottom that
+    leaves its top shares a bit with the gap, so each face of its interval
+    is listed twice, which the repeat test refuses."""
     faces: list[int] = []
     add = faces.append
-    room = len(members)
     for b, t in pairs:
-        if b & ~t:
-            break
         gap = sub = t ^ b
         room -= 1 << gap.bit_count()
         if room < 0:
-            break
+            return None
         while True:
             add(b | sub)
             if not sub:
                 break
             sub = (sub - 1) & gap
-    else:
-        if set(faces) == members:
-            if len({size for size, _ in stats}) < 2:
-                return PartitionReport(True, None, stats_out)
-            if all(view.sizes[t] == t.bit_count() for _, t in pairs):
-                return PartitionReport(True, None, stats_out)
-    violation = _name_offence(view, pairs, codec)
-    return PartitionReport(violation is None, violation, stats_out)
+    return faces
 
 
 def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],

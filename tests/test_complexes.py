@@ -183,6 +183,10 @@ def test_skeleton_edges():
     assert skeleton(BOWTIE, 5) == BOWTIE
     with pytest.raises(InvalidParameters, match=r"^skeleton dimension must be >= -1, got -2$"):
         skeleton(BOWTIE, -2)
+    for r, shown in ((0.5, "0.5"), (1.0, "1.0"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(InvalidParameters,
+                           match=rf"^skeleton dimension must be an integer, got {shown}$"):
+            skeleton(BOWTIE, r)
 
 
 def test_family_dimension_below_a_member_is_refused():

@@ -32,7 +32,7 @@ from extenders import (
     size_estimate,
     verify_partitioning,
 )
-from extenders import complexes, construct
+from extenders import complexes, construct, partitions
 from extenders.complexes import _MaskCodec
 from extenders.construct import _check_result, _prepartition
 from _oracles import (
@@ -86,6 +86,10 @@ def test_partition_extender_rejects_bad_parameters():
         partition_extender(2, 3)
     with pytest.raises(InvalidParameters):
         partition_extender(2, -2)
+    # Integers only, as FieldSpec takes them: a float or a bool is refused.
+    for d, k in ((2.0, 1), (2, 1.0), (True, 0), (1, False), ("2", 1)):
+        with pytest.raises(InvalidParameters, match=r"^d and k must be integers, got "):
+            partition_extender(d, k)
 
 
 def test_seed_cover_property():
@@ -161,16 +165,20 @@ def test_partition_extender_base_case():
         assert marked.attachments == ()
         full = 2 ** (d + 1) - 1
         assert construct._partition_extender(d, d)[1] == construct._Gadget(
-            d + 1, 0, (), (), ((full, full),), ())
+            d + 1, 0, (), (), (), ((full, full),), ())
 
 
 def _mask_checks(monkeypatch):
-    """The list that every later ``construct._verify_masks`` call appends
-    its pairs to; ``construct`` verifies nothing any other way."""
+    """The list that every later ``construct._verify_joint`` call appends
+    its reports to, one list per call; ``construct`` verifies nothing any
+    other way."""
     calls = []
-    verify = construct._verify_masks
-    monkeypatch.setattr(construct, "_verify_masks", lambda *args:
-                        calls.append(args[1]) or verify(*args))
+    verify = construct._verify_joint
+
+    def counted(*args):
+        calls.append(verify(*args))
+        return calls[-1]
+    monkeypatch.setattr(construct, "_verify_joint", counted)
     return calls
 
 
@@ -184,8 +192,9 @@ def test_each_gadget_is_checked_twice_on_masks(monkeypatch):
     finally:
         construct._partition_extender.cache_clear()
     # 12 gadgets, the base cases k = d included, each with-face and
-    # without-face certificate checked once.
-    assert len(calls) == 24
+    # without-face certificate checked once, both by one call.
+    assert len(calls) == 12
+    assert all(len(reports) == 2 and all(r.valid for r in reports) for reports in calls)
 
 
 def test_bad_seed_is_caught_inside_its_gadget(monkeypatch):
@@ -466,13 +475,13 @@ def test_library_result_is_validated_once(monkeypatch):
     res = extender_for_complex(bowtie)
     h_decomposition(res)
     res.h_triangles
-    assert len(calls) == 2
+    assert [len(reports) for reports in calls] == [2]
     # A hand-built result is checked on its first read, and only then.
     calls.clear()
     h_decomposition(handmade)
     handmade.h_triangles
     h_decomposition(handmade)
-    assert len(calls) == 2
+    assert [len(reports) for reports in calls] == [2]
 
 
 def test_copied_result_is_validated_again():
@@ -543,19 +552,15 @@ def test_a_miscounting_verifier_is_caught(monkeypatch):
              (nonpure_extender_for_complex, build_complex([[1, 2, 3], [3, 4], [5]])))
     for build, base in cases:
         build(base)  # warm the gadgets, so only the result is verified below
-    verify = construct._verify_masks
+    verify = construct._verify_joint
     for build, base in cases:
-        calls = []
 
         def miscounted(*args):
-            calls.append(args)
-            report = verify(*args)
-            if len(calls) == 2:  # the relative certificate's
-                (key, count), *rest = report.interval_stats
-                report = dataclasses.replace(
-                    report, interval_stats=((key, count + 1), *rest))
-            return report
-        monkeypatch.setattr(construct, "_verify_masks", miscounted)
+            extender, relative = verify(*args)
+            (key, count), *rest = relative.interval_stats
+            return extender, dataclasses.replace(
+                relative, interval_stats=((key, count + 1), *rest))
+        monkeypatch.setattr(construct, "_verify_joint", miscounted)
         with pytest.raises(InternalCheckError) as excinfo:
             build(base)
         assert str(excinfo.value) == "h(base) is not h(extender) - h(relative)"
@@ -599,6 +604,9 @@ def test_size_estimate_rejects_bad_parameters():
         size_estimate(2, 3)
     with pytest.raises(InvalidParameters):
         size_estimate(2, -1)
+    for d, k in ((2.0, 1), (2, 1.0), (True, 0), (1, True), (None, 0)):
+        with pytest.raises(InvalidParameters, match=r"^d and k must be integers, got "):
+            size_estimate(d, k)
 
 
 def test_size_recurrence_codim_zero_adds_nothing():
@@ -633,13 +641,13 @@ def test_size_recurrence_against_built_gadgets():
 def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
     bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
     h_decomposition(extender_for_complex(bowtie))  # warm the gadgets
-    counts = {"canonical": 0, "of": 0, "family": 0}
+    counts = {"canonical": [], "of": 0, "family": 0}
     canonical, of = construct._canonical, IntervalPartition.of.__func__
     post_init = FaceFamily.__post_init__
 
-    def counted_canonical(parts, codec):
-        counts["canonical"] += 1
-        return canonical(parts, codec)
+    def counted_canonical(codec, shared, *only):
+        counts["canonical"].append(len(only))
+        return canonical(codec, shared, *only)
 
     def counted_of(cls, pairs):
         counts["of"] += 1
@@ -653,10 +661,36 @@ def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
     monkeypatch.setattr(IntervalPartition, "of", classmethod(counted_of))
     monkeypatch.setattr(FaceFamily, "__post_init__", counted_post_init)
     h_decomposition(extender_for_complex(bowtie))
-    # The two certificates of freeze, sorted as masks; the pure path reads
-    # the relative family's report and h-vector off the masks, so it builds
-    # no family.
-    assert counts == {"canonical": 2, "of": 0, "family": 0}
+    # One call of freeze orders both certificates, sorted as masks; the
+    # pure path reads the relative family's report and h-vector off the
+    # masks, so it builds no family.
+    assert counts == {"canonical": [2], "of": 0, "family": 0}
+
+
+def test_bowtie_build_lists_each_shared_interval_once(monkeypatch):
+    bowtie = build_complex([[1, 2, 3], [3, 4, 5]])
+    res = extender_for_complex(bowtie)  # warms the gadgets
+    listed = []
+    faces = partitions._interval_faces
+
+    def counted(pairs, room):
+        out = faces(pairs, room)
+        listed.extend(out or ())
+        return out
+    monkeypatch.setattr(partitions, "_interval_faces", counted)
+    res = extender_for_complex(bowtie)
+    # Every face of Gamma is listed once for the extender certificate, and
+    # the relative certificate lists only the faces its own intervals add:
+    # the shared intervals' faces are not listed twice.
+    relative = relative_family(res.extender, bowtie)
+    shared = set(res.extender_partition) & set(res.relative_partition)
+    own = [iv for iv in res.relative_partition if iv not in shared]
+    assert shared and own
+    assert len(listed) == len(res.extender.faces) + len(_covered(own))
+    assert len(listed) < len(res.extender.faces) + len(relative.faces)
+    assert Counter(listed) == Counter(map(res.extender._view.codec.mask,
+                                          res.extender.faces)) + Counter(
+        map(res.extender._view.codec.mask, _covered(own)))
 
 
 @pytest.mark.parametrize("pairs", [
@@ -667,7 +701,13 @@ def test_mask_certificates_are_ordered_as_interval_partitions_are(pairs):
     # The second list repeats tops, as only a broken certificate can.
     codec = _MaskCodec(range(1, 5))
     masks = [(codec.mask(b), codec.mask(t)) for b, t in pairs]
-    assert construct._canonical(masks, codec) == IntervalPartition.of(pairs)
+    assert construct._canonical(codec, masks, []) == [IntervalPartition.of(pairs)]
+    # Split between the shared list and each certificate's own, the union
+    # is sorted once and each certificate comes out as its own list would.
+    shared, first, second = masks[1::3], masks[0::3], masks[2::3]
+    assert construct._canonical(codec, shared, first, second) == [
+        IntervalPartition.of(pairs[1::3] + pairs[0::3]),
+        IntervalPartition.of(pairs[1::3] + pairs[2::3])]
 
 
 def test_warm_gadgets_leave_no_mask_form_to_build(monkeypatch):

@@ -250,6 +250,125 @@ def test_verifier_reports_tampered_certificates_as_the_reference_does(c, data):
             assert report.valid == (tampered == pairs)
 
 
+def _in(parts, k, tamper, i):
+    """``parts`` with list ``k`` tampered at index ``i``, if it has one."""
+    if not parts[k]:
+        return parts
+    return tuple(tamper(p, i % len(p)) if j == k else p for j, p in enumerate(parts))
+
+
+def _bottom_outside_top(parts, i):
+    return _in(parts, 0, _foreign_bottom, i)
+
+
+def _shared_and_own(parts, i):
+    # A copy of a shared interval replaces an own one with as many faces,
+    # so the count holds while some faces are covered twice and others not
+    # at all; with no such own interval, a shared top is covered again.
+    if not parts[0]:
+        return parts
+    b, t = parts[0][i % len(parts[0])]
+    k = 1 + i % 2
+    same = [j for j, (ob, ot) in enumerate(parts[k]) if len(ot - ob) == len(t - b)]
+    tampered = _replace(parts[k], same[i % len(same)], b, t) if same else parts[k] + [(t, t)]
+    return tuple(tampered if j == k else p for j, p in enumerate(parts))
+
+
+def _repeated_in_shared(parts, i):
+    return _in(parts, 0, _duplicate, i)
+
+
+def _outside_family(parts, i):
+    return _in(parts, i % 3, _foreign_top, i)
+
+
+def _uncovered(parts, i):
+    return _in(parts, i % 3, _drop, i)
+
+
+def _non_maximal(parts, i):
+    return _in(parts, i % 3, _split, i)
+
+
+def _moved_into_shared(parts, i):
+    # An interval of one certificate only is listed as shared by both.
+    shared, first, second = parts
+    own = (first, second)[i % 2]
+    if not own:
+        return parts
+    moved = own[i % len(own)]
+    rest = [iv for iv in own if iv != moved]
+    return (shared + [moved], rest, second) if i % 2 == 0 else (shared + [moved], first, rest)
+
+
+def _joint_and_alone(view, removed, parts, codec):
+    """The reports of the joint check of (shared, first, second), face
+    pairs read through ``codec``, on the family ``view.masks`` and its
+    subfamily less the faces ``removed``, and those of each certificate
+    checked alone."""
+    shared, first, second = ([(codec.mask(b), codec.mask(t)) for b, t in p] for p in parts)
+    removed = frozenset(map(codec.mask, removed))
+    full = (shared + first, shared + second)
+    subfamily = _MaskView(codec, view.masks - removed, view)
+    return (partitions._verify_joint(view, removed, shared, (first, second), codec,
+                                     lambda: full),
+            (partitions._verify_masks(view, full[0], codec),
+             partitions._verify_masks(subfamily, full[1], codec)))
+
+
+JOINT_TAMPERINGS = [_bottom_outside_top, _shared_and_own, _repeated_in_shared,
+                    _outside_family, _uncovered, _non_maximal, _moved_into_shared]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(min_facets=1), st.data())
+def test_joint_check_reports_as_two_single_checks(c, data):
+    # The extender and relative certificates of a built result, split at
+    # random into shared and own intervals, in any order, and tampered.
+    # The joint check lists the shared faces once, yet each report is the
+    # one _verify_masks gives for that certificate alone, word for word,
+    # which is the frozenset reference's.
+    result = nonpure_extender_for_complex(c)
+    both = set(result.extender_partition) & set(result.relative_partition)
+    shared = [iv for iv in sorted(both, key=str) if data.draw(st.booleans())]
+    parts = tuple(data.draw(st.permutations(p)) for p in (
+        shared, [iv for iv in result.extender_partition if iv not in shared],
+        [iv for iv in result.relative_partition if iv not in shared]))
+    tamper = data.draw(st.sampled_from([None, *JOINT_TAMPERINGS]))
+    if tamper:
+        parts = tamper(parts, data.draw(st.integers(0, 60)))
+    view = result.extender._view
+    codec = view.reading(itertools.chain(*itertools.chain(*itertools.chain(*parts))))
+    joint, alone = _joint_and_alone(view, result.base.faces, parts, codec)
+    assert joint == alone
+    families = (result.extender.faces, relative_family(result.extender, result.base).faces)
+    for report, members, claim in zip(alone, families, (parts[0] + parts[1],
+                                                        parts[0] + parts[2])):
+        assert (report.valid, report.violation, report.interval_stats) == \
+            verify_by_enumeration(members, claim)
+    if tamper is None:
+        assert all(report.valid for report in joint)
+
+
+@pytest.mark.parametrize("removed, parts, violations", [
+    # {1} is listed by a shared interval and by an own one, {2} by none.
+    ([], ([([], [1])], [([1], [1])], [([2], [2])]),
+     ("face {1} is covered twice", None)),
+    # The shared interval holds {}, which the subfamily lacks.
+    ([[]], ([([], [1])], [([2], [2])], []),
+     (None, "interval [{}, {1}] requires {}, which is not a member")),
+])
+def test_joint_check_refuses_claims_of_the_right_size(removed, parts, violations):
+    # Each claim lists as many faces as its family has members, so only the
+    # disjointness of shared and own faces, or the subfamily's membership,
+    # refuses it; the reports are those of each certificate alone.
+    codec = _MaskCodec([1, 2])
+    view = _MaskView(codec, frozenset(map(codec.mask, ([], [1], [2]))))
+    reports, alone = _joint_and_alone(view, removed, parts, codec)
+    assert reports == alone
+    assert tuple(report.violation for report in reports) == violations
+
+
 def test_split_relative_certificate_is_refused_through_the_extenders_map():
     # The checker hands the extender's facet-size map to the relative
     # family's verification; the split top is refused there, word for word.

@@ -15,17 +15,27 @@ pair itself, which gives ``reduced_betti`` and ``relative_betti``; so one
 walk gives a Cohen-Macaulay verdict or a depth together with the complex's
 own Betti numbers, and each CLI command walks its input once.
 
+A link of dimension at most 0 is counted with no star: {empty face} when
+sigma is a facet, points when its largest coface has one vertex more.  Its
+Betti numbers come from whether sigma is in the pair and how many pair
+members cover it, which one pass down the boundary lists gives every face.
+
 Only boundaries of link faces with three or more vertices are built and
-reduced.  The two lower ones are settled by counting, exactly over every
-field.  Up to rescaling rows and columns by +-1, the boundary of a link's
-points is a row of ones (or nothing, when sigma is outside the pair), of
-rank 1 when there is a point.  The boundary of its edges is the signed
-incidence matrix of the link's graph with the rows of points outside the
-pair deleted, which is the incidence matrix of that graph with those
-points merged into one ground node and the ground row deleted.  Such a
-matrix is totally unimodular, so its rank is the same over every field:
-the number of edges in a spanning forest (Reisner 1976; Stanley,
-*Combinatorics and Commutative Algebra*, ch. II).
+reduced.  Over the rationals each such block is ranked over GF(2) first,
+and that rank is taken when it meets the block's bound, the smaller of its
+column count and the kernel dimension of the block below: the rational
+rank is at least the GF(2) rank, as an odd minor is nonzero, and at most
+that bound, as the boundary of a boundary is zero.  Otherwise the block is
+eliminated over Q.  The two lower boundaries are settled by counting,
+exactly over every field.  Up to rescaling rows and columns by +-1, the
+boundary of a link's points is a row of ones (or nothing, when sigma is
+outside the pair), of rank 1 when there is a point.  The boundary of its
+edges is the signed incidence matrix of the link's graph with the rows of
+points outside the pair deleted, which is the incidence matrix of that
+graph with those points merged into one ground node and the ground row
+deleted.  Such a matrix is totally unimodular, so its rank is the same
+over every field: the number of edges in a spanning forest (Reisner 1976;
+Stanley, *Combinatorics and Commutative Algebra*, ch. II).
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
-    _bit_values,
     _integer,
     build_complex,
     pair_family,
@@ -76,6 +85,7 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec(0)
+GF2 = FieldSpec(2)
 
 
 @dataclass(frozen=True)
@@ -197,47 +207,64 @@ def _link_betti(
     ``t - sigma`` over the members ``t`` of ``pair`` that contain sigma.
     This is the package's only builder of boundary columns.  Sigma comes
     first as the empty face, whose link is the pair itself, so the first
-    entry holds the pair's own Betti numbers.
+    entry holds the pair's own Betti numbers, and is yielded before any of
+    the later faces' set-up.
 
     One index, ``big``'s mask view, serves the whole walk.  Its masks get
-    ids in ``face_key`` order, and each one's boundary entries are listed
-    once as (vertex bit, row id, sign), bits in label order.  The star of
+    ids in ``face_key`` order, which is the order of their reversed bit
+    strings, as the codec's labels are sorted.  Each mask's boundary
+    entries are listed once as (vertex bit, row id, sign), bits in label
+    order, from its parent's (the mask less its top bit).  The star of
     sigma is the part of the star of sigma - max(sigma) that contains
     max(sigma), so stars are built level by level, keeping the previous
     level's only.  A link's column at t is t's boundary, restricted to
     vertices outside sigma and rows in the pair.
 
-    Columns are built, and ranked by :func:`matrix_rank`, only for link
-    faces of three or more vertices; the lower levels are counted.  The
-    boundary of the points has rank 1 when sigma is in the pair and the
-    pair has a point above it, else 0.  The boundary of the edges is a
-    +-1 rescaled signed incidence matrix with the rows outside the pair
-    deleted: one ground node stands for them all, so an edge with both
-    ends outside is a loop.  Such matrices are totally unimodular, so
-    their rank over every field is the size of a spanning forest
-    (:func:`_forest_size`).  A link of dimension at most 1 thus costs a
-    count and at most one union-find, and no :func:`matrix_rank` call."""
-    face, masks = big._view.codec.face, sorted(big._view.masks, key=big._view.codec.key)
+    After the empty face, one pass down the boundary lists gives each face
+    its ``reach``, the size of the largest face above it, and the number of
+    pair members that cover it.  A face whose reach is at most
+    ``|sigma| + 1`` has a link of dimension at most 0, whose Betti numbers
+    are counted with no star: (c0,) for the link {empty face}, and
+    (c0 - r, c1 - r), r = min(c0, c1), for a link of points, where c0 is 1
+    when sigma is in the pair and c1 is its cover count.  A face's parent
+    reaches at least as far, so every face with a star has a parent with
+    one.
+
+    Columns are built, and ranked, only for link faces of three or more
+    vertices; the lower levels are counted.  The boundary of the points has
+    rank 1 when sigma is in the pair and the pair has a point above it,
+    else 0.  The boundary of the edges is a +-1 rescaled signed incidence
+    matrix with the rows outside the pair deleted: one ground node stands
+    for them all, so an edge with both ends outside is a loop.  Such
+    matrices are totally unimodular, so their rank over every field is the
+    size of a spanning forest (:func:`_forest_size`).  A link of dimension
+    at most 1 thus costs a count and at most one union-find, and no
+    :func:`matrix_rank` call.  Higher blocks are ranked in degree order by
+    :func:`_block_rank`, which the exact rank below each block bounds."""
+    view = big._view
+    face, masks = view.codec.face, sorted(
+        view.masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+    if not masks:
+        return
     ids = {m: i for i, m in enumerate(masks)}
     in_pair = list(map(pair._view.masks.__contains__, masks))
+    sizes = [m.bit_count() for m in masks]
     # The link's sign at (v, t) is (-1)^pos(v, t - sigma), big's is
     # (-1)^pos(v, t); they differ by phi(t)*phi(t - v), where
     # phi(f) = (-1)^(sum over w in f - sigma of #{u in sigma : u < w}).
     # That rescales rows and columns by +-1, so no rank over any field
     # changes.
-    boundary = [[(b, ids[m ^ b], -1 if pos % 2 else 1)
-                 for pos, b in enumerate(_bit_values(m))] for m in masks]
-    sizes = [m.bit_count() for m in masks]
-    level, stars, previous = 0, {0: range(len(masks))}, {}
-    for sigma in masks:
-        k = sigma.bit_count()
-        if k > level:  # sigma is the first face of the next size
-            level, previous, stars = k, stars, {}
-        if k:
-            top = 1 << sigma.bit_length() - 1
-            stars[sigma] = [t for t in previous[sigma ^ top] if masks[t] & top]
-        star = stars[sigma]  # in face_key order, so its last face is largest
-        levels = sizes[star[-1]] - k + 1
+    boundary: list[list[tuple[int, int, int]]] = [[]]
+    for m in masks[1:]:
+        top = 1 << m.bit_length() - 1
+        parent = ids[m ^ top]
+        entries = [(b, ids[m ^ b], sign) for b, _, sign in boundary[parent]]
+        entries.append((top, parent, -1 if len(entries) % 2 else 1))
+        boundary.append(entries)
+
+    def betti(sigma: int, star) -> tuple[int, ...]:
+        k = sizes[star[0]]
+        levels = sizes[star[-1]] - k + 1  # star is in face_key order
         counts = [0] * max(levels, 3)  # members by link level, padded for ranks
         columns: list[list[dict]] = [[] for _ in range(levels - 3)]  # levels 3 up
         edges = []
@@ -252,10 +279,48 @@ def _link_betti(
                     columns[size - 3].append(
                         {r: sign for b, r, sign in boundary[t]
                          if not b & sigma and in_pair[r]})
-        ranks = [0, min(counts[0], counts[1]), _forest_size(edges) if edges else 0,
-                 *[matrix_rank(m, field) for m in columns], 0]
-        yield face[sigma], tuple(counts[t] - ranks[t] - ranks[t + 1]
-                                 for t in range(levels))
+        ranks = [0, min(counts[0], counts[1]), _forest_size(edges) if edges else 0]
+        for t, block in enumerate(columns, 3):
+            ranks.append(_block_rank(block, field, counts[t - 1] - ranks[t - 1]))
+        ranks.append(0)
+        return tuple(counts[t] - ranks[t] - ranks[t + 1] for t in range(levels))
+
+    yield face[0], betti(0, range(len(masks)))
+    reach, covers = sizes[:], [0] * len(masks)
+    for t in range(len(masks) - 1, 0, -1):  # every face before the faces it covers
+        above, member = reach[t], in_pair[t]
+        for _, r, _ in boundary[t]:
+            if reach[r] < above:
+                reach[r] = above
+            covers[r] += member
+    level, stars, previous = 0, {0: range(len(masks))}, {}
+    for i in range(1, len(masks)):
+        sigma, k = masks[i], sizes[i]
+        if k > level:  # sigma is the first face of the next size
+            level, previous, stars = k, stars, {}
+        if reach[i] > k + 1:
+            top = 1 << sigma.bit_length() - 1
+            stars[sigma] = star = [t for t in previous[sigma ^ top] if masks[t] & top]
+            yield face[sigma], betti(sigma, star)
+        elif reach[i] > k:
+            c0, c1 = int(in_pair[i]), covers[i]
+            r = min(c0, c1)
+            yield face[sigma], (c0 - r, c1 - r)
+        else:
+            yield face[sigma], (int(in_pair[i]),)
+
+
+def _block_rank(columns: list[dict], field: FieldSpec, kernel: int) -> int:
+    """The rank of one block of link columns, given ``kernel``, the exact
+    kernel dimension of the block below it.  Over Q its GF(2) rank is
+    taken when it meets ``min(len(columns), kernel)`` (the module
+    docstring has the proof); otherwise the block is eliminated over its
+    field."""
+    if not field.characteristic:
+        lower = matrix_rank(columns, GF2)
+        if lower == min(len(columns), kernel):
+            return lower
+    return matrix_rank(columns, field)
 
 
 def _forest_size(edges) -> int:

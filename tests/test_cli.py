@@ -207,6 +207,16 @@ def test_console_script_entry_names_main():
     assert getattr(importlib.import_module(module), name) is main
 
 
+def test_package_runs_as_a_module():
+    # With the source tree on the path and nothing installed, as tier-1 runs.
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-m", "extenders", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: extenders") and proc.stderr == ""
+
+
 def test_readme_library_sketch_prints_its_comments():
     # Each bare expression of the sketch is checked against the value its
     # comment gives, on the same line or the next; other lines just run.

@@ -146,6 +146,13 @@ GROUNDED = [(build_complex([[1, 2, 3, 4]]), build_complex([[1], [2]])),
             (build_complex([[1, 2, 3, 4], [4, 5]]), build_complex([[1, 2], [5]])),
             (build_complex([[1, 2, 3], [2, 3, 4], [1, 4]]), build_complex([[2, 3], [4]])),
             (BOWTIE_LID, BOWTIE)]
+# Links of dimension at most 0, which the walk counts: the edge {4, 5} is a
+# facet of the subcomplex, so outside the pair; the vertex 4 is an isolated
+# point of the subcomplex; the ridge {3, 4} has one cover, {2, 3, 4}, which
+# lies in the subcomplex.
+COUNTED = [(build_complex([[1, 2, 3], [4, 5]]), build_complex([[4, 5]])),
+           (build_complex([[1, 2, 3], [4]]), build_complex([[4]])),
+           (build_complex([[1, 2, 3], [2, 3, 4]]), build_complex([[2, 3, 4]]))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,9 +161,13 @@ GROUNDED = [(build_complex([[1, 2, 3, 4]]), build_complex([[1], [2]])),
 @example(GROUNDED[1])
 @example(GROUNDED[2])
 @example(GROUNDED[3])
+@example(COUNTED[0])
+@example(COUNTED[1])
+@example(COUNTED[2])
 def test_link_betti_matches_literal_links(pair):
     """Facets of up to 4 vertices give links of dimension 0, 1 and 2, whose
-    two lower ranks the walk counts instead of building columns."""
+    two lower ranks the walk counts instead of building columns; links of
+    dimension at most 0 are counted with no star."""
     big, small = pair
     order = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
     for p, rank in DENSE_RANKS.items():
@@ -245,6 +256,45 @@ def test_each_check_walks_a_cohen_macaulay_input_once(monkeypatch):
             walks.clear()
             check(disk, field)
             assert walks == expected
+
+
+def _recorded_ranks(monkeypatch) -> list:
+    """(characteristic, rank) of every ``matrix_rank`` call from here on."""
+    calls = []
+    rank = homology.matrix_rank
+
+    def recording(columns, field):
+        calls.append((field.characteristic, rank(columns, field)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(homology, "matrix_rank", recording)
+    return calls
+
+
+def test_projective_plane_makes_one_rational_elimination(monkeypatch):
+    # At the empty face the bound on the triangles' rank is
+    # min(10 triangles, 15 edges - rank 5 of the edges' boundary) = 10.  Over
+    # GF(2) the triangles' boundary has rank 9 (the plane's mod 2 class), one
+    # short, so that block alone is eliminated over Q, where its rank is 10.
+    # Every vertex link is a hexagon, which is counted.
+    calls = _recorded_ranks(monkeypatch)
+    walk = homology._link_betti(PROJECTIVE_PLANE, PROJECTIVE_PLANE, FieldSpec(0))
+    assert next(walk) == (fs(), (0, 0, 0, 0))
+    assert calls == [(2, 9), (0, 10)]
+    assert len(list(walk)) == len(PROJECTIVE_PLANE.faces) - 1
+    assert calls == [(2, 9), (0, 10)]
+    assert reduced_betti(PROJECTIVE_PLANE).betti == (0, 0, 0, 0)
+
+
+def test_skeleton_of_a_simplex_makes_no_rational_elimination(monkeypatch):
+    # Every GF(2) rank of a skeleton of a simplex, and of its links, meets
+    # the bound, so each block over Q costs one GF(2) reduction.
+    calls = _recorded_ranks(monkeypatch)
+    c = build_complex(combinations(range(10), 3))
+    assert reduced_betti(c).betti == (0, 0, 0, 84)
+    assert is_cohen_macaulay(c) and depth(c) == 3
+    assert isinstance(cm_extender(c), CmExtender)
+    assert calls and all(p == 2 for p, _ in calls)
 
 
 def test_link_walk_and_shelling_read_the_cached_view(monkeypatch):

@@ -31,6 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
+    _build_checked,
     build_complex,
     f_triangle,
     f_vector,
@@ -182,7 +183,7 @@ def load_complex_document(path: str) -> ComplexDocument:
             raise InputError(f"{path}: expected an object with a 'facets' key")
         raw_facets = data["facets"]
         name = data.get("name") or name
-    return ComplexDocument(build_complex(_faces(raw_facets, path)), name, path)
+    return ComplexDocument(_build_checked(_faces(raw_facets, path)), name, path)
 
 
 def _stem(path: str) -> str:

@@ -224,7 +224,15 @@ _MAX_LISTED = 1 << 18  # the most subsets one candidate may list: 18 vertices
 
 
 def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """The complex the candidate facets generate, made with its mask view.
+    """The complex the candidate facets generate, made with its mask view;
+    each candidate's labels are checked by :func:`face_of`."""
+    return _build_checked(map(face_of, facet_list))
+
+
+def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
+    """:func:`build_complex` of candidate faces whose labels are already
+    checked, such as a loaded file's or the (d + 1)-subsets of a
+    complex's vertices.
 
     Candidates are closed on masks, largest first, and each face is listed
     once.  The first candidate lists all its subsets by doubling.  A later
@@ -232,7 +240,7 @@ def build_complex(facet_list: Iterable[Iterable[int]]) -> SimplicialComplex:
     not yet reached: the faces present are closed under subsets, so the
     walk stops at each of them.  A candidate is refused before its listing
     if its 2^|F| subsets would pass ``_MAX_LISTED``."""
-    candidates = sorted({face_of(f) for f in facet_list}, key=len, reverse=True)
+    candidates = sorted(set(faces), key=len, reverse=True)
     codec = _MaskCodec(sorted(set().union(*candidates)))
     face, bit = codec.face, codec.bit
     for f in candidates:

@@ -19,31 +19,29 @@ attachment log records only where each gadget went: its intervals are
 the certificates' intervals whose tops hold its fresh vertices.
 
 Both constructions glue through one mutable builder and differ only in
-which list each mapped piece certificate joins.  The two certificates
-share most intervals, so they are kept as three lists, ``shared``,
+which list each piece certificate joins.  The two certificates share
+most intervals, so they are kept as three lists, ``shared``,
 ``with_only`` and ``without_only``: a gadget's swap moves only the last
-two, and each shared interval is mapped, decoded, ordered and verified
-once for both.  The builder works on ``int`` face masks from a copy of
-its host's mask view: each gadget is cached as masks together with its
-marked complex, and gluing maps a gadget mask through a table over its
-specified facet plus one shift for its fresh vertices, which also gives
-each glued face's frozenset, made once.  Frozensets leave the builder
-only at the result boundary, :meth:`_Builder.freeze`, which orders both
-certificates with one sort.
+two, and each shared interval is mapped, ordered and verified once for
+both.  The builder works on ``int`` face masks from a copy of its host's
+mask view.  A gadget is cached as its faces' masks, a decoder per face
+and its pairs' places among them.  Gluing maps each face once, through a
+table over the specified facet plus one shift for the fresh vertices,
+and decodes it once, into a list; each pair reads its masks and its
+frozensets off the two lists.  Masks are verified, frozensets returned,
+and one sort on masks orders both certificates.
 
 One checker, :func:`_check_result`, checks every result and is the only
-code that derives a value from one: it reads the result as masks (a built
-result passes the masks it was frozen from, any other is read through its
-extender's view), validates both certificates whole in one joint
-exact-cover test, and caches the h-vectors and h-triangles on the
-result, which :func:`h_decomposition` and the CLI read.  It certifies h(base) = h(extender) - h(relative), and the same of
-h-triangles: only the base's numbers are counted from faces; the others
-are read off the verified certificates' interval counts, by bottom size
-(Stanley) or by (top size, bottom size) for a layer-compatible one
-(Björner and Wachs).  A pure base whose certificates have only full tops
-needs no facet-size pass.  A result is frozen, so the cached values stay
-true of it; a hand-built or copied result starts with empty caches and is
-checked on the first read of either.
+code that derives a value from one: it reads the result as masks,
+validates both certificates whole in one joint exact-cover test, and
+caches the h-vectors and h-triangles on the result, which
+:func:`h_decomposition` and the CLI read.  It certifies h(base) =
+h(extender) - h(relative), and the same of h-triangles: only the base's
+numbers are counted from faces, the others are read off the verified
+certificates' interval counts (Stanley; Björner and Wachs).  A result is
+frozen, so the cached values stay true of it; a hand-built or copied
+result starts with empty caches and is checked on the first read of
+either.
 """
 
 from __future__ import annotations
@@ -183,50 +181,53 @@ def _prepartition(d: int, k: int) -> MarkedComplex:
 
 
 class _Gadget(NamedTuple):
-    """A gadget's off-facet faces and certificates as masks, laid out for
-    gluing: the specified face's vertices, sorted, take the lowest bits,
-    the rest of the specified facet's, sorted, the bits up to
-    facet_size - 1, and the other vertices the bits above them, sorted.
-    So bit ``i`` of the facet goes to entry ``i`` of the host's targets,
-    laid out the same way.  ``face_bits`` lists each face's bit
-    positions, in the order of ``faces``.  The with-face certificate is
-    ``shared`` and ``with_only``, the without-face one ``shared`` and
-    ``without_only``, as (bottom, top) mask pairs in build order."""
+    """A gadget laid out for gluing: the specified face's vertices,
+    sorted, take the lowest bits, the rest of the specified facet's the
+    bits up to facet_size - 1, and the others the bits above, each part
+    sorted; so bit ``i`` of the facet goes to the host's target ``i``.
+    ``faces`` holds the off-facet faces' masks and ``decoders`` an
+    ``itemgetter`` for each, which reads its labels off the labels its
+    bits map to.  ``pairs`` is (bottoms, tops) for each of ``shared``,
+    ``with_only`` and ``without_only``: places in ``faces``, where place
+    ``len(faces)`` is the specified face, the one on-facet face that a
+    certificate holds (as a top too when k = d)."""
 
     facet_size: int
     fresh: int
     faces: tuple
-    face_bits: tuple
-    shared: tuple
-    with_only: tuple
-    without_only: tuple
+    decoders: tuple
+    pairs: tuple
 
 
 class _Builder:
-    """A complex under construction, on masks: face set, codec (labels of
-    the host's vertices, then of the fresh ones), attachment log, and the
-    (bottom, top) lists of the with-face (or extender) certificate,
-    ``shared`` and ``with_only``, and the without-face (or relative) one,
-    ``shared`` and ``without_only``; each is verified whole.  Each
-    attachment adds a closed face set, so the face set stays closed, and
-    writes the frozenset of each face it adds into the codec's decode
-    table, so each face is decoded once."""
+    """A complex under construction: face masks, codec (the host's labels,
+    sorted, then the fresh ones, rising), attachment log, and the lists
+    ``shared``, ``with_only`` and ``without_only``, of which the with-face
+    (or extender) certificate is the first two and the without-face (or
+    relative) one the first and last.  ``masks`` holds the lists as mask
+    pairs and ``pairs``, aligned, as frozenset pairs.  ``added`` holds
+    the host's faces and each attachment's, decoded once by
+    :meth:`attach`; the codec's table holds the host's only, and decodes
+    any other mask lazily, to name it.  Each attachment adds a closed face
+    set, so the face set stays closed."""
 
     def __init__(self, host: SimplicialComplex, shared=(), with_only=(), without_only=()):
         self.codec = codec = host._view.codec.extended(())
         self.faces = set(host._view.masks)
+        self.added = [host.faces]
         self.next_label = max(host.vertices, default=-1) + 1
-        self.shared, self.with_only, self.without_only = (
-            [(codec.mask(b), codec.mask(t)) for b, t in part]
-            for part in (shared, with_only, without_only))
+        self.masks = tuple([(codec.mask(b), codec.mask(t)) for b, t in part]
+                           for part in (shared, with_only, without_only))
+        face = codec.face
+        self.pairs = tuple([(face[b], face[t]) for b, t in part] for part in self.masks)
         self.log: list[tuple] = []
 
-    def attach(self, piece: _Gadget, facet: int, face: int) -> tuple:
+    def attach(self, piece: _Gadget, facet: int, face: int, swap: bool = False) -> None:
         """Glue ``piece``'s specified facet onto ``facet`` and its specified
         face onto ``face``, order-preserving on sorted labels; its other
-        vertices get the next labels, in order.  Returns its shared,
-        with-only and without-only intervals in the new labels, as mask
-        pair lists, each pair mapped once."""
+        vertices get the next labels, in order.  Its with-only and
+        without-only intervals join the lists of those names, or each
+        other's if ``swap``."""
         targets = [*_bit_values(face), *_bit_values(facet & ~face)]
         tab = [0]  # tab[m]: the host face of the piece's facet face m
         for bit in targets:
@@ -234,64 +235,60 @@ class _Builder:
         low, width, shift = len(tab) - 1, piece.facet_size, len(self.codec.labels)
         images = [tab[m & low] | (m >> width) << shift for m in piece.faces]
         self.faces.update(images)
-        mapped = tuple(
-            [(tab[b & low] | (b >> width) << shift, tab[t & low] | (t >> width) << shift)
-             for b, t in pairs]
-            for pairs in (piece.shared, piece.with_only, piece.without_only))
         fresh = tuple(range(self.next_label, self.next_label + piece.fresh))
+        labels = self.codec.labels
+        # image[i]: the label that piece bit i maps to, a target's or fresh.
+        image = [labels[bit.bit_length() - 1] for bit in targets] + list(fresh)
+        added = [frozenset(get(image)) for get in piece.decoders]
+        self.added.append(added)
+        images.append(face)  # place len(piece.faces): the specified face
+        added.append(self.codec.face[face])
         self.codec.extend(fresh)
         self.next_label += piece.fresh
         self.log.append((face, facet, fresh))
-        # The glued faces are decoded in bulk: image(i) is the codec's label
-        # of the bit that piece bit i maps to, the target's or a fresh one,
-        # so no image is decoded bit by bit.
-        labels = self.codec.labels
-        image = ([labels[bit.bit_length() - 1] for bit in targets]
-                 + labels[shift:shift + piece.fresh]).__getitem__
-        self.codec.face.update(
-            zip(images, [frozenset(map(image, bits)) for bits in piece.face_bits]))
-        return mapped
+        mask_at, face_at = images.__getitem__, added.__getitem__
+        for j, (bottoms, tops) in zip((0, 2, 1) if swap else (0, 1, 2), piece.pairs):
+            if bottoms:
+                self.masks[j].extend(zip(map(mask_at, bottoms), map(mask_at, tops)))
+                self.pairs[j].extend(zip(map(face_at, bottoms), map(face_at, tops)))
 
     def freeze(self) -> tuple:
         """(complex, with-face partition, without-face partition, log).
 
-        Every frozenset returned is ``codec.face[m]`` for a mask ``m`` of
-        the builder, so what is verified on the masks is true of the
-        result, and the complex, intervals and log share those frozensets.
-        :meth:`attach` has already written each glued face into
-        ``codec.face``.  Both partitions come from one :func:`_canonical`
-        call, so a shared interval is decoded and ordered once."""
+        The complex is ``added`` and the intervals are ``pairs``, which
+        share those frozensets and are aligned with ``masks``, so what is
+        verified on the masks is true of the result."""
         face = self.codec.face
-        complex_ = SimplicialComplex(frozenset(map(face.__getitem__, self.faces)))
-        return (complex_,
-                *_canonical(self.codec, self.shared, self.with_only, self.without_only),
+        complex_ = SimplicialComplex(frozenset(itertools.chain.from_iterable(self.added)))
+        return (complex_, *_canonical(self.masks, self.pairs),
                 tuple(PieceAttachment(face[sigma], face[facet], fresh)
                       for sigma, facet, fresh in self.log))
 
 
-def _canonical(codec: _MaskCodec, shared: list, *only: list) -> list:
-    """The certificates ``shared`` + ``o``, for each mask pair list ``o``
-    of ``only``, as interval partitions ordered as
-    :meth:`IntervalPartition.of` orders pairs: by top and then bottom as
-    sorted labels.  Each pair's key and frozenset pair are made once, and
-    the union is sorted once, by top.  Distinct tops, which every valid
-    certificate has, already order a certificate's pairs; one whose tops
-    repeat, side by side once sorted, is sorted again by top and bottom."""
-    face = codec.face
-    pairs = [*shared, *itertools.chain(*only)]
-    tops = list(map(face.__getitem__, map(itemgetter(1), pairs)))
-    keys = list(map(sorted, tops))
-    decoded = list(zip(map(face.__getitem__, map(itemgetter(0), pairs)), tops))
-    order = sorted(range(len(pairs)), key=keys.__getitem__)
+def _label_key(mask: int) -> str:
+    """A mask's bits from the lowest up, then "2".  Over labels that rise
+    with their bits, these keys sort in reverse as the sorted labels do: a
+    label list comes before its extensions, and a lower next label first."""
+    return bin(mask)[:1:-1] + "2" if mask else "2"
+
+
+def _canonical(masks: tuple, pairs: tuple) -> list:
+    """The certificates shared + with-only and shared + without-only, of
+    the lists ``pairs``, in :meth:`IntervalPartition.of`'s order, read off
+    ``masks``, the same pairs, by :func:`_label_key`.  The union is sorted
+    once, by top; a certificate whose tops repeat, which no valid one
+    does, is sorted again by top and bottom."""
+    shared, with_only, without_only = masks
+    flat = [*with_only, *shared, *without_only]  # each certificate is a run
+    decoded = [*pairs[1], *pairs[0], *pairs[2]]
+    keys = list(map(_label_key, map(itemgetter(1), flat)))
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    first, last = len(with_only), len(with_only) + len(shared)
     certificates = []
-    common = start = len(shared)
-    for part in only:
-        stop = start + len(part)
-        mine = [i for i in order if i < common or start <= i < stop]
-        start = stop
+    for mine in list(filter(last.__gt__, order)), list(filter(first.__le__, order)):
         ordered = list(map(keys.__getitem__, mine))
         if any(map(eq, ordered, ordered[1:])):
-            mine.sort(key=lambda i: (keys[i], sorted(decoded[i][0])))
+            mine.sort(key=lambda i: (keys[i], _label_key(flat[i][0])), reverse=True)
         certificates.append(IntervalPartition(tuple(map(decoded.__getitem__, mine))))
     return certificates
 
@@ -302,11 +299,18 @@ def _as_masks(codec: _MaskCodec, partitions: tuple) -> list:
     return [[(mask(b), mask(t)) for b, t in part] for part in partitions]
 
 
+def _decoder(mask: int) -> itemgetter:
+    """The getter of a face's labels, by its bit positions, as a sequence."""
+    bits = [b.bit_length() - 1 for b in _bit_values(mask)]
+    return itemgetter(*bits) if len(bits) > 1 else itemgetter(slice(bits[0], bits[0] + 1))
+
+
 def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> _Gadget:
     """The mask form of a frozen gadget build on ``host``.  The builder's
     bits follow label order; the specified face's bits and then the rest
     of the specified facet's move to the bottom.  Fresh labels exceed
-    every host label, so only host bits move."""
+    every host label, so only host bits move.  One pass gives each
+    off-facet face its place, moved mask and decoder."""
     codec, facet, face = build.codec, marked.specified_facet, marked.specified_face
     host_labels = sorted(host.vertices)
     order = sorted(host_labels, key=lambda v: (v not in facet, v not in face, v))
@@ -315,21 +319,23 @@ def _gadget(marked: MarkedComplex, build: _Builder, host: SimplicialComplex) -> 
         bit = 1 << order.index(v)
         perm += [x | bit for x in perm]
     low = len(perm) - 1
-
-    def move(m):
-        return perm[m & low] | (m & ~low)
-
     closed = frozenset(_submasks(codec.mask(facet)))
-    faces = tuple(move(m) for m in build.faces if m not in closed)
-    shared, with_only, without_only = (
-        tuple((move(b), move(t)) for b, t in part)
-        for part in (build.shared, build.with_only, build.without_only))
+    place: dict[int, int] = {}
+    faces, decoders = [], []
+    for m in build.faces:
+        if m not in closed:
+            place[m] = len(faces)
+            m = perm[m & low] | (m & ~low)
+            faces.append(m)
+            decoders.append(_decoder(m))
+    place[codec.mask(face)] = len(faces)
+    at = place.__getitem__
     return _Gadget(
         facet_size=len(facet),
         fresh=len(codec.labels) - len(facet),
-        faces=faces,
-        face_bits=tuple(tuple(b.bit_length() - 1 for b in _bit_values(m)) for m in faces),
-        shared=shared, with_only=with_only, without_only=without_only)
+        faces=tuple(faces), decoders=tuple(decoders),
+        pairs=tuple((tuple(map(at, map(itemgetter(0), part))),
+                     tuple(map(at, map(itemgetter(1), part)))) for part in build.masks))
 
 
 @lru_cache(maxsize=None)
@@ -349,11 +355,7 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # each piece's own with-face and without-face intervals swap sides.
     for tau in sorted((bottom | extra for extra in _submasks(top & ~bottom) if extra),
                       key=build.codec.key):
-        shared, with_only, without_only = build.attach(
-            _partition_extender(d, tau.bit_count() - 1)[1], top, tau)
-        build.shared.extend(shared)
-        build.with_only.extend(without_only)
-        build.without_only.extend(with_only)
+        build.attach(_partition_extender(d, tau.bit_count() - 1)[1], top, tau, swap=True)
     complex_, with_part, without_part, log = build.freeze()
     marked = MarkedComplex(complex_, seed.specified_facet, sigma,
                            with_part, without_part, log)
@@ -363,8 +365,8 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # seed's intervals must partition its off-facet faces and sigma; and its
     # tops have d + 1 vertices, so they stay maximal.
     reports = _verify_joint(
-        _MaskView(build.codec, off_facet | {bottom}), frozenset({bottom}), build.shared,
-        (build.with_only, build.without_only), build.codec,
+        _MaskView(build.codec, off_facet | {bottom}), frozenset({bottom}), build.masks[0],
+        build.masks[1:], build.codec,
         lambda: _as_masks(build.codec, (with_part, without_part)))
     for report, what in zip(reports, ("adjoined", "off-facet")):
         _ensure_valid(report, f"{what} certificate for (d={d}, k={k})")
@@ -390,16 +392,12 @@ def _assemble(base: SimplicialComplex) -> ExtenderResult:
                     key=lambda f: (-f.bit_count(), lex_key(face[f])))
     for sigma in sorted(base_masks, key=build.codec.key):
         target = next(f for f in facets if f & sigma == sigma)
-        shared, with_only, without_only = build.attach(
-            _partition_extender(target.bit_count() - 1, sigma.bit_count() - 1)[1],
-            target, sigma)
-        build.shared.extend(shared)
-        build.with_only.extend(with_only)
-        build.without_only.extend(without_only)
+        build.attach(_partition_extender(target.bit_count() - 1, sigma.bit_count() - 1)[1],
+                     target, sigma)
     extender, extender_part, relative_part, log = build.freeze()
     result = ExtenderResult(extender, base, extender_part, relative_part, log)
-    _check_result(result, (_MaskView(build.codec, build.faces), build.shared,
-                           (build.with_only, build.without_only)))
+    _check_result(result, (_MaskView(build.codec, build.faces), build.masks[0],
+                           build.masks[1:]))
     return result
 
 

@@ -50,8 +50,8 @@ from .complexes import (
     Face,
     FaceFamily,
     SimplicialComplex,
+    _build_checked,
     _integer,
-    build_complex,
     pair_family,
     relative_family,
     skeleton,
@@ -459,7 +459,7 @@ def cm_extender(
     if dep >= d:  # depth >= dim of the face ring minus one
         vertices = c.vertices
         order = list(combinations(sorted(vertices), d + 1))  # lexicographic
-        gamma = build_complex(order)
+        gamma = _build_checked(map(frozenset, order))  # the base's labels, checked
         try:
             shelled = check_shelling_order(gamma, order)
         except NotAPermutation:

@@ -192,16 +192,18 @@ def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
     listed = _interval_faces(shared, len(members))
     if listed is None:
         return False
-    common = set(listed)
-    if len(common) < len(listed) or not common <= members:
+    # One pass each: the listed faces that are members, which number the
+    # listing only if every listed face is a distinct member.
+    common = members.intersection(listed)
+    if len(common) < len(listed):
         return False
     for removed, part, stats in claims:
         size = len(members) - len(removed) - len(common)
         own = _interval_faces(part, size)
         if own is None or not (removed <= members and common.isdisjoint(removed)):
             return False
-        distinct = set(own)
-        if not (len(distinct) == len(own) == size and distinct <= members
+        distinct = members.intersection(own)
+        if not (len(distinct) == len(own) == size
                 and distinct.isdisjoint(removed) and distinct.isdisjoint(common)):
             return False
         if len({top for top, _ in stats}) > 1 and not all(

@@ -807,7 +807,7 @@ def test_wrong_skeleton_extender_is_an_internal_error(write, capsys, monkeypatch
     # NotAPermutation as bad input.
     def without_a_facet(facets):
         return complexes.build_complex([f for f in facets if set(f) != {1, 2, 4}])
-    monkeypatch.setattr(homology, "build_complex", without_a_facet)
+    monkeypatch.setattr(homology, "_build_checked", without_a_facet)
     strip = write("strip.json", {"facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5]]})
     assert run(capsys, "cm-extender", strip) == (
         2, "", "internal error: skeleton extender's facets are not the 3-subsets "

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from extenders import (
     ExtenderResult,
@@ -39,6 +39,7 @@ from _oracles import (
     cube,
     f_triangle_by_definition,
     facet_depth_by_definition,
+    is_partitioning_by_definition,
     off_facet_family,
     poly_h,
     pure_complexes,
@@ -163,9 +164,10 @@ def test_partition_extender_base_case():
             (marked.specified_face, marked.specified_face)]
         assert len(marked.without_face_partition) == 0
         assert marked.attachments == ()
-        full = 2 ** (d + 1) - 1
+        # No off-facet face; the one with-only interval is the specified
+        # face, place 0, over itself.
         assert construct._partition_extender(d, d)[1] == construct._Gadget(
-            d + 1, 0, (), (), (), ((full, full),), ())
+            d + 1, 0, (), (), (((), ()), ((0,), (0,)), ((), ())))
 
 
 def _mask_checks(monkeypatch):
@@ -645,9 +647,9 @@ def test_bowtie_build_canonicalises_each_certificate_once(monkeypatch):
     canonical, of = construct._canonical, IntervalPartition.of.__func__
     post_init = FaceFamily.__post_init__
 
-    def counted_canonical(codec, shared, *only):
-        counts["canonical"].append(len(only))
-        return canonical(codec, shared, *only)
+    def counted_canonical(masks, pairs):
+        counts["canonical"].append(len(masks) - 1)
+        return canonical(masks, pairs)
 
     def counted_of(cls, pairs):
         counts["of"] += 1
@@ -701,13 +703,57 @@ def test_mask_certificates_are_ordered_as_interval_partitions_are(pairs):
     # The second list repeats tops, as only a broken certificate can.
     codec = _MaskCodec(range(1, 5))
     masks = [(codec.mask(b), codec.mask(t)) for b, t in pairs]
-    assert construct._canonical(codec, masks, []) == [IntervalPartition.of(pairs)]
+    faces = [(frozenset(b), frozenset(t)) for b, t in pairs]
+    assert construct._canonical((masks, [], []), (faces, [], [])) == [
+        IntervalPartition.of(pairs)] * 2
     # Split between the shared list and each certificate's own, the union
     # is sorted once and each certificate comes out as its own list would.
-    shared, first, second = masks[1::3], masks[0::3], masks[2::3]
-    assert construct._canonical(codec, shared, first, second) == [
+    split = [slice(1, None, 3), slice(0, None, 3), slice(2, None, 3)]
+    assert construct._canonical([masks[s] for s in split], [faces[s] for s in split]) == [
         IntervalPartition.of(pairs[1::3] + pairs[0::3]),
         IntervalPartition.of(pairs[1::3] + pairs[2::3])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_complexes() | small_complexes(min_facets=1))
+def test_returned_certificates_hold_gammas_own_faces(base):
+    # Masks and frozensets are read off two lists by one place per pair, so
+    # a wrong place would still pass the check on masks; the frozensets
+    # returned are checked here, by definition, and must be Gamma's own.
+    build = extender_for_complex if base.is_pure else nonpure_extender_for_complex
+    res = build(base)
+    gamma = res.extender.faces
+    assert is_partitioning_by_definition(gamma, res.extender_partition)
+    assert is_partitioning_by_definition(gamma - base.faces, res.relative_partition)
+    own = {f: f for f in gamma}
+    assert all(own[b] is b and own[t] is t
+               for part in (res.extender_partition, res.relative_partition)
+               for b, t in part)
+
+
+@st.composite
+def _labelled_pairs(draw):
+    """Pairs of faces over a few sorted labels, zero and the empty face
+    allowed, with tops of every size, some of them repeated."""
+    labels = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    subset = st.sets(st.sampled_from(labels)).map(frozenset)
+    tops = draw(st.lists(subset, min_size=1, max_size=8))
+    tops += draw(st.lists(st.sampled_from(tops), max_size=3))
+    return labels, [(frozenset(draw(st.sets(st.sampled_from(sorted(t))))) if t else t, t)
+                    for t in tops]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_pairs(), st.data())
+def test_mask_order_is_the_sorted_label_order(labelled, data):
+    labels, pairs = labelled
+    codec = _MaskCodec(labels)
+    part = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs),
+                              max_size=len(pairs)))
+    lists = [[p for p, j in zip(pairs, part) if j == i] for i in range(3)]
+    masks = [[(codec.mask(b), codec.mask(t)) for b, t in pl] for pl in lists]
+    assert construct._canonical(masks, lists) == [
+        IntervalPartition.of(lists[0] + lists[1]), IntervalPartition.of(lists[0] + lists[2])]
 
 
 def test_warm_gadgets_leave_no_mask_form_to_build(monkeypatch):

@@ -504,7 +504,7 @@ def test_cm_extender_builds_no_complex_beyond_its_extender(monkeypatch):
         sizes.append(len(c.faces))
         return c
 
-    monkeypatch.setattr(homology, "build_complex", counted)
+    monkeypatch.setattr(homology, "_build_checked", counted)
     outcome = cm_extender(path)
     assert isinstance(outcome, CmExtender) and len(outcome.extender.faces) == 172
     assert sizes and max(sizes) <= 172
@@ -533,7 +533,7 @@ def test_cm_extender_walks_the_relative_family_it_returns(monkeypatch):
 
 
 # A strip of three triangles on 5 points; Sigma is the 2-skeleton of the
-# simplex on them, 10 triangles.  Each mutation of build_complex below gives
+# simplex on them, 10 triangles.  Each mutation of the build below gives
 # a wrong Sigma.  Sigma less a facet of the strip used to fail as bad input
 # (NotASubcomplex); Sigma less another facet used to pass as a 9-facet
 # extender, and is still shellable, so only the facet check sees it.
@@ -550,7 +550,7 @@ WRONG_SKELETA = pytest.mark.parametrize("wrong", [
 @WRONG_SKELETA
 def test_cm_extender_rejects_a_wrong_skeleton(monkeypatch, wrong):
     base = build_complex(STRIP)
-    monkeypatch.setattr(homology, "build_complex",
+    monkeypatch.setattr(homology, "_build_checked",
                         lambda facets: build_complex(wrong(list(facets))))
     with pytest.raises(InternalCheckError,
                        match=r"^skeleton extender's facets are not the 3-subsets "

@@ -32,7 +32,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .complexes import (
     SimplicialComplex,
     _build_checked,
-    build_complex,
     f_triangle,
     f_vector,
     face_key,
@@ -382,7 +381,7 @@ def _verify_report_document(path: str) -> _Report:
     results = []
     # Certificates share face lists (each of a build-extender report names
     # the extender), so each distinct complex is built, and read, once.
-    built = functools.cache(build_complex)
+    built = functools.cache(_build_checked)
     for cert in data["certificates"]:
         try:
             facets, records, minus = cert["facets"], cert["intervals"], cert.get("minus")

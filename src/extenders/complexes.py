@@ -15,10 +15,11 @@ function, so results can be shared freely between concurrent tasks.
 
 Inside the construction and verification core a face is an ``int`` mask
 over densely relabelled vertices: bit i stands for the i-th smallest
-label, so label order is bit order and every sort key reads the same on
-either side.  A set's cached mask view is the one place that crosses
-between its frozensets and masks: every algorithm reads its faces there,
-and decodes a face only to order, return or name it.  The view is made
+label, so label order is bit order and faces are ordered on their
+masks, by :func:`_face_order` and :func:`_label_key` only.  A set's
+cached mask view is the one place that crosses between its frozensets
+and masks: every algorithm reads its faces there, and decodes a face
+only to return or name it.  The view is made
 with the set by :func:`build_complex`, and by :func:`relative_family` on
 the complex's codec, so a pair is encoded once; a set made by hand is
 read into one on first use (:func:`_mask_view`).  The view also owns the
@@ -59,12 +60,22 @@ def face_key(face: Face) -> tuple[int, tuple[int, ...]]:
     return (len(face), tuple(sorted(face)))
 
 
-def lex_key(face: Face) -> tuple[int, ...]:
-    return tuple(sorted(face))
-
-
 def format_face(face: Face) -> str:
     return "{" + ",".join(map(str, sorted(face))) + "}"
+
+
+def _face_order(masks) -> list:
+    """Masks in :func:`face_key` order, over labels that rise with their
+    bits: by size, then first the face that holds the lowest differing
+    bit.  The key stays inline, as the link walk sorts every view by it."""
+    return sorted(masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+
+
+def _label_key(mask: int) -> str:
+    """A mask's bits from the lowest up, then "2".  Over labels that rise
+    with their bits, these keys sort in reverse as the sorted labels do: a
+    label list comes before its extensions, and a lower next label first."""
+    return bin(mask)[:1:-1] + "2" if mask else "2"
 
 
 def _bit_values(mask: int) -> Iterator[int]:
@@ -101,20 +112,22 @@ class _Faces(dict):
 class _MaskCodec:
     """Faces as masks over a label list, and back.
 
-    ``labels[i]`` is the label of bit i; labels may be appended while masks
-    are in use, and need not be larger than the earlier ones: sort keys are
-    read off the decoded faces, not the bits.  Each mask is turned into its
-    frozenset once, through ``face``, which a caller may also fill in bulk.
+    ``labels[i]`` is the label of bit i, sorted by the constructor; only
+    fresh labels, which rise, and foreign ones, which no member holds, are
+    appended later.  Each mask is turned into its frozenset once, through
+    ``face``, which a caller may also fill in bulk.
     """
 
     def __init__(self, labels: Iterable[int], faces=()):
-        self.labels = list(labels)
+        self.labels = sorted(labels)
         self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
         self.face = _Faces(self.labels, faces)
 
     def extended(self, labels: Iterable[int]) -> "_MaskCodec":
         """A copy, decode table included, with ``labels`` appended."""
-        return _MaskCodec([*self.labels, *labels], self.face)
+        copy = _MaskCodec((), self.face)  # appended, not sorted, so no bit moves
+        copy.extend([*self.labels, *labels])
+        return copy
 
     def extend(self, labels: Iterable[int]) -> None:
         for v in labels:
@@ -123,9 +136,6 @@ class _MaskCodec:
 
     def mask(self, face: Iterable[int]) -> int:
         return sum(map(self.bit.__getitem__, face))
-
-    def key(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        return face_key(self.face[mask])
 
     def name(self, mask: int) -> str:
         return format_face(self.face[mask])
@@ -147,14 +157,14 @@ class _MaskView:
         return self.ambient.sizes if self.ambient else _facet_sizes(self.masks)
 
     def reading(self, labels: Iterable[int]) -> _MaskCodec:
-        """The codec, or a copy extended by the ``labels`` it lacks."""
+        """The codec, or a copy extended by the ``labels`` it lacks, sorted."""
         extra = set(labels).difference(self.codec.bit)
         return self.codec.extended(sorted(extra)) if extra else self.codec
 
 
 def _mask_view(x: "ComplexOrFamily") -> _MaskView:
     """The mask view of ``x``'s faces, cached on ``x`` as ``x._view``."""
-    codec = _MaskCodec(sorted(set().union(*x.faces)))
+    codec = _MaskCodec(set().union(*x.faces))
     codec.face.update((codec.mask(f), f) for f in x.faces)
     return _MaskView(codec, frozenset(codec.face))
 
@@ -241,7 +251,7 @@ def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
     walk stops at each of them.  A candidate is refused before its listing
     if its 2^|F| subsets would pass ``_MAX_LISTED``."""
     candidates = sorted(set(faces), key=len, reverse=True)
-    codec = _MaskCodec(sorted(set().union(*candidates)))
+    codec = _MaskCodec(set().union(*candidates))
     face, bit = codec.face, codec.bit
     for f in candidates:
         top = codec.mask(f)

@@ -33,7 +33,7 @@ and one sort on masks orders both certificates.
 
 One checker, :func:`_check_result`, checks every result and is the only
 code that derives a value from one: it reads the result as masks,
-validates both certificates whole in one joint exact-cover test, and
+validates both certificates whole through one :func:`_verify` call, and
 caches the h-vectors and h-triangles on the result, which
 :func:`h_decomposition` and the CLI read.  It certifies h(base) =
 h(extender) - h(relative), and the same of h-triangles: only the base's
@@ -57,14 +57,15 @@ from .complexes import (
     Face,
     SimplicialComplex,
     _bit_values,
+    _face_order,
     _integer,
+    _label_key,
     _MaskCodec,
     _MaskView,
     _submasks,
     build_complex,
     h_triangle,
     h_vector,
-    lex_key,
 )
 from .errors import (
     InternalCheckError,
@@ -77,7 +78,7 @@ from .partitions import (
     IntervalPartition,
     PartitionReport,
     _interval_h,
-    _verify_joint,
+    _verify,
 )
 
 
@@ -265,13 +266,6 @@ class _Builder:
                       for sigma, facet, fresh in self.log))
 
 
-def _label_key(mask: int) -> str:
-    """A mask's bits from the lowest up, then "2".  Over labels that rise
-    with their bits, these keys sort in reverse as the sorted labels do: a
-    label list comes before its extensions, and a lower next label first."""
-    return bin(mask)[:1:-1] + "2" if mask else "2"
-
-
 def _canonical(masks: tuple, pairs: tuple) -> list:
     """The certificates shared + with-only and shared + without-only, of
     the lists ``pairs``, in :meth:`IntervalPartition.of`'s order, read off
@@ -353,8 +347,7 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     top, bottom = mask(anchor), mask(sigma)
     # The faces strictly between sigma and its interval top, as submasks;
     # each piece's own with-face and without-face intervals swap sides.
-    for tau in sorted((bottom | extra for extra in _submasks(top & ~bottom) if extra),
-                      key=build.codec.key):
+    for tau in _face_order(bottom | extra for extra in _submasks(top & ~bottom) if extra):
         build.attach(_partition_extender(d, tau.bit_count() - 1)[1], top, tau, swap=True)
     complex_, with_part, without_part, log = build.freeze()
     marked = MarkedComplex(complex_, seed.specified_facet, sigma,
@@ -364,9 +357,9 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # without-face ones, which hold only faces with fresh vertices, so the
     # seed's intervals must partition its off-facet faces and sigma; and its
     # tops have d + 1 vertices, so they stay maximal.
-    reports = _verify_joint(
-        _MaskView(build.codec, off_facet | {bottom}), frozenset({bottom}), build.masks[0],
-        build.masks[1:], build.codec,
+    reports = _verify(
+        _MaskView(build.codec, off_facet | {bottom}), build.masks[0],
+        ((frozenset(), build.masks[1]), (frozenset({bottom}), build.masks[2])), build.codec,
         lambda: _as_masks(build.codec, (with_part, without_part)))
     for report, what in zip(reports, ("adjoined", "off-facet")):
         _ensure_valid(report, f"{what} certificate for (d={d}, k={k})")
@@ -386,11 +379,11 @@ def partition_extender(d: int, k: int) -> MarkedComplex:
 def _assemble(base: SimplicialComplex) -> ExtenderResult:
     build = _Builder(base)
     base_masks, face = base._view.masks, build.codec.face
-    # The facets, largest first and then lexicographically, so a face's
-    # target, the first that contains it, has its facet depth.
-    facets = sorted((m for m in base_masks if face[m] in base.facets),
-                    key=lambda f: (-f.bit_count(), lex_key(face[f])))
-    for sigma in sorted(base_masks, key=build.codec.key):
+    # The facets, largest first and then lexicographically (a stable sort),
+    # so a face's target, the first that contains it, has its facet depth.
+    facets = sorted(_face_order(m for m in base_masks if face[m] in base.facets),
+                    key=int.bit_count, reverse=True)
+    for sigma in _face_order(base_masks):
         target = next(f for f in facets if f & sigma == sigma)
         build.attach(_partition_extender(target.bit_count() - 1, sigma.bit_count() - 1)[1],
                      target, sigma)
@@ -409,8 +402,9 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     view bit for bit, and its intervals split as built.  Any other result
     is read through its extender's view, whose codec, or a copy extended
     by the labels it lacks, reads the base and intervals, and shares
-    none.  Both certificates are checked whole by one
-    :func:`_verify_joint` call; the split only says what is listed once.
+    none.  Both certificates are checked whole by one :func:`_verify`
+    call, with the base as the members the relative family lacks; the
+    split only says what is listed once.
 
     Certified: the base lies in the extender, of its dimension; both
     certificates are valid; for a nonpure result, facet depths are kept
@@ -446,20 +440,23 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
     if not base <= view.masks:
-        missing = min(base - view.masks, key=codec.key)
+        # A missing face of least size has no label outside the extender's
+        # but a missing singleton's, and the codec appends those sorted.
+        missing = _face_order(base - view.masks)[0]
         raise InternalCheckError(f"base face {codec.name(missing)} is not in the extender")
     pure = result.base.is_pure and set(map(int.bit_count, map(
         itemgetter(1), itertools.chain(shared, *only)))) <= {d + 1}
     if not pure:
         base_sizes, sizes = base_view.sizes, view.sizes
-    reports = _verify_joint(view, base, shared, only, codec, lambda: _as_masks(codec, parts))
+    reports = _verify(view, shared, ((frozenset(), only[0]), (base, only[1])), codec,
+                      lambda: _as_masks(codec, parts))
     for what, report in zip(_CERTIFICATES, reports):
         _ensure_valid(report, f"{what} certificate")
     if not pure:
         changed = [s for s in base if base_sizes[s] != sizes[s]]
         if changed:
             raise InternalCheckError(
-                f"facet depth of {codec.name(min(changed, key=codec.key))} changed")
+                f"facet depth of {codec.name(_face_order(changed)[0])} changed")
         # As in is_layer_compatible; a shared pair is named with the extender.
         for what, part in zip(_CERTIFICATES, (itertools.chain(shared, only[0]), only[1])):
             if not all(sizes[b] == sizes[t] for b, t in part):

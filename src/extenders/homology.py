@@ -51,6 +51,7 @@ from .complexes import (
     FaceFamily,
     SimplicialComplex,
     _build_checked,
+    _face_order,
     _integer,
     pair_family,
     relative_family,
@@ -211,8 +212,8 @@ def _link_betti(
     the later faces' set-up.
 
     One index, ``big``'s mask view, serves the whole walk.  Its masks get
-    ids in ``face_key`` order, which is the order of their reversed bit
-    strings, as the codec's labels are sorted.  Each mask's boundary
+    ids in ``face_key`` order, read off the masks by :func:`_face_order`,
+    as the codec's labels are sorted.  Each mask's boundary
     entries are listed once as (vertex bit, row id, sign), bits in label
     order, from its parent's (the mask less its top bit).  The star of
     sigma is the part of the star of sigma - max(sigma) that contains
@@ -242,8 +243,7 @@ def _link_betti(
     :func:`matrix_rank` call.  Higher blocks are ranked in degree order by
     :func:`_block_rank`, which the exact rank below each block bounds."""
     view = big._view
-    face, masks = view.codec.face, sorted(
-        view.masks, key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+    face, masks = view.codec.face, _face_order(view.masks)
     if not masks:
         return
     ids = {m: i for i, m in enumerate(masks)}

@@ -9,19 +9,19 @@ first offence.  Whether a top is maximal is read from one place, the
 facet-size map of the family's mask view, ``view.sizes``, built once per
 face set: a top is maximal when its facet size is its own size.  Nothing
 is assumed about the family being closed under subsets.  It runs on
-``int`` face masks: :func:`verify_partitioning` hands the family's mask
-view and the intervals, read through its codec, to :func:`_verify_masks`.
-The construction core checks its two certificates, of a family and of a
-subfamily, which share most intervals, by one :func:`_verify_joint`
-call: one exact-cover test, :func:`_exact_covers`, of which
-:func:`_verify_masks` is the one-certificate case, lists each shared
-interval's faces once for both.  A pair of claims that fails it is
-verified again one certificate at a time, so every report is the one
-:func:`verify_partitioning` gives, word for word.  The walk visits each
-interval's faces by size and then in label order, so every failure names
-its least offending face by :func:`face_key`, the first it meets.  The
-searches backtrack exhaustively over the view's masks, with fully
-lexicographic tie-breaking, so witnesses and verdicts are reproducible.
+``int`` face masks, through one entry, :func:`_verify`: the intervals
+some certificates share, and each certificate's own intervals and the
+members its family lacks.  :func:`verify_partitioning` passes one
+certificate; the construction core two, of a family and a subfamily,
+which share most intervals.  One exact-cover test, :func:`_exact_covers`,
+decides them all, listing each shared interval's faces once; claims that
+fail it are walked one whole certificate at a time, so every report is
+the one :func:`verify_partitioning` gives, word for word.  The walk
+visits each interval's faces by size and then in bit order, which is
+label order, so every failure names its least offending face by
+:func:`face_key`, the first it meets.  The searches backtrack
+exhaustively over the view's masks, with fully lexicographic
+tie-breaking, so witnesses and verdicts are reproducible.
 
 Every function here reads only ``faces`` and ``dim`` and the view of the
 faces, which a complex and a relative family both expose, so either can
@@ -55,13 +55,14 @@ from .complexes import (
     _MaskCodec,
     _MaskView,
     _bit_values,
+    _face_order,
+    _label_key,
     _submasks,
     face_of,
     format_face,
     h_from_f,
     h_triangle,
     h_vector,
-    lex_key,
     pair_family,
 )
 from .errors import (
@@ -91,7 +92,7 @@ class IntervalPartition:
                     f"interval bottom {format_face(b)} is not contained in "
                     f"top {format_face(t)}")
             normalized.append((b, t))
-        # Sorted lists order as lex_key tuples do: by top, then by bottom.
+        # By top, then by bottom, each as its sorted label list.
         normalized.sort(key=lambda bt: (sorted(bt[1]), sorted(bt[0])))
         return cls(tuple(normalized))
 
@@ -124,46 +125,34 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     Valid means: every set between each bottom and top is a member, the
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
-    :func:`_verify_masks` checks the family's mask view and the intervals,
-    read through its codec (a copy extended by any label it lacks).
+    :func:`_verify` checks the intervals, read through the family's codec
+    (a copy extended by any label it lacks), as one claim on its view.
     """
     codec = fam._view.reading(itertools.chain(*itertools.chain(*p)))
-    mask = codec.mask
-    return _verify_masks(fam._view, [(mask(b), mask(t)) for b, t in p], codec)
+    pairs = [(codec.mask(b), codec.mask(t)) for b, t in p]
+    return _verify(fam._view, (), ((frozenset(), pairs),), codec, lambda: (pairs,))[0]
 
 
-def _verify_masks(view: _MaskView, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec) -> PartitionReport:
-    """:func:`verify_partitioning` on masks: ``view.masks`` is the family
-    and ``pairs`` the (bottom, top) intervals, in the order they are
-    checked; ``codec`` names faces in the report.  The family's facet-size
-    map, ``view.sizes``, is read only if it is needed.  This is the
-    one-certificate case of :func:`_exact_covers`; a claim that fails it
-    is walked by :func:`_name_offence`, which names its first offence.
-    """
-    stats = _stats(pairs)
-    covered = _exact_covers(view, pairs, ((frozenset(), (), stats),))
-    violation = None if covered else _name_offence(view, pairs, codec)
-    return PartitionReport(violation is None, violation, tuple(sorted(stats.items())))
-
-
-def _verify_joint(view: _MaskView, removed: frozenset, shared: Sequence[tuple[int, int]],
-                  only: Sequence, codec: _MaskCodec, full: Callable[[], Sequence]) -> tuple:
-    """The reports of two certificates that share intervals: one of the
-    family ``view.masks``, made of ``shared`` and ``only[0]``, and one of
-    the subfamily without the members ``removed``, made of ``shared`` and
-    ``only[1]``.  The two are decided together by :func:`_exact_covers`,
-    which lists each shared interval's faces once.  If they fail, each
-    certificate is verified alone by :func:`_verify_masks` on its whole
-    list, ``full()``, the subfamily's as a view over the family's, so each
-    report names the offence, word for word, that it would name alone."""
+def _verify(view: _MaskView, shared: Sequence[tuple[int, int]], claims: Sequence[tuple],
+            codec: _MaskCodec, full: Callable[[], Sequence]) -> tuple:
+    """One report per claim (removed, own): whether the (bottom, top)
+    intervals ``shared`` and ``own`` partition the family ``view.masks``
+    less the members ``removed``.  ``codec`` names faces, and ``full()``
+    lists each claim's whole certificate in the order it is checked.  The
+    claims are decided together by :func:`_exact_covers`.  If they fail,
+    each whole certificate is walked by :func:`_name_offence` on its own
+    family, ``view`` itself when nothing is removed, so each report names
+    the offence, word for word, that the certificate alone would name."""
     common = _stats(shared)
-    stats = [common + _stats(part) for part in only]
-    if _exact_covers(view, shared, ((frozenset(), only[0], stats[0]),
-                                    (removed, only[1], stats[1]))):
-        return tuple(PartitionReport(True, None, tuple(sorted(s.items()))) for s in stats)
-    views = (view, _MaskView(codec, view.masks - removed, view))
-    return tuple(_verify_masks(v, pairs, codec) for v, pairs in zip(views, full()))
+    stats = [common + _stats(own) for _, own in claims]
+    if _exact_covers(view, shared, claims, stats):
+        violations = [None] * len(claims)
+    else:
+        violations = [_name_offence(
+            _MaskView(codec, view.masks - removed, view) if removed else view, pairs, codec)
+            for (removed, _), pairs in zip(claims, full())]
+    return tuple(PartitionReport(v is None, v, tuple(sorted(s.items())))
+                 for v, s in zip(violations, stats))
 
 
 def _stats(pairs: Sequence[tuple[int, int]]) -> Counter:
@@ -173,10 +162,10 @@ def _stats(pairs: Sequence[tuple[int, int]]) -> Counter:
 
 
 def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
-                  claims: Sequence[tuple]) -> bool:
-    """Whether, for each claim (removed, only, stats), the intervals of
-    ``shared`` and ``only`` partition the family ``view.masks`` less the
-    members ``removed``, with maximal tops.
+                  claims: Sequence[tuple], stats: Sequence[Counter]) -> bool:
+    """Whether, for each claim (removed, own), with interval counts
+    ``stats``, the intervals of ``shared`` and ``own`` partition the
+    family ``view.masks`` less the members ``removed``, with maximal tops.
 
     The claims are decided in bulk, each face listed once for all.  The
     shared faces must be distinct members; each claim's own faces must be
@@ -197,7 +186,7 @@ def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
     common = members.intersection(listed)
     if len(common) < len(listed):
         return False
-    for removed, part, stats in claims:
+    for (removed, part), counts in zip(claims, stats):
         size = len(members) - len(removed) - len(common)
         own = _interval_faces(part, size)
         if own is None or not (removed <= members and common.isdisjoint(removed)):
@@ -206,7 +195,7 @@ def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
         if not (len(distinct) == len(own) == size
                 and distinct.isdisjoint(removed) and distinct.isdisjoint(common)):
             return False
-        if len({top for top, _ in stats}) > 1 and not all(
+        if len({top for top, _ in counts}) > 1 and not all(
                 view.sizes[t] == t.bit_count() for _, t in itertools.chain(shared, part)):
             return False
     return True
@@ -237,16 +226,17 @@ def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
     """The first offence of a claim, or None: the intervals are walked in
     order.  A top must be a member and its own facet size, read from
     ``view.sizes`` only once a top is smaller than the largest member.
-    Each interval's faces are then visited by size, and within a
-    size by label order, so the first offending face met is the least by
-    :func:`face_key`: faces of one size over one bottom order as their
-    added parts.  Every face visited before it is a member covered once,
-    so the walk visits at most one face more than the family has members.
+    Each interval's faces are then visited by size, and within a size by
+    bit order, which is label order, as the top is a member: so the first
+    offending face met is the least by :func:`face_key`, since faces of
+    one size over one bottom order as their added parts.  Every face
+    visited before it is a member covered once, so the walk visits at
+    most one face more than the family has members.
     """
     def label(b, t):
         return f"[{codec.name(b)}, {codec.name(t)}]"
 
-    labels, members = codec.labels, view.masks
+    members = view.masks
     top_size = max(map(int.bit_count, members), default=0)
     covered: set[int] = set()
     add = covered.add
@@ -254,10 +244,10 @@ def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
         if t not in members:
             return f"top of {label(b, t)} is not a member"
         if t.bit_count() < top_size and view.sizes[t] > t.bit_count():
-            above = min((m for m in members if m & t == t and m != t), key=codec.key)
+            above = _face_order(m for m in members if m & t == t and m != t)[0]
             return (f"top of {label(b, t)} is not maximal: it is "
                     f"contained in {codec.name(above)}")
-        bits = sorted(_bit_values(t & ~b), key=lambda bit: labels[bit.bit_length() - 1])
+        bits = [*_bit_values(t & ~b)]
         for size in range(len(bits) + 1):
             for added in itertools.combinations(bits, size):
                 s = b | sum(added)
@@ -268,7 +258,7 @@ def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
                             f"{codec.name(s)}, which is not a member")
                 add(s)
     if len(covered) != len(members):
-        missing = min(members - covered, key=codec.key)
+        missing = _face_order(members - covered)[0]
         return f"face {codec.name(missing)} is not covered"
     return None
 
@@ -348,8 +338,9 @@ def find_partitioning(
     if not fam.faces:
         return IntervalPartition.of([])
     members, face, sizes = fam._view.masks, fam._view.codec.face, fam._view.sizes
-    tops = sorted((m for m in members if sizes[m] == m.bit_count()),
-                  key=lambda m: (-m.bit_count(), lex_key(face[m])))
+    # Largest first; the sort is stable, so each size stays in face_key order.
+    tops = sorted(_face_order(m for m in members if sizes[m] == m.bit_count()),
+                  key=int.bit_count, reverse=True)
     # room[i]: how many more intervals with bottom size i may be chosen.
     if all(top.bit_count() == fam.dim + 1 for top in tops):
         room = list(h_vector(fam))
@@ -365,7 +356,7 @@ def find_partitioning(
         due[due_at[m]].append(m)
     options = [sorted(((b, cube) for b in _submasks(top)
                        if (cube := _interval(b, top)) <= members),
-                      key=lambda choice: lex_key(face[choice[0]]))
+                      key=lambda choice: _label_key(choice[0]), reverse=True)
                for top in tops]
 
     # Depth-first, as a loop so that long families stay off the call stack:
@@ -467,8 +458,8 @@ def find_shelling(
     if not expected:
         return ()
     face = big._view.codec.face
-    facets = sorted((m for m in fam._view.masks if face[m] in expected),
-                    key=lambda m: (-m.bit_count(), lex_key(face[m])))
+    facets = sorted(_face_order(m for m in fam._view.masks if face[m] in expected),
+                    key=int.bit_count, reverse=True)
     failed: set[int] = set()
     # Depth-first, as a loop so that long orders stay off the call stack:
     # bit i of ``placed`` is set while ``facets[i]`` is placed, ``order``

@@ -464,8 +464,8 @@ def test_report_verification_builds_each_certificate_complex_once(write, capsys,
     _, report, _ = run(capsys, "build-extender", write("bowtie.json", BOWTIE), "--json")
     path = write("report.json", report)
     built = []
-    build = cli.build_complex
-    monkeypatch.setattr(cli, "build_complex", lambda faces: built.append(1) or build(faces))
+    build = cli._build_checked
+    monkeypatch.setattr(cli, "_build_checked", lambda faces: built.append(1) or build(faces))
     # Each built complex has its view from birth and the relative family
     # reads the extender's, so no view is built lazily: the mask views are
     # counted where both classes cache them.

@@ -84,6 +84,23 @@ def test_build_complex_closes_candidates_with_their_mask_view(candidates):
     assert all(view.codec.face[m] == fresh.codec.face[m] for m in view.masks)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8, unique=True), st.data())
+def test_face_orders_are_read_off_masks(labels, data):
+    # The codec sorts labels given in any order, so both label orders of
+    # faces, the empty face included, are read off the masks alone.
+    assert complexes._MaskCodec([3, 1, 2]).labels == [1, 2, 3]
+    codec = complexes._MaskCodec(labels)
+    assert codec.labels == sorted(labels)
+    faces = data.draw(st.sets(st.frozensets(st.sampled_from(labels), max_size=4), max_size=12))
+    masks = [codec.mask(f) for f in faces | {fs()}]
+    decoded = [codec.face[m] for m in masks]
+    assert [codec.face[m] for m in complexes._face_order(masks)] \
+        == sorted(decoded, key=face_key)
+    assert [codec.face[m] for m in sorted(masks, key=complexes._label_key, reverse=True)] \
+        == sorted(decoded, key=sorted)
+
+
 def test_closure_bound_is_on_each_candidate_listing(monkeypatch):
     # Each candidate may list up to the bound, however many candidates.
     monkeypatch.setattr(complexes, "_MAX_LISTED", 8)

@@ -171,16 +171,16 @@ def test_partition_extender_base_case():
 
 
 def _mask_checks(monkeypatch):
-    """The list that every later ``construct._verify_joint`` call appends
+    """The list that every later ``construct._verify`` call appends
     its reports to, one list per call; ``construct`` verifies nothing any
     other way."""
     calls = []
-    verify = construct._verify_joint
+    verify = construct._verify
 
     def counted(*args):
         calls.append(verify(*args))
         return calls[-1]
-    monkeypatch.setattr(construct, "_verify_joint", counted)
+    monkeypatch.setattr(construct, "_verify", counted)
     return calls
 
 
@@ -531,6 +531,9 @@ def test_check_result_accepts_handmade_results():
      "extender certificate is not layer-compatible"),
     (_handmade(build_complex([[1, 2]]), build_complex([[1, 3]]), [([], [1, 2])], []),
      "base face {3} is not in the extender"),
+    # Foreign labels below and above the extender's, read after them.
+    (_handmade(build_complex([[2, 3]]), build_complex([[2, 4], [0, 2]]), [([], [2, 3])], []),
+     "base face {0} is not in the extender"),
 ])
 def test_check_result_names_the_failed_check(result, message):
     # The checker's failure is a library bug when it checks a built result;
@@ -554,7 +557,7 @@ def test_a_miscounting_verifier_is_caught(monkeypatch):
              (nonpure_extender_for_complex, build_complex([[1, 2, 3], [3, 4], [5]])))
     for build, base in cases:
         build(base)  # warm the gadgets, so only the result is verified below
-    verify = construct._verify_joint
+    verify = construct._verify
     for build, base in cases:
 
         def miscounted(*args):
@@ -562,7 +565,7 @@ def test_a_miscounting_verifier_is_caught(monkeypatch):
             (key, count), *rest = relative.interval_stats
             return extender, dataclasses.replace(
                 relative, interval_stats=((key, count + 1), *rest))
-        monkeypatch.setattr(construct, "_verify_joint", miscounted)
+        monkeypatch.setattr(construct, "_verify", miscounted)
         with pytest.raises(InternalCheckError) as excinfo:
             build(base)
         assert str(excinfo.value) == "h(base) is not h(extender) - h(relative)"

@@ -1,6 +1,6 @@
-"""Only ``complexes.py`` makes a mask codec or a facet-size map, and the
-closure, the searches, the shelling steps, the link walk and the gadget
-recursion walk no frozensets of their own.
+"""Only ``complexes.py`` makes a mask codec or a facet-size map or orders
+masks, and the closure, the searches, the shelling steps, the link walk
+and the gadget recursion walk no frozensets of their own.
 
 Every other module of the package reads a complex's or family's cached
 mask view, or a copy of its codec, so no face set is encoded twice.  The
@@ -11,8 +11,10 @@ mask view's cached map, fails the second, so each face set builds its
 facet-size map once; a use of ``subsets_of`` in ``complexes.py``,
 ``partitions.py``, ``homology.py`` or ``construct.py``, of
 ``combinations`` in ``complexes.py``, or of ``face_key`` in
-``homology.py`` or ``construct.py``, called or passed as a sort key,
-fails the third.
+``partitions.py``, ``homology.py`` or ``construct.py``, called or passed
+as a sort key, fails the third; a call of ``bin`` outside
+``complexes.py``, whose ``_face_order`` and ``_label_key`` read face
+orders off masks, fails the fourth, so the order has one home.
 """
 
 import ast
@@ -22,7 +24,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "extenders"
 
 # The frozenset walks that each module's algorithms read off the view instead.
 VIEW_READERS = {"complexes.py": {"subsets_of", "combinations"},
-                "partitions.py": {"subsets_of"},
+                "partitions.py": {"subsets_of", "face_key"},
                 "homology.py": {"subsets_of", "face_key"},
                 "construct.py": {"subsets_of", "face_key"}}
 
@@ -60,3 +62,9 @@ def test_searches_and_link_walk_read_faces_off_the_view():
     uses = [where for module, names in VIEW_READERS.items()
             for where in _name_uses(PACKAGE / module, names)]
     assert not uses, f"frozenset walks beside the mask view: {uses}"
+
+
+def test_only_complexes_reads_an_order_off_bits():
+    calls = [where for path in sorted(PACKAGE.glob("*.py")) if path.name != "complexes.py"
+             for where in _name_uses(path, {"bin"}, calls_only=True)]
+    assert not calls, f"bin called outside complexes.py: {calls}"

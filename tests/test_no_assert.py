@@ -2,8 +2,8 @@
 
 ``python -O`` strips every ``assert``, so a certificate check written as
 one would vanish there while the suite, run without ``-O``, still passes.
-The package raises instead; CI also runs the construction, partition and
-golden tests under ``python -O``.
+The package raises instead; CI also runs the whole suite under
+``python -O``.
 """
 
 import ast

@@ -34,7 +34,7 @@ from extenders import (
 )
 from extenders import complexes, construct, partitions
 from extenders.complexes import (
-    _MaskCodec, _MaskView, _facet_sizes, face_key, format_face, lex_key)
+    _MaskCodec, _MaskView, _facet_sizes, face_key, format_face)
 from _oracles import (
     all_partitionings,
     complex_pairs,
@@ -107,7 +107,7 @@ _label_sets = st.frozensets(st.sampled_from([1, 2, 3, 9, 10, 12]), max_size=3)
 @given(st.lists(st.tuples(_label_sets, _label_sets), max_size=8))
 def test_interval_partition_sorts_by_top_then_bottom(pairs):
     pairs = [(bottom, bottom | extra) for bottom, extra in pairs]
-    expected = sorted(pairs, key=lambda bt: (lex_key(bt[1]), lex_key(bt[0])))
+    expected = sorted(pairs, key=lambda bt: (sorted(bt[1]), sorted(bt[0])))
     assert IntervalPartition.of(pairs).intervals == tuple(expected)
 
 
@@ -301,6 +301,11 @@ def _moved_into_shared(parts, i):
     return (shared + [moved], rest, second) if i % 2 == 0 else (shared + [moved], first, rest)
 
 
+def _alone(view, pairs, codec):
+    """The report of one certificate, mask ``pairs``, on ``view.masks``."""
+    return partitions._verify(view, (), ((frozenset(), pairs),), codec, lambda: (pairs,))[0]
+
+
 def _joint_and_alone(view, removed, parts, codec):
     """The reports of the joint check of (shared, first, second), face
     pairs read through ``codec``, on the family ``view.masks`` and its
@@ -310,10 +315,9 @@ def _joint_and_alone(view, removed, parts, codec):
     removed = frozenset(map(codec.mask, removed))
     full = (shared + first, shared + second)
     subfamily = _MaskView(codec, view.masks - removed, view)
-    return (partitions._verify_joint(view, removed, shared, (first, second), codec,
-                                     lambda: full),
-            (partitions._verify_masks(view, full[0], codec),
-             partitions._verify_masks(subfamily, full[1], codec)))
+    return (partitions._verify(view, shared, ((frozenset(), first), (removed, second)),
+                               codec, lambda: full),
+            (_alone(view, full[0], codec), _alone(subfamily, full[1], codec)))
 
 
 JOINT_TAMPERINGS = [_bottom_outside_top, _shared_and_own, _repeated_in_shared,
@@ -326,7 +330,7 @@ def test_joint_check_reports_as_two_single_checks(c, data):
     # The extender and relative certificates of a built result, split at
     # random into shared and own intervals, in any order, and tampered.
     # The joint check lists the shared faces once, yet each report is the
-    # one _verify_masks gives for that certificate alone, word for word,
+    # one _verify gives for that certificate alone, word for word,
     # which is the frozenset reference's.
     result = nonpure_extender_for_complex(c)
     both = set(result.extender_partition) & set(result.relative_partition)
@@ -402,19 +406,19 @@ def test_naming_an_offence_is_bounded_by_the_family():
     fam = FaceFamily(fs({top, top - {1}}), 15)
     members, codec = _CountedSet(fam._view.masks), fam._view.codec
     pairs = [(0, codec.mask(top))]
-    report = partitions._verify_masks(_MaskView(codec, members), pairs, codec)
+    report = _alone(_MaskView(codec, members), pairs, codec)
     assert report.violation == (
         f"interval [{{}}, {format_face(top)}] requires {{}}, which is not a member")
     assert members.tests <= len(members) + len(pairs) + 2
 
 
 def test_offence_walk_reads_faces_in_label_order_not_bit_order():
-    # A codec may hold its labels out of order.  {3} has the lowest bit,
-    # but the least offending face by face_key is {2}.
+    # The codec sorts the labels it is given, so the walk's bit order is
+    # label order: {1} is covered, and the least offending face by
+    # face_key is {2}, not {3}, which was listed first.
     codec = _MaskCodec([3, 1, 2])
     members = {codec.mask(f) for f in ([], [1], [1, 2, 3])}
-    report = partitions._verify_masks(
-        _MaskView(codec, members), [(0, codec.mask([1, 2, 3]))], codec)
+    report = _alone(_MaskView(codec, members), [(0, codec.mask([1, 2, 3]))], codec)
     assert report.violation == "interval [{}, {1,2,3}] requires {2}, which is not a member"
 
 
@@ -431,8 +435,8 @@ def test_complexs_facet_sizes_serve_its_relative_families(c, data):
         for claim in [pairs, *(tamper(pairs, i) for tamper in TAMPERINGS if pairs)]:
             codec = relative._view.reading(itertools.chain(*itertools.chain(*claim)))
             masks = [(codec.mask(b), codec.mask(t)) for b, t in claim]
-            assert partitions._verify_masks(relative._view, masks, codec) \
-                == partitions._verify_masks(_MaskView(codec, members), masks, codec)
+            assert _alone(relative._view, masks, codec) \
+                == _alone(_MaskView(codec, members), masks, codec)
 
 
 def test_checks_of_one_complex_read_one_facet_size_map(monkeypatch):
@@ -468,6 +472,27 @@ def test_bottom_outside_its_top_is_refused_though_the_faces_cover():
     pairs = [(fs({2}), fs({1})), (fs(), fs({1}))]
     report = verify_partitioning(fam, IntervalPartition(tuple(pairs)))
     assert report.violation == "top of [{2}, {1}] is not maximal: it is contained in {1,2}"
+    assert (report.valid, report.violation, report.interval_stats) \
+        == verify_by_enumeration(fam.faces, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(complex_pairs(), st.booleans(), st.data())
+def test_claims_naming_foreign_labels_report_as_the_reference_does(pair, relative, data):
+    # The family's labels lie in 1-5, and 0 and 6 below and above them.
+    # Reading appends such foreign labels after the codec's sorted ones,
+    # so only members are sure to keep label order; each report must
+    # still name the face, and the order, that the reference names.
+    fam = relative_family(*pair) if relative else pair[0]
+    pairs = next(all_partitionings(fam.faces), [])
+    face = st.frozensets(st.sampled_from([0, *sorted(set().union(*fam.faces)), 6]), max_size=3)
+    for _ in range(data.draw(st.integers(1, 3))):
+        bottom, extra = data.draw(face), data.draw(face)
+        foreign = {data.draw(st.sampled_from([0, 6]))}
+        bottom, top = data.draw(st.sampled_from([(bottom | foreign, bottom | extra),
+                                                 (bottom, bottom | extra | foreign)]))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (bottom, top))
+    report = verify_partitioning(fam, IntervalPartition(tuple(pairs)))
     assert (report.valid, report.violation, report.interval_stats) \
         == verify_by_enumeration(fam.faces, pairs)
 

@@ -3,7 +3,8 @@
 A face is a frozenset of nonnegative integer vertex labels; the empty
 frozenset is the empty face, of dimension -1.  A complex is its face set,
 which is closed under subsets; its facets and dimension are derived from
-the faces in one place and cached.  A face family is an arbitrary finite
+the faces in one place and cached, and :func:`build_complex` writes the
+facets in as it closes the candidates.  A face family is an arbitrary finite
 set of faces with an explicit dimension; it holds a relative complex
 (Gamma, Delta), or any family that is not closed under subsets.  Both
 expose ``faces`` and ``dim``, the only two things every statistic reads.
@@ -184,7 +185,8 @@ class SimplicialComplex:
 
     @cached_property
     def facets(self) -> frozenset:
-        """Faces whose mask is no other's less one bit; in a closed set, the maximal faces."""
+        """Faces whose mask is no other's less one bit; in a closed set, the
+        maximal faces.  A built complex has them from birth."""
         masks, face = self._view.masks, self._view.codec.face
         return frozenset(map(face.__getitem__, masks.difference(
             t ^ b for t in masks for b in _bit_values(t))))
@@ -248,15 +250,18 @@ def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
     once.  The first candidate lists all its subsets by doubling.  A later
     one not yet present is walked down, a vertex at a time, to the subsets
     not yet reached: the faces present are closed under subsets, so the
-    walk stops at each of them.  A candidate is refused before its listing
-    if its 2^|F| subsets would pass ``_MAX_LISTED``."""
+    walk stops at each of them.  A candidate not yet present lies in no
+    earlier one, which is at least as large, so it is a facet: the facets
+    are written into the complex with its view.  A candidate is refused
+    before its listing if its 2^|F| subsets would pass ``_MAX_LISTED``."""
     candidates = sorted(set(faces), key=len, reverse=True)
     codec = _MaskCodec(set().union(*candidates))
-    face, bit = codec.face, codec.bit
+    face, bit, facets = codec.face, codec.bit, []
     for f in candidates:
         top = codec.mask(f)
         if top in face:
             continue
+        facets.append(f)
         if 1 << len(f) > _MAX_LISTED:
             raise SizeLimitExceeded(f"a facet of {len(f)} vertices has 2^{len(f)} faces, "
                                     f"above the closure bound of {_MAX_LISTED}", _MAX_LISTED)
@@ -278,7 +283,7 @@ def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
                 faces += [s | one for s in faces]
             face.update(zip(masks, faces))
     c = SimplicialComplex(frozenset(face.values()))
-    vars(c)["_view"] = _MaskView(codec, frozenset(face))
+    vars(c).update(_view=_MaskView(codec, frozenset(face)), facets=frozenset(facets))
     return c
 
 

@@ -1,41 +1,43 @@
 """Exact reduced simplicial homology and Cohen-Macaulay machinery.
 
 Chain complexes are augmented (the empty face spans degree -1), with
-sparse boundary columns built straight from the faces.  One column
-reduction ranks them exactly: integer combinations over the rationals,
-arithmetic mod p over an odd prime field, and XOR on bitset columns over
-GF(2).  Floating point never enters, so every Betti number and every depth
-verdict is exact.  One link walk builds every boundary column from a
-single face index, the complex's mask view: each face's boundary entries
-are listed once, stars are narrowed level by level, and a link's columns
-are read off the star.  A pair is its relative family, whose view shares
-the complex's codec, so the walk reads pair membership off the family's
-masks.  The walk starts at the empty face, whose link is the complex or
-pair itself, which gives ``reduced_betti`` and ``relative_betti``; so one
-walk gives a Cohen-Macaulay verdict or a depth together with the complex's
-own Betti numbers, and each CLI command walks its input once.
+boundary columns built straight from the faces.  Column reduction ranks
+them exactly: integer combinations over the rationals, arithmetic mod p
+over an odd prime field, and XOR on bitset columns over GF(2).  Floating
+point never enters, so every Betti number and every depth verdict is
+exact.  One link walk reads every link off a single face index, the
+complex's mask view, whose faces get ids in face order.  Over those ids a
+set of faces is one int: the pair's members, each face's boundary, and
+each face's star, narrowed level by level.  A link's face counts are
+popcounts of its star in the pair, one per size, and its GF(2) column at
+t is t's boundary ANDed with that star.  A pair is its relative family,
+whose view shares the complex's codec, so the walk reads pair membership
+off the family's masks.  The walk starts at the empty face, whose link is
+the complex or pair itself, which gives ``reduced_betti`` and
+``relative_betti``; so one walk gives a Cohen-Macaulay verdict or a depth
+together with the complex's own Betti numbers, and each CLI command walks
+its input once.
 
-A link of dimension at most 0 is counted with no star: {empty face} when
+A link of dimension at most 0 is counted with no rank: {empty face} when
 sigma is a facet, points when its largest coface has one vertex more.  Its
 Betti numbers come from whether sigma is in the pair and how many pair
-members cover it, which one pass down the boundary lists gives every face.
+members cover it, both read off its star.
 
-Only boundaries of link faces with three or more vertices are built and
-reduced.  Over the rationals each such block is ranked over GF(2) first,
-and that rank is taken when it meets the block's bound, the smaller of its
-column count and the kernel dimension of the block below: the rational
-rank is at least the GF(2) rank, as an odd minor is nonzero, and at most
-that bound, as the boundary of a boundary is zero.  Otherwise the block is
-eliminated over Q.  The two lower boundaries are settled by counting,
-exactly over every field.  Up to rescaling rows and columns by +-1, the
-boundary of a link's points is a row of ones (or nothing, when sigma is
+The boundary of a link's points is settled by counting.  Up to rescaling
+rows and columns by +-1, it is a row of ones (or nothing, when sigma is
 outside the pair), of rank 1 when there is a point.  The boundary of its
 edges is the signed incidence matrix of the link's graph with the rows of
 points outside the pair deleted, which is the incidence matrix of that
 graph with those points merged into one ground node and the ground row
 deleted.  Such a matrix is totally unimodular, so its rank is the same
-over every field: the number of edges in a spanning forest (Reisner 1976;
-Stanley, *Combinatorics and Commutative Algebra*, ch. II).
+over every field, and XOR elimination of its GF(2) columns gives it
+(Reisner 1976; Stanley, *Combinatorics and Commutative Algebra*, ch. II).
+Over the rationals each higher block is ranked over GF(2) too, and that
+rank is taken when it meets the block's bound, the smaller of its column
+count and the kernel dimension of the block below: the rational rank is at
+least the GF(2) rank, as an odd minor is nonzero, and at most that bound,
+as the boundary of a boundary is zero.  Otherwise the block's signed
+columns are eliminated over Q, and over an odd prime they always are.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .complexes import (
     ComplexOrFamily,
     Face,
     FaceFamily,
     SimplicialComplex,
+    _bit_values,
     _build_checked,
     _face_order,
     _integer,
@@ -86,7 +89,6 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec(0)
-GF2 = FieldSpec(2)
 
 
 @dataclass(frozen=True)
@@ -104,31 +106,17 @@ def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
     ``{row: entry}`` columns, with integer rows.
 
     Over GF(2) a column becomes an int with bit r set for each odd entry,
-    and XOR with the pivot owning its top bit clears that bit.  Otherwise,
-    while an earlier column owns a column's lowest row, the column becomes
-    ``a*column - b*pivot``, which clears that row.  Over Q the entries stay
+    ranked by :func:`_gf2_rank`.  Otherwise, while an earlier column owns
+    a column's lowest row, the column becomes ``a*column - b*pivot``,
+    which clears that row.  Over Q the entries stay
     integers and each combination is divided by its content; over GF(p)
     they are kept mod p.  The rank cannot exceed the number of rows the
     columns touch, so the reduction stops once that many pivots exist."""
     p = field.characteristic
     rows = len(set().union(*columns))
     if p == 2:
-        bit_pivots: dict[int, int] = {}
-        for column in columns:
-            if len(bit_pivots) == rows:
-                break
-            bits = 0
-            for r, x in column.items():
-                if x % 2:
-                    bits |= 1 << r
-            while bits:
-                low = bits.bit_length() - 1
-                pivot = bit_pivots.get(low)
-                if pivot is None:
-                    bit_pivots[low] = bits
-                    break
-                bits ^= pivot
-        return len(bit_pivots)
+        return _gf2_rank([sum(1 << r for r, x in column.items() if x % 2)
+                          for column in columns], rows)
     pivots: dict[int, dict[int, int]] = {}
     for column in columns:
         if len(pivots) == rows:
@@ -213,131 +201,147 @@ def _link_betti(
 
     One index, ``big``'s mask view, serves the whole walk.  Its masks get
     ids in ``face_key`` order, read off the masks by :func:`_face_order`,
-    as the codec's labels are sorted.  Each mask's boundary
-    entries are listed once as (vertex bit, row id, sign), bits in label
-    order, from its parent's (the mask less its top bit).  The star of
-    sigma is the part of the star of sigma - max(sigma) that contains
-    max(sigma), so stars are built level by level, keeping the previous
-    level's only.  A link's column at t is t's boundary, restricted to
-    vertices outside sigma and rows in the pair.
+    as the codec's labels are sorted, so each size holds a run of ids,
+    from ``start[size]``.  A set of faces is an int over ids: the pair's
+    members ``in_pair``, and each face's boundary, its faces of one vertex
+    less.  The star of sigma is the star of its parent (sigma less its
+    top vertex) ANDed with the star of that vertex, so stars are built
+    level by level, keeping the previous level's only.  A link's members
+    of each size are a popcount of its star in the pair over that size's
+    ids, and its GF(2) column at t is ``boundary[t]`` ANDed with that
+    star: the rows that still contain sigma and lie in the pair.
 
-    After the empty face, one pass down the boundary lists gives each face
-    its ``reach``, the size of the largest face above it, and the number of
-    pair members that cover it.  A face whose reach is at most
-    ``|sigma| + 1`` has a link of dimension at most 0, whose Betti numbers
-    are counted with no star: (c0,) for the link {empty face}, and
-    (c0 - r, c1 - r), r = min(c0, c1), for a link of points, where c0 is 1
-    when sigma is in the pair and c1 is its cover count.  A face's parent
-    reaches at least as far, so every face with a star has a parent with
-    one.
+    A face with nothing above it has the link {empty face}, with Betti
+    numbers (c0,), where c0 is 1 when sigma is in the pair.  A face whose
+    star holds nothing two sizes up has a link of points, with Betti
+    numbers (c0 - r, c1 - r), r = min(c0, c1), where c1 counts the pair's
+    members in the star that cover sigma.  Neither builds a column.
 
-    Columns are built, and ranked, only for link faces of three or more
-    vertices; the lower levels are counted.  The boundary of the points has
-    rank 1 when sigma is in the pair and the pair has a point above it,
-    else 0.  The boundary of the edges is a +-1 rescaled signed incidence
-    matrix with the rows outside the pair deleted: one ground node stands
-    for them all, so an edge with both ends outside is a loop.  Such
-    matrices are totally unimodular, so their rank over every field is the
-    size of a spanning forest (:func:`_forest_size`).  A link of dimension
-    at most 1 thus costs a count and at most one union-find, and no
-    :func:`matrix_rank` call.  Higher blocks are ranked in degree order by
-    :func:`_block_rank`, which the exact rank below each block bounds."""
+    Otherwise the boundary of the points has rank 1 when sigma is in the
+    pair and the pair has a point above it, else 0.  Each higher block is
+    ranked in degree order, capped by the exact rank below it, on columns
+    read lazily in face order: the edge block by :func:`_gf2_rank`, the
+    others by :func:`_block_rank`.  The edge block is a +-1 rescaled
+    signed incidence matrix with the rows outside the pair deleted, so
+    totally unimodular, and its GF(2) rank, by XOR, is its rank over every
+    field.  A link of dimension at most 1 thus makes no :func:`matrix_rank`
+    call.  A higher block makes one over an odd prime, and over Q only
+    when its GF(2) rank falls short of its cap, on signed columns: +-1 by
+    the parity of t's bits below the removed vertex."""
     view = big._view
     face, masks = view.codec.face, _face_order(view.masks)
     if not masks:
         return
+    n, members = len(masks), pair._view.masks
     ids = {m: i for i, m in enumerate(masks)}
-    in_pair = list(map(pair._view.masks.__contains__, masks))
-    sizes = [m.bit_count() for m in masks]
-    # The link's sign at (v, t) is (-1)^pos(v, t - sigma), big's is
-    # (-1)^pos(v, t); they differ by phi(t)*phi(t - v), where
-    # phi(f) = (-1)^(sum over w in f - sigma of #{u in sigma : u < w}).
-    # That rescales rows and columns by +-1, so no rank over any field
-    # changes.
-    boundary: list[list[tuple[int, int, int]]] = [[]]
+    in_pair = sum(1 << i for i, m in enumerate(masks) if m in members)
+    sizes = list(map(int.bit_count, masks))
+    start = [n] * (sizes[-1] + 3)  # start[s]: the first id of size s, else n
+    for i in range(n - 1, -1, -1):
+        start[sizes[i]] = i
+    boundary, parents = [0], [0]
     for m in masks[1:]:
-        top = 1 << m.bit_length() - 1
-        parent = ids[m ^ top]
-        entries = [(b, ids[m ^ b], sign) for b, _, sign in boundary[parent]]
-        entries.append((top, parent, -1 if len(entries) % 2 else 1))
-        boundary.append(entries)
+        rows, rest = 0, m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            rows |= 1 << (r := ids[m ^ b])
+        boundary.append(rows)
+        parents.append(r)  # the row of the top bit, the last one
 
-    def betti(sigma: int, star) -> tuple[int, ...]:
-        k = sizes[star[0]]
-        levels = sizes[star[-1]] - k + 1  # star is in face_key order
-        counts = [0] * max(levels, 3)  # members by link level, padded for ranks
-        columns: list[list[dict]] = [[] for _ in range(levels - 3)]  # levels 3 up
-        edges = []
-        for t in star:
-            if in_pair[t]:
-                size = sizes[t] - k
-                counts[size] += 1
-                if size == 2:  # rows outside the pair are the ground node -1
-                    edges.append([r if in_pair[r] else -1
-                                  for b, r, _ in boundary[t] if not b & sigma])
-                elif size > 2:
-                    columns[size - 3].append(
-                        {r: sign for b, r, sign in boundary[t]
-                         if not b & sigma and in_pair[r]})
-        ranks = [0, min(counts[0], counts[1]), _forest_size(edges) if edges else 0]
-        for t, block in enumerate(columns, 3):
-            ranks.append(_block_rank(block, field, counts[t - 1] - ranks[t - 1]))
+    def signed(t: int, star: int) -> dict[int, int]:
+        """t's column over Q or GF(p) in the link whose star in the pair is
+        ``star``: +-1 at each row in it.  The sign is big's, (-1)^pos(v, t);
+        the link's, (-1)^pos(v, t - sigma), differs from it by
+        phi(t)*phi(t - v), where phi(f) = (-1)^(sum over w in f - sigma of
+        #{u in sigma : u < w}).  That rescales rows and columns by +-1, so
+        no rank over any field changes."""
+        m = masks[t]
+        return {r: -1 if (m & b - 1).bit_count() & 1 else 1
+                for b in _bit_values(m) if star >> (r := ids[m ^ b]) & 1}
+
+    def betti(k: int, star: int) -> tuple[int, ...]:
+        levels = sizes[star.bit_length() - 1] - k + 1
+        star &= in_pair
+        above = [(star >> start[s]).bit_count() for s in range(k, k + max(levels, 2) + 1)]
+        counts = [a - b for a, b in zip(above, above[1:])]  # members by link level
+        ranks = [0, min(counts[0], counts[1])]
+        for j in range(2, levels):
+            first, low = start[k + j], start[k + j - 1]
+            block = star >> first & (1 << start[k + j + 1] - first) - 1
+            # Lazy and in face order: most columns then bring a new top row,
+            # and the elimination reads no column past its cap.
+            columns = ((boundary[t] & star) >> low for t in _ids(block, first))
+            cap = min(counts[j], counts[j - 1] - ranks[j - 1])
+            ranks.append(_gf2_rank(columns, cap) if j == 2 else _block_rank(
+                columns, cap, field, lambda: [signed(t, star) for t in _ids(block, first)]))
         ranks.append(0)
-        return tuple(counts[t] - ranks[t] - ranks[t + 1] for t in range(levels))
+        return tuple(counts[j] - ranks[j] - ranks[j + 1] for j in range(levels))
 
-    yield face[0], betti(0, range(len(masks)))
-    reach, covers = sizes[:], [0] * len(masks)
-    for t in range(len(masks) - 1, 0, -1):  # every face before the faces it covers
-        above, member = reach[t], in_pair[t]
-        for _, r, _ in boundary[t]:
-            if reach[r] < above:
-                reach[r] = above
-            covers[r] += member
-    level, stars, previous = 0, {0: range(len(masks))}, {}
-    for i in range(1, len(masks)):
+    yield face[0], betti(0, (1 << n) - 1)
+    vertex = [0] * len(view.codec.labels)  # the star of each vertex bit
+    for i, m in enumerate(masks):
+        while m:
+            j = m.bit_length() - 1
+            vertex[j] |= 1 << i
+            m ^= 1 << j
+    level, stars, previous = 0, {0: (1 << n) - 1}, {}
+    for i in range(1, n):
         sigma, k = masks[i], sizes[i]
         if k > level:  # sigma is the first face of the next size
             level, previous, stars = k, stars, {}
-        if reach[i] > k + 1:
-            top = 1 << sigma.bit_length() - 1
-            stars[sigma] = star = [t for t in previous[sigma ^ top] if masks[t] & top]
-            yield face[sigma], betti(sigma, star)
-        elif reach[i] > k:
-            c0, c1 = int(in_pair[i]), covers[i]
+        star = previous[parents[i]] & vertex[sigma.bit_length() - 1]
+        c0 = in_pair >> i & 1
+        if star >> i == 1:  # nothing above sigma: the link {empty face}
+            yield face[sigma], (c0,)
+            continue
+        stars[i] = star
+        if star >> start[k + 2]:
+            yield face[sigma], betti(k, star)
+        else:  # only covers above sigma: a link of points
+            c1 = (star & in_pair).bit_count() - c0
             r = min(c0, c1)
             yield face[sigma], (c0 - r, c1 - r)
-        else:
-            yield face[sigma], (int(in_pair[i]),)
 
 
-def _block_rank(columns: list[dict], field: FieldSpec, kernel: int) -> int:
-    """The rank of one block of link columns, given ``kernel``, the exact
-    kernel dimension of the block below it.  Over Q its GF(2) rank is
-    taken when it meets ``min(len(columns), kernel)`` (the module
-    docstring has the proof); otherwise the block is eliminated over its
-    field."""
-    if not field.characteristic:
-        lower = matrix_rank(columns, GF2)
-        if lower == min(len(columns), kernel):
-            return lower
-    return matrix_rank(columns, field)
+def _ids(block: int, first: int) -> Iterator[int]:
+    """``first + i`` for each bit i of ``block``, rising."""
+    return (first + b.bit_length() - 1 for b in _bit_values(block))
 
 
-def _forest_size(edges) -> int:
-    """The number of edges in a spanning forest of a multigraph given as
-    ``(u, v)`` pairs, loops ``(u, u)`` allowed: the unions of a union-find
-    that join two components."""
-    parent: dict[int, int] = {}
-    joins = 0
-    for u, v in edges:
-        while u in parent:  # path halving: point u at its grandparent, go there
-            parent[u] = u = parent.get(parent[u], parent[u])
-        while v in parent:
-            parent[v] = v = parent.get(parent[v], parent[v])
-        if u != v:
-            parent[u] = v
-            joins += 1
-    return joins
+def _gf2_rank(columns: Iterable[int], cap: int) -> int:
+    """The GF(2) rank of columns given as ints, bit r set for a nonzero in
+    row r, or ``cap`` once that many pivots exist: XOR with the pivot
+    owning a column's top bit clears that bit."""
+    pivots: dict[int, int] = {}
+    for bits in columns:
+        if len(pivots) == cap:
+            break
+        while bits:
+            top = bits.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = bits
+                break
+            bits ^= pivot
+    return len(pivots)
+
+
+def _block_rank(columns: Iterable[int], cap: int, field: FieldSpec,
+                signed: Callable[[], list[dict]]) -> int:
+    """The rank of one block of link columns above the edges, given its
+    GF(2) columns as ints, read once; ``cap``, the smaller of its column
+    count and the exact kernel dimension of the block below; and
+    ``signed``, which lists its signed columns.  Over Q the GF(2) rank is
+    taken when it meets ``cap`` (the module docstring has the proof);
+    otherwise, and always over an odd prime, the signed columns are
+    eliminated over the field by :func:`matrix_rank`."""
+    p = field.characteristic
+    if p == 2:
+        return _gf2_rank(columns, cap)
+    if not p and (rank := _gf2_rank(columns, cap)) == cap:
+        return rank
+    return matrix_rank(signed(), field)
 
 
 def is_relative_cm(
@@ -351,8 +355,10 @@ def is_relative_cm(
 
 def _top_only(d: int, sigma: Face, betti: tuple[int, ...]) -> bool:
     """Reisner's condition at sigma: the link's reduced homology lies in
-    degree d - |sigma| alone."""
-    return all(not b or len(sigma) + idx - 1 == d for idx, b in enumerate(betti))
+    degree d - |sigma| alone.  The link has dimension at most d - |sigma|,
+    so its Betti numbers, indexed from degree -1, end at that degree, and
+    every entry before it must be 0."""
+    return not any(betti[:d + 1 - len(sigma)])
 
 
 def _pair_reading(
@@ -391,9 +397,11 @@ def _depth_and_witness(
         if not sigma:
             own = betti
         cm = cm and _top_only(d, sigma, betti)
-        for i, b in enumerate(betti[1:d + 1]):
-            if b and len(sigma) + i + 1 < value:
-                value, witness = len(sigma) + i + 1, (sigma, i)
+        low = betti[1:d + 1]
+        if any(low):
+            for i, b in enumerate(low):
+                if b and len(sigma) + i + 1 < value:
+                    value, witness = len(sigma) + i + 1, (sigma, i)
     oracle = d + 1 if cm else next(
         r for r in range(d - 1, -2, -1)
         if is_cohen_macaulay(skeleton(c, r), field)) + 1

@@ -45,7 +45,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import (
@@ -74,6 +73,7 @@ from .errors import (
 
 DEFAULT_MAX_MEMBERS = 40
 DEFAULT_MAX_FACETS = 12
+_UNIT = 1 << 32  # above any face size: an interval count key's top-size unit
 
 
 @dataclass(frozen=True)
@@ -151,21 +151,25 @@ def _verify(view: _MaskView, shared: Sequence[tuple[int, int]], claims: Sequence
         violations = [_name_offence(
             _MaskView(codec, view.masks - removed, view) if removed else view, pairs, codec)
             for (removed, _), pairs in zip(claims, full())]
-    return tuple(PartitionReport(v is None, v, tuple(sorted(s.items())))
-                 for v, s in zip(violations, stats))
+    return tuple(PartitionReport(v is None, v, tuple(
+        (divmod(key, _UNIT), n) for key, n in sorted(s.items())))
+        for v, s in zip(violations, stats))
 
 
 def _stats(pairs: Sequence[tuple[int, int]]) -> Counter:
-    """Interval counts by (top size, bottom size)."""
-    return Counter(zip(map(int.bit_count, map(itemgetter(1), pairs)),
-                       map(int.bit_count, map(itemgetter(0), pairs))))
+    """Interval counts by (top size, bottom size), the two packed into one
+    int key, ``top size * _UNIT + bottom size``, which sorts as the pair
+    and unpacks by ``divmod(key, _UNIT)``."""
+    bits = int.bit_count
+    return Counter([bits(t) * _UNIT + bits(b) for b, t in pairs])
 
 
 def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
                   claims: Sequence[tuple], stats: Sequence[Counter]) -> bool:
     """Whether, for each claim (removed, own), with interval counts
-    ``stats``, the intervals of ``shared`` and ``own`` partition the
-    family ``view.masks`` less the members ``removed``, with maximal tops.
+    ``stats`` (keyed as :func:`_stats` packs them), the intervals of
+    ``shared`` and ``own`` partition the family ``view.masks`` less the
+    members ``removed``, with maximal tops.
 
     The claims are decided in bulk, each face listed once for all.  The
     shared faces must be distinct members; each claim's own faces must be
@@ -195,7 +199,7 @@ def _exact_covers(view: _MaskView, shared: Sequence[tuple[int, int]],
         if not (len(distinct) == len(own) == size
                 and distinct.isdisjoint(removed) and distinct.isdisjoint(common)):
             return False
-        if len({top for top, _ in counts}) > 1 and not all(
+        if len({key // _UNIT for key in counts}) > 1 and not all(
                 view.sizes[t] == t.bit_count() for _, t in itertools.chain(shared, part)):
             return False
     return True

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from extenders import (
     FaceFamily,
@@ -82,6 +82,17 @@ def test_build_complex_closes_candidates_with_their_mask_view(candidates):
     assert view.codec.labels == fresh.codec.labels and view.masks == fresh.masks
     assert set(view.codec.face) == view.masks
     assert all(view.codec.face[m] == fresh.codec.face[m] for m in view.masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_lists())
+@example([])
+@example([[]])
+def test_complexes_are_born_with_their_facets(candidates):
+    c = build_complex(candidates)
+    assert "facets" in vars(c)  # written at birth, not derived on first read
+    maximal = {f for f in c.faces if not any(f < g for g in c.faces)}
+    assert c.facets == maximal == SimplicialComplex(c.faces).facets
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,6 +139,27 @@ def test_matrix_rank_matches_dense_elimination(rows):
         assert matrix_rank(tuple(columns), FieldSpec(p)) == rank(rows)
 
 
+@st.composite
+def _sparse_matrices(draw):
+    """Rows (1-10) of 1-12 columns, mostly zeros, with odd and even
+    nonzeros."""
+    height, width = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+    return draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices(), st.integers(0, 12))
+def test_gf2_rank_matches_matrix_rank_and_dense_elimination(rows, cap):
+    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]}
+               for c in range(len(rows[0]))]
+    bits = [sum(1 << r for r, x in column.items() if x % 2) for column in columns]
+    rank = DENSE_RANKS[2](rows)
+    assert homology._gf2_rank(bits, len(bits)) == matrix_rank(columns, GF2) == rank
+    assert homology._gf2_rank(iter(bits), cap) == min(rank, cap)  # columns read lazily
+
+
 # Pairs whose rows lie outside the pair.  In the first, at the empty face,
 # the edge {1, 2} joins two points of the subcomplex (a loop at the ground
 # node), and the edges {1, 3} and {2, 4} join a point of the pair to it.
@@ -164,6 +185,8 @@ COUNTED = [(build_complex([[1, 2, 3], [4, 5]]), build_complex([[4, 5]])),
 @example(COUNTED[0])
 @example(COUNTED[1])
 @example(COUNTED[2])
+@example((build_complex([[]]), build_complex([])))
+@example((BOWTIE, BOWTIE))
 def test_link_betti_matches_literal_links(pair):
     """Facets of up to 4 vertices give links of dimension 0, 1 and 2, whose
     two lower ranks the walk counts instead of building columns; links of
@@ -208,30 +231,33 @@ def test_graphs_make_no_matrix_rank_call(monkeypatch):
 
 
 def test_bowtie_ranks_only_faces_of_three_vertices_or_more(monkeypatch):
-    # The bowtie's only link of dimension 2 is at the empty face, so each
-    # walk makes one matrix_rank call, on the columns of the pair's
-    # triangles: 2 of the bowtie's, 8 of the 2-skeleton of the simplex on
-    # its 5 vertices outside the bowtie.  depth's cross-check walks the
-    # bowtie's 1-skeleton, a graph, and cm_extender certifies the skeleton
-    # by a shelling, so neither adds a call.
-    calls = []
-    rank = homology.matrix_rank
-
-    def recording(columns, field):
-        calls.append(len(columns))
-        return rank(columns, field)
-
-    monkeypatch.setattr(homology, "matrix_rank", recording)
+    # A block is ranked for link faces of two vertices or more, and only
+    # the blocks of three go to matrix_rank, over an odd prime alone: over
+    # Q every GF(2) rank of the bowtie meets its bound.  Each call is
+    # recorded as (characteristic, columns), 2 for _gf2_rank.  The walk
+    # over the bowtie ranks the pair's 6 edges and 2 triangles at the
+    # empty face, then the edges of each vertex link, 1, 1, 2, 1 and 1.
+    # is_cohen_macaulay stops at the vertex 3, whose link is two edges;
+    # depth's cross-check walks the 1-skeleton, whose links are points;
+    # cm_extender certifies the skeleton by a shelling and walks the pair
+    # (Sigma, bowtie): 4 edges and 8 triangles, then vertex links of 5,
+    # 5, 4, 5 and 5 edges.  The pairs with the vertex 3 removed keep every
+    # edge and triangle.
+    calls = _recorded_ranks(monkeypatch, columns=True)
     vertex = build_complex([[3]])
-    checks = {depth: [2], is_cohen_macaulay: [2], cm_extender: [2, 8],
-              reduced_betti: [2],
-              (lambda c, field: is_relative_cm(c, vertex, field)): [2],
-              (lambda c, field: relative_betti(c, vertex, field)): [2]}
-    for field in (FieldSpec(0), GF2):
-        for check, columns in checks.items():
+    for field in (FieldSpec(0), GF2, FieldSpec(3)):
+        by = 2 if field.characteristic < 3 else 3  # who ranks the triangles
+        pair, links = [(2, 6), (by, 2)], [(2, 1), (2, 1), (2, 2), (2, 1), (2, 1)]
+        sigma = [(2, 4), (by, 8), (2, 5), (2, 5), (2, 4), (2, 5), (2, 5)]
+        checks = {depth: pair + links + [(2, 6)], is_cohen_macaulay: pair + links[:3],
+                  cm_extender: pair + links + [(2, 6)] + sigma,
+                  reduced_betti: pair,
+                  (lambda c, field: is_relative_cm(c, vertex, field)): pair + links[:3],
+                  (lambda c, field: relative_betti(c, vertex, field)): pair}
+        for check, expected in checks.items():
             calls.clear()
             check(BOWTIE, field)
-            assert calls == columns
+            assert calls == expected
 
 
 def test_each_check_walks_a_cohen_macaulay_input_once(monkeypatch):
@@ -258,40 +284,49 @@ def test_each_check_walks_a_cohen_macaulay_input_once(monkeypatch):
             assert walks == expected
 
 
-def _recorded_ranks(monkeypatch) -> list:
-    """(characteristic, rank) of every ``matrix_rank`` call from here on."""
+def _recorded_ranks(monkeypatch, columns: bool = False) -> list:
+    """(characteristic, rank) of every rank call from here on, or
+    (characteristic, column count) with ``columns``: 2 for a ``_gf2_rank``
+    call, the field's for a ``matrix_rank`` call."""
     calls = []
-    rank = homology.matrix_rank
+    xor, rank = homology._gf2_rank, homology.matrix_rank
 
-    def recording(columns, field):
-        calls.append((field.characteristic, rank(columns, field)))
-        return calls[-1][1]
+    def record(p, matrix, ranker):
+        matrix = list(matrix)  # the walk hands _gf2_rank its columns lazily
+        value = ranker(matrix)
+        calls.append((p, len(matrix) if columns else value))
+        return value
 
-    monkeypatch.setattr(homology, "matrix_rank", recording)
+    monkeypatch.setattr(homology, "_gf2_rank", lambda matrix, cap: record(
+        2, matrix, lambda m: xor(m, cap)))
+    monkeypatch.setattr(homology, "matrix_rank", lambda matrix, field: record(
+        field.characteristic, matrix, lambda m: rank(m, field)))
     return calls
 
 
 def test_projective_plane_makes_one_rational_elimination(monkeypatch):
-    # At the empty face the bound on the triangles' rank is
-    # min(10 triangles, 15 edges - rank 5 of the edges' boundary) = 10.  Over
-    # GF(2) the triangles' boundary has rank 9 (the plane's mod 2 class), one
-    # short, so that block alone is eliminated over Q, where its rank is 10.
-    # Every vertex link is a hexagon, which is counted.
+    # At the empty face the edges' boundary has rank 5, so the bound on the
+    # triangles' rank is min(10 triangles, 15 edges - 5) = 10.  Over GF(2)
+    # the triangles' boundary has rank 9 (the plane's mod 2 class), one
+    # short, so that block alone is eliminated over Q, where its rank is
+    # 10.  Every vertex link is a pentagon, whose edges rank 4 by XOR.
     calls = _recorded_ranks(monkeypatch)
     walk = homology._link_betti(PROJECTIVE_PLANE, PROJECTIVE_PLANE, FieldSpec(0))
     assert next(walk) == (fs(), (0, 0, 0, 0))
-    assert calls == [(2, 9), (0, 10)]
+    assert calls == [(2, 5), (2, 9), (0, 10)]
     assert len(list(walk)) == len(PROJECTIVE_PLANE.faces) - 1
-    assert calls == [(2, 9), (0, 10)]
+    assert calls == [(2, 5), (2, 9), (0, 10)] + [(2, 4)] * 6
     assert reduced_betti(PROJECTIVE_PLANE).betti == (0, 0, 0, 0)
 
 
 def test_skeleton_of_a_simplex_makes_no_rational_elimination(monkeypatch):
     # Every GF(2) rank of a skeleton of a simplex, and of its links, meets
-    # the bound, so each block over Q costs one GF(2) reduction.
+    # the bound, so each block over Q costs one GF(2) reduction and no
+    # matrix_rank call.
     calls = _recorded_ranks(monkeypatch)
     c = build_complex(combinations(range(10), 3))
     assert reduced_betti(c).betti == (0, 0, 0, 84)
+    assert calls == [(2, 9), (2, 36)]  # the edges, then the triangles
     assert is_cohen_macaulay(c) and depth(c) == 3
     assert isinstance(cm_extender(c), CmExtender)
     assert calls and all(p == 2 for p, _ in calls)
@@ -326,17 +361,17 @@ def test_matrix_rank_calls_keep_the_tracer_contract(monkeypatch):
         return rank(*args, **kwargs)
 
     monkeypatch.setattr(homology, "matrix_rank", recording)
-    assert is_cohen_macaulay(BOWTIE_LID) and not is_cohen_macaulay(BOWTIE)
     vertex = build_complex([[3]])
     checks = [depth, is_cohen_macaulay, cm_extender, reduced_betti,
               lambda c, field: is_relative_cm(c, vertex, field),
               lambda c, field: relative_betti(c, vertex, field)]
-    for c in (BOWTIE_LID, BOWTIE):
-        for field in (FieldSpec(0), GF2):
-            for check in checks:
-                before = len(calls)
-                check(c, field)
-                assert len(calls) > before
+    # The walk calls matrix_rank only for a block of three vertices or
+    # more whose GF(2) rank falls short over Q, or over an odd prime.
+    for c, field in ((PROJECTIVE_PLANE, FieldSpec(0)), (BOWTIE, FieldSpec(3))):
+        for check in checks:
+            before = len(calls)
+            check(c, field)
+            assert len(calls) > before
     for args, kwargs in calls:
         assert not kwargs and len(args) == 2
         matrix, field = args

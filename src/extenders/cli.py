@@ -16,7 +16,8 @@ no extender / not shellable, 2 when no answer can be given.  Each failure
 prints exactly one line on stderr: ``error: ...`` for bad input (missing,
 undecodable, unparsable or out of domain, or a malformed command line),
 ``internal error: ...`` when a construction's self-check fails, which is a
-bug in the library, not in the input.  Both exit with status 2.
+bug in the library, not in the input.  Both exit with status 2, and so
+does a report whose reader closed standard output.
 """
 
 from __future__ import annotations
@@ -610,14 +611,20 @@ def _error_line(exc: Exception) -> str:
     return _LONG_NUMBER.sub(lambda m: f"{m[0][:20]}…({len(m[0])} digits)", line)
 
 
+_CLOSED_STDOUT = "error: standard output was closed before the report was written"
+
+
 def main(argv: Optional[list] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report = args.func(args)
+        emit(args, report)
     except (InputError, ExtendersError) as exc:
         print(_error_line(exc), file=sys.stderr)
         return INPUT_ERROR
-    emit(args, report)
+    except BrokenPipeError:
+        print(_CLOSED_STDOUT, file=sys.stderr)
+        return INPUT_ERROR
     return report.status
 
 

@@ -247,13 +247,12 @@ def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
     complex's vertices.
 
     Candidates are closed on masks, largest first, and each face is listed
-    once.  The first candidate lists all its subsets by doubling.  A later
-    one not yet present is walked down, a vertex at a time, to the subsets
-    not yet reached: the faces present are closed under subsets, so the
-    walk stops at each of them.  A candidate not yet present lies in no
-    earlier one, which is at least as large, so it is a facet: the facets
-    are written into the complex with its view.  A candidate is refused
-    before its listing if its 2^|F| subsets would pass ``_MAX_LISTED``."""
+    once.  A candidate not yet present is walked down, a vertex at a time,
+    to the subsets not yet reached: the faces present are closed under
+    subsets, so the walk stops at each of them.  Such a candidate lies in
+    no earlier one, which is at least as large, so it is a facet: the
+    facets are written into the complex with its view.  A candidate whose
+    2^|F| subsets would pass ``_MAX_LISTED`` is refused before its walk."""
     candidates = sorted(set(faces), key=len, reverse=True)
     codec = _MaskCodec(set().union(*candidates))
     face, bit, facets = codec.face, codec.bit, []
@@ -265,23 +264,15 @@ def _build_checked(faces: Iterable[Face]) -> SimplicialComplex:
         if 1 << len(f) > _MAX_LISTED:
             raise SizeLimitExceeded(f"a facet of {len(f)} vertices has 2^{len(f)} faces, "
                                     f"above the closure bound of {_MAX_LISTED}", _MAX_LISTED)
-        if face:
-            face[top] = f
-            reached = [top]
-            for m in reached:  # grows as the walk reaches new faces
-                whole = face[m]
-                for v in whole:
-                    sub = m ^ bit[v]
-                    if sub not in face:
-                        face[sub] = whole - {v}
-                        reached.append(sub)
-        else:  # every subset is new, and doubling is the cheaper listing of them all
-            masks, faces = [0], [frozenset()]
-            for v in f:
-                b, one = bit[v], frozenset((v,))
-                masks += [m | b for m in masks]
-                faces += [s | one for s in faces]
-            face.update(zip(masks, faces))
+        face[top] = f
+        reached = [top]
+        for m in reached:  # grows as the walk reaches new faces
+            whole = face[m]
+            for v in whole:
+                sub = m ^ bit[v]
+                if sub not in face:
+                    face[sub] = whole - {v}
+                    reached.append(sub)
     c = SimplicialComplex(frozenset(face.values()))
     vars(c).update(_view=_MaskView(codec, frozenset(face)), facets=frozenset(facets))
     return c

@@ -212,13 +212,13 @@ class _Builder:
     any other mask lazily, to name it.  Each attachment adds a closed face
     set, so the face set stays closed."""
 
-    def __init__(self, host: SimplicialComplex, shared=(), with_only=(), without_only=()):
+    def __init__(self, host: SimplicialComplex, shared=(), with_only=()):
         self.codec = codec = host._view.codec.extended(())
         self.faces = set(host._view.masks)
         self.added = [host.faces]
         self.next_label = max(host.vertices, default=-1) + 1
         self.masks = tuple([(codec.mask(b), codec.mask(t)) for b, t in part]
-                           for part in (shared, with_only, without_only))
+                           for part in (shared, with_only, ()))
         face = codec.face
         self.pairs = tuple([(face[b], face[t]) for b, t in part] for part in self.masks)
         self.log: list[tuple] = []

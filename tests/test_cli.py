@@ -217,6 +217,51 @@ def test_package_runs_as_a_module():
     assert proc.stdout.startswith("usage: extenders") and proc.stderr == ""
 
 
+def test_closed_stdout_exits_2_without_a_traceback(write):
+    # The report is larger than a pipe buffer, so the reader is gone while
+    # it is written; no answer reached it.
+    bowtie = write("bowtie.json", BOWTIE)
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.Popen([sys.executable, "-m", "extenders", "build-extender", bowtie, "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(4) == b'{\n  '
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == cli._CLOSED_STDOUT + "\n"  # one line, no traceback
+
+
+def test_closed_stdout_at_the_flush_at_exit_exits_2(write):
+    # A short report waits in stdout's buffer until the process flushes it,
+    # and the pipe's reader is closed before the process starts.
+    bowtie = write("bowtie.json", BOWTIE)
+    package_root = os.path.dirname(os.path.dirname(extenders.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    env.pop("PYTHONUNBUFFERED", None)
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "extenders", "depth", bowtie],
+                              stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(writer)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == cli._CLOSED_STDOUT + "\n"
+
+
+def test_closed_stdout_is_one_error_line_in_process(write, capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    bowtie = write("bowtie.json", BOWTIE)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["info", bowtie, "--json"]) == 2
+    assert capsys.readouterr().err == cli._CLOSED_STDOUT + "\n"
+
+
 def test_readme_library_sketch_prints_its_comments():
     # Each bare expression of the sketch is checked against the value its
     # comment gives, on the same line or the next; other lines just run.

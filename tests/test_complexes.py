@@ -88,10 +88,15 @@ def test_build_complex_closes_candidates_with_their_mask_view(candidates):
 @given(candidate_lists())
 @example([])
 @example([[]])
+# The widest candidate is walked first, into no face yet present, with
+# smaller candidates inside it and outside it.
+@example([[9, 10], [3, 5, 7], list(range(10)), [0, 9], [8, 11, 12], [11]])
 def test_complexes_are_born_with_their_facets(candidates):
     c = build_complex(candidates)
     assert "facets" in vars(c)  # written at birth, not derived on first read
-    maximal = {f for f in c.faces if not any(f < g for g in c.faces)}
+    closure = {s for f in candidates for s in subsets_of(fs(f))}
+    maximal = {f for f in closure if not any(f < g for g in closure)}
+    assert c.faces == closure
     assert c.facets == maximal == SimplicialComplex(c.faces).facets
 
 

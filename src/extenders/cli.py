@@ -17,7 +17,8 @@ prints exactly one line on stderr: ``error: ...`` for bad input (missing,
 undecodable, unparsable or out of domain, or a malformed command line),
 ``internal error: ...`` when a construction's self-check fails, which is a
 bug in the library, not in the input.  Both exit with status 2, and so
-does a report whose reader closed standard output.
+does a report whose reader closed standard output; every way of starting
+a process runs :func:`run`, which flushes the report before it exits.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -628,5 +630,21 @@ def main(argv: Optional[list] = None) -> int:
     return report.status
 
 
+def run() -> NoReturn:
+    """Every process's entry: :func:`main`, then a flush of stdout, so a
+    short report whose reader is gone also ends with status 2 and one line."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; without a writable stdout, the flush at exit
+        # would fail again and print "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if status != INPUT_ERROR:
+            print(_CLOSED_STDOUT, file=sys.stderr)
+        status = INPUT_ERROR
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,12 +19,13 @@ over densely relabelled vertices: bit i stands for the i-th smallest
 label, so label order is bit order and faces are ordered on their
 masks, by :func:`_face_order` and :func:`_label_key` only.  A set's
 cached mask view is the one place that crosses between its frozensets
-and masks: every algorithm reads its faces there, and decodes a face
-only to return or name it.  The view is made
-with the set by :func:`build_complex`, and by :func:`relative_family` on
-the complex's codec, so a pair is encoded once; a set made by hand is
-read into one on first use (:func:`_mask_view`).  The view also owns the
-set's facet-size map.
+and masks: every algorithm reads its faces there, decodes a member only
+to return it, from the codec's table, and names any mask off its bits.
+The view is made with the set by :func:`build_complex`, and by
+:func:`relative_family` on the complex's codec, so a pair is encoded
+once; a set made by hand is read into one on first use
+(:func:`_mask_view`), and a claim with labels the set lacks through
+:meth:`_MaskView.reading`.  The view also owns the set's facet-size map.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def face_key(face: Face) -> tuple[int, tuple[int, ...]]:
     return (len(face), tuple(sorted(face)))
 
 
-def format_face(face: Face) -> str:
+def format_face(face: Iterable[int]) -> str:
     return "{" + ",".join(map(str, sorted(face))) + "}"
 
 
@@ -97,35 +98,23 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-class _Faces(dict):
-    """Mask -> frozenset face over a label list, filled on first lookup."""
-
-    def __init__(self, labels: list, faces=()):
-        super().__init__(faces)
-        self.labels = labels
-
-    def __missing__(self, mask: int) -> Face:
-        labels = self.labels
-        self[mask] = face = frozenset(labels[b.bit_length() - 1] for b in _bit_values(mask))
-        return face
-
-
 class _MaskCodec:
     """Faces as masks over a label list, and back.
 
     ``labels[i]`` is the label of bit i, sorted by the constructor; only
     fresh labels, which rise, and foreign ones, which no member holds, are
-    appended later.  Each mask is turned into its frozenset once, through
-    ``face``, which a caller may also fill in bulk.
+    appended later.  ``face`` maps each mask of a set's faces to its
+    frozenset, filled where the faces are made; :meth:`name` reads any
+    mask's labels off its bits.
     """
 
     def __init__(self, labels: Iterable[int], faces=()):
         self.labels = sorted(labels)
         self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.face = _Faces(self.labels, faces)
+        self.face = dict(faces)
 
     def extended(self, labels: Iterable[int]) -> "_MaskCodec":
-        """A copy, decode table included, with ``labels`` appended."""
+        """A copy, ``face`` table included, with ``labels`` appended."""
         copy = _MaskCodec((), self.face)  # appended, not sorted, so no bit moves
         copy.extend([*self.labels, *labels])
         return copy
@@ -139,16 +128,17 @@ class _MaskCodec:
         return sum(map(self.bit.__getitem__, face))
 
     def name(self, mask: int) -> str:
-        return format_face(self.face[mask])
+        return format_face([self.labels[b.bit_length() - 1] for b in _bit_values(mask)])
 
 
 class _MaskView:
-    """A face set as masks: ``codec`` over sorted labels, its decode table
-    holding the set's frozensets, and ``masks``.  The codec is shared by a
-    complex and its relative families, so it is never extended.  ``sizes``
-    is the facet-size map, built on first read, or the ``ambient`` view's:
-    a relative family's is its complex's, since a face over a member is not
-    in the subcomplex.  So readers look members up, never walk the keys."""
+    """A face set as masks: ``codec`` over sorted labels, its ``face``
+    table holding the set's frozensets, and ``masks``.  The codec is shared
+    by a complex and its relative families, so it is never extended; a
+    reading view extends a copy.  ``sizes`` is the facet-size map, built
+    on first read, or the ``ambient`` view's: a relative family's is its
+    complex's, since a face over a member is not in the subcomplex.  So
+    readers look members up, never walk the keys."""
 
     def __init__(self, codec: _MaskCodec, masks, ambient: Optional["_MaskView"] = None):
         self.codec, self.masks, self.ambient = codec, masks, ambient
@@ -157,10 +147,12 @@ class _MaskView:
     def sizes(self) -> dict[int, int]:
         return self.ambient.sizes if self.ambient else _facet_sizes(self.masks)
 
-    def reading(self, labels: Iterable[int]) -> _MaskCodec:
-        """The codec, or a copy extended by the ``labels`` it lacks, sorted."""
+    def reading(self, labels: Iterable[int]) -> "_MaskView":
+        """The view, or its masks over a copy of its codec extended by the
+        ``labels`` it lacks, sorted, with the view as ``ambient``, so the
+        two share one facet-size map."""
         extra = set(labels).difference(self.codec.bit)
-        return self.codec.extended(sorted(extra)) if extra else self.codec
+        return _MaskView(self.codec.extended(sorted(extra)), self.masks, self) if extra else self
 
 
 def _mask_view(x: "ComplexOrFamily") -> _MaskView:

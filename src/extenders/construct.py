@@ -208,9 +208,9 @@ class _Builder:
     relative) one the first and last.  ``masks`` holds the lists as mask
     pairs and ``pairs``, aligned, as frozenset pairs.  ``added`` holds
     the host's faces and each attachment's, decoded once by
-    :meth:`attach`; the codec's table holds the host's only, and decodes
-    any other mask lazily, to name it.  Each attachment adds a closed face
-    set, so the face set stays closed."""
+    :meth:`attach`; the codec's table holds the host's only, and the
+    codec names any other mask off its bits.  Each attachment adds a
+    closed face set, so the face set stays closed."""
 
     def __init__(self, host: SimplicialComplex, shared=(), with_only=()):
         self.codec = codec = host._view.codec.extended(())
@@ -359,7 +359,7 @@ def _partition_extender(d: int, k: int) -> tuple[MarkedComplex, _Gadget]:
     # tops have d + 1 vertices, so they stay maximal.
     reports = _verify(
         _MaskView(build.codec, off_facet | {bottom}), build.masks[0],
-        ((frozenset(), build.masks[1]), (frozenset({bottom}), build.masks[2])), build.codec,
+        ((frozenset(), build.masks[1]), (frozenset({bottom}), build.masks[2])),
         lambda: _as_masks(build.codec, (with_part, without_part)))
     for report, what in zip(reports, ("adjoined", "off-facet")):
         _ensure_valid(report, f"{what} certificate for (d={d}, k={k})")
@@ -400,9 +400,9 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     relative-only pairs)): a built result passes a view of the masks it
     was frozen from, kept off the result, whose codec reads the base's own
     view bit for bit, and its intervals split as built.  Any other result
-    is read through its extender's view, whose codec, or a copy extended
-    by the labels it lacks, reads the base and intervals, and shares
-    none.  Both certificates are checked whole by one :func:`_verify`
+    is read through its extender's reading view, whose codec, or a copy
+    extended by the labels it lacks, reads the base and intervals, and
+    shares none.  Both certificates are checked whole by one :func:`_verify`
     call, with the base as the members the relative family lacks; the
     split only says what is listed once.
 
@@ -429,14 +429,14 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
     only once every check has passed."""
     parts = (result.extender_partition, result.relative_partition)
     if masks is None:
-        view = result.extender._view
-        codec = view.reading(itertools.chain(
+        view = result.extender._view.reading(itertools.chain(
             *result.base.faces, *itertools.chain(*parts[0], *parts[1])))
-        base_view = _MaskView(codec, frozenset(map(codec.mask, result.base.faces)))
-        masks = (view, (), _as_masks(codec, parts))
+        base_view = _MaskView(view.codec, frozenset(map(view.codec.mask, result.base.faces)))
+        masks = (view, (), _as_masks(view.codec, parts))
     else:
-        base_view, codec = result.base._view, masks[0].codec
+        base_view = result.base._view
     (view, shared, only), base, d = masks, base_view.masks, result.extender.dim
+    codec = view.codec
     if d != result.base.dim:
         raise InternalCheckError("extender changed the dimension")
     if not base <= view.masks:
@@ -448,7 +448,7 @@ def _check_result(result: ExtenderResult, masks: Optional[tuple] = None) -> None
         itemgetter(1), itertools.chain(shared, *only)))) <= {d + 1}
     if not pure:
         base_sizes, sizes = base_view.sizes, view.sizes
-    reports = _verify(view, shared, ((frozenset(), only[0]), (base, only[1])), codec,
+    reports = _verify(view, shared, ((frozenset(), only[0]), (base, only[1])),
                       lambda: _as_masks(codec, parts))
     for what, report in zip(_CERTIFICATES, reports):
         _ensure_valid(report, f"{what} certificate")

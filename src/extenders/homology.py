@@ -105,18 +105,16 @@ def matrix_rank(columns, field: FieldSpec = RATIONALS) -> int:
     """Rank of an integer matrix given as a list or tuple of sparse
     ``{row: entry}`` columns, with integer rows.
 
-    Over GF(2) a column becomes an int with bit r set for each odd entry,
-    ranked by :func:`_gf2_rank`.  Otherwise, while an earlier column owns
-    a column's lowest row, the column becomes ``a*column - b*pivot``,
-    which clears that row.  Over Q the entries stay
-    integers and each combination is divided by its content; over GF(p)
-    they are kept mod p.  The rank cannot exceed the number of rows the
-    columns touch, so the reduction stops once that many pivots exist."""
+    One elimination serves every field: while an earlier column owns a
+    column's lowest row, the column becomes ``a*column - b*pivot``, which
+    clears that row.  Over Q the entries stay integers and each
+    combination is divided by its content; over GF(p), GF(2) included,
+    they are kept mod p.  (The link walk ranks its GF(2) blocks on int
+    columns, by :func:`_gf2_rank`.)  The rank cannot exceed the number of
+    rows the columns touch, so the reduction stops once that many pivots
+    exist."""
     p = field.characteristic
     rows = len(set().union(*columns))
-    if p == 2:
-        return _gf2_rank([sum(1 << r for r, x in column.items() if x % 2)
-                          for column in columns], rows)
     pivots: dict[int, dict[int, int]] = {}
     for column in columns:
         if len(pivots) == rows:

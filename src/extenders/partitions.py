@@ -51,7 +51,6 @@ from .complexes import (
     ComplexOrFamily,
     Face,
     SimplicialComplex,
-    _MaskCodec,
     _MaskView,
     _bit_values,
     _face_order,
@@ -125,31 +124,32 @@ def verify_partitioning(fam: ComplexOrFamily, p: IntervalPartition) -> Partition
     Valid means: every set between each bottom and top is a member, the
     intervals are pairwise disjoint, their union is exactly the family,
     and every top is a maximal member.  Failures are reported, not raised.
-    :func:`_verify` checks the intervals, read through the family's codec
-    (a copy extended by any label it lacks), as one claim on its view.
+    :func:`_verify` checks the intervals as one claim on the family's
+    view, read through a copy of its codec extended by any label it lacks.
     """
-    codec = fam._view.reading(itertools.chain(*itertools.chain(*p)))
-    pairs = [(codec.mask(b), codec.mask(t)) for b, t in p]
-    return _verify(fam._view, (), ((frozenset(), pairs),), codec, lambda: (pairs,))[0]
+    view = fam._view.reading(itertools.chain(*itertools.chain(*p)))
+    pairs = [(view.codec.mask(b), view.codec.mask(t)) for b, t in p]
+    return _verify(view, (), ((frozenset(), pairs),), lambda: (pairs,))[0]
 
 
 def _verify(view: _MaskView, shared: Sequence[tuple[int, int]], claims: Sequence[tuple],
-            codec: _MaskCodec, full: Callable[[], Sequence]) -> tuple:
+            full: Callable[[], Sequence]) -> tuple:
     """One report per claim (removed, own): whether the (bottom, top)
     intervals ``shared`` and ``own`` partition the family ``view.masks``
-    less the members ``removed``.  ``codec`` names faces, and ``full()``
-    lists each claim's whole certificate in the order it is checked.  The
-    claims are decided together by :func:`_exact_covers`.  If they fail,
-    each whole certificate is walked by :func:`_name_offence` on its own
-    family, ``view`` itself when nothing is removed, so each report names
-    the offence, word for word, that the certificate alone would name."""
+    less the members ``removed``.  ``view.codec`` names faces, and
+    ``full()`` lists each claim's whole certificate in the order it is
+    checked.  The claims are decided together by :func:`_exact_covers`.
+    If they fail, each whole certificate is walked by :func:`_name_offence`
+    on its own family, ``view`` itself when nothing is removed, so each
+    report names the offence, word for word, that the certificate alone
+    would name."""
     common = _stats(shared)
     stats = [common + _stats(own) for _, own in claims]
     if _exact_covers(view, shared, claims, stats):
         violations = [None] * len(claims)
     else:
         violations = [_name_offence(
-            _MaskView(codec, view.masks - removed, view) if removed else view, pairs, codec)
+            _MaskView(view.codec, view.masks - removed, view) if removed else view, pairs)
             for (removed, _), pairs in zip(claims, full())]
     return tuple(PartitionReport(v is None, v, tuple(
         (divmod(key, _UNIT), n) for key, n in sorted(s.items())))
@@ -225,8 +225,7 @@ def _interval_faces(pairs: Sequence[tuple[int, int]], room: int) -> Optional[lis
     return faces
 
 
-def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
-                  codec: _MaskCodec) -> Optional[str]:
+def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]]) -> Optional[str]:
     """The first offence of a claim, or None: the intervals are walked in
     order.  A top must be a member and its own facet size, read from
     ``view.sizes`` only once a top is smaller than the largest member.
@@ -240,7 +239,7 @@ def _name_offence(view: _MaskView, pairs: Sequence[tuple[int, int]],
     def label(b, t):
         return f"[{codec.name(b)}, {codec.name(t)}]"
 
-    members = view.masks
+    members, codec = view.masks, view.codec
     top_size = max(map(int.bit_count, members), default=0)
     covered: set[int] = set()
     add = covered.add

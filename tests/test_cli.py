@@ -197,14 +197,33 @@ def test_script_runs():
         "eba43c2317309027dee24f6ba48758175b07fad2511718ece2e92f60c09ca5a7")
 
 
-def test_console_script_entry_names_main():
+def _console_script_entry():
+    """The (module, name) that pyproject.toml's console script calls."""
     # Python 3.10 has no tomllib, so the one line is read with a regex.
     package_root = pathlib.Path(extenders.__file__).resolve().parent.parent
     text = (package_root.parent / "pyproject.toml").read_text(encoding="utf-8")
     entry = re.search(r'^\[project\.scripts\]\nextenders = "([\w.]+):(\w+)"$', text, re.M)
     assert entry is not None
-    module, name = entry.groups()
-    assert getattr(importlib.import_module(module), name) is main
+    return entry.groups()
+
+
+def _entry_argv(entry):
+    """The interpreter arguments that start the command line by ``entry``:
+    the package or the CLI module run as ``-m``, or the console script's
+    wrapper, which exits with what its entry returns."""
+    if entry == "console-script":
+        module, name = _console_script_entry()
+        return ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+    return ["-m", entry]
+
+
+ENTRIES = ["extenders", "extenders.cli", "console-script"]
+
+
+def test_console_script_names_the_process_entry():
+    # The console script calls the one entry that both -m forms run.
+    module, name = _console_script_entry()
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 def test_package_runs_as_a_module():
@@ -223,17 +242,19 @@ def test_closed_stdout_exits_2_without_a_traceback(write):
     bowtie = write("bowtie.json", BOWTIE)
     package_root = os.path.dirname(os.path.dirname(extenders.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
-    proc = subprocess.Popen([sys.executable, "-m", "extenders", "build-extender", bowtie, "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(4) == b'{\n  '
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == cli._CLOSED_STDOUT + "\n"  # one line, no traceback
+    for entry in ENTRIES:
+        argv = [sys.executable, *_entry_argv(entry), "build-extender", bowtie, "--json"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(4) == b'{\n  '
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, entry
+        assert err == cli._CLOSED_STDOUT + "\n", entry  # one line, no traceback
 
 
-def test_closed_stdout_at_the_flush_at_exit_exits_2(write):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_closed_stdout_at_the_flush_at_exit_exits_2(write, entry):
     # A short report waits in stdout's buffer until the process flushes it,
     # and the pipe's reader is closed before the process starts.
     bowtie = write("bowtie.json", BOWTIE)
@@ -243,7 +264,7 @@ def test_closed_stdout_at_the_flush_at_exit_exits_2(write):
     reader, writer = os.pipe()
     os.close(reader)
     try:
-        proc = subprocess.run([sys.executable, "-m", "extenders", "depth", bowtie],
+        proc = subprocess.run([sys.executable, *_entry_argv(entry), "depth", bowtie],
                               stdout=writer, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(writer)

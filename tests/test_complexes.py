@@ -110,10 +110,13 @@ def test_face_orders_are_read_off_masks(labels, data):
     assert codec.labels == sorted(labels)
     faces = data.draw(st.sets(st.frozensets(st.sampled_from(labels), max_size=4), max_size=12))
     masks = [codec.mask(f) for f in faces | {fs()}]
-    decoded = [codec.face[m] for m in masks]
-    assert [codec.face[m] for m in complexes._face_order(masks)] \
-        == sorted(decoded, key=face_key)
-    assert [codec.face[m] for m in sorted(masks, key=complexes._label_key, reverse=True)] \
+
+    def decode(m):
+        return fs(v for v in codec.labels if codec.bit[v] & m)
+
+    decoded = list(map(decode, masks))
+    assert list(map(decode, complexes._face_order(masks))) == sorted(decoded, key=face_key)
+    assert list(map(decode, sorted(masks, key=complexes._label_key, reverse=True))) \
         == sorted(decoded, key=sorted)
 
 
@@ -132,16 +135,17 @@ def test_closure_lists_each_face_once(monkeypatch):
     # candidate would write 84 * 8 = 672.
     writes = []
 
-    class Counted(complexes._Faces):
+    class CountedFaces(dict):
         def __setitem__(self, mask, face):
             writes.append(mask)
             super().__setitem__(mask, face)
 
-        def update(self, pairs):
-            for mask, face in pairs:
-                self[mask] = face
+    class Counted(complexes._MaskCodec):
+        def __init__(self, labels, faces=()):
+            super().__init__(labels, faces)
+            self.face = CountedFaces(self.face)
 
-    monkeypatch.setattr(complexes, "_Faces", Counted)
+    monkeypatch.setattr(complexes, "_MaskCodec", Counted)
     sigma = build_complex([[a, b, c] for a in range(9) for b in range(a) for c in range(b)])
     assert len(sigma.faces) == 130
     assert sorted(writes) == sorted(sigma._view.masks)

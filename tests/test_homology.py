@@ -188,9 +188,10 @@ COUNTED = [(build_complex([[1, 2, 3], [4, 5]]), build_complex([[4, 5]])),
 @example((build_complex([[]]), build_complex([])))
 @example((BOWTIE, BOWTIE))
 def test_link_betti_matches_literal_links(pair):
-    """Facets of up to 4 vertices give links of dimension 0, 1 and 2, whose
-    two lower ranks the walk counts instead of building columns; links of
-    dimension at most 0 are counted with no star."""
+    """Facets of up to 4 vertices give links of dimension 0, 1 and 2.  The
+    walk ranks each edge block by XOR elimination (``_gf2_rank``) over
+    every field, and counts links of dimension at most 0 off the star,
+    with no rank."""
     big, small = pair
     order = sorted(big.faces, key=lambda f: (len(f), sorted(f)))
     for p, rank in DENSE_RANKS.items():

@@ -301,23 +301,24 @@ def _moved_into_shared(parts, i):
     return (shared + [moved], rest, second) if i % 2 == 0 else (shared + [moved], first, rest)
 
 
-def _alone(view, pairs, codec):
+def _alone(view, pairs):
     """The report of one certificate, mask ``pairs``, on ``view.masks``."""
-    return partitions._verify(view, (), ((frozenset(), pairs),), codec, lambda: (pairs,))[0]
+    return partitions._verify(view, (), ((frozenset(), pairs),), lambda: (pairs,))[0]
 
 
-def _joint_and_alone(view, removed, parts, codec):
+def _joint_and_alone(view, removed, parts):
     """The reports of the joint check of (shared, first, second), face
-    pairs read through ``codec``, on the family ``view.masks`` and its
-    subfamily less the faces ``removed``, and those of each certificate
-    checked alone."""
+    pairs read through ``view.codec``, on the family ``view.masks`` and
+    its subfamily less the faces ``removed``, and those of each
+    certificate checked alone."""
+    codec = view.codec
     shared, first, second = ([(codec.mask(b), codec.mask(t)) for b, t in p] for p in parts)
     removed = frozenset(map(codec.mask, removed))
     full = (shared + first, shared + second)
     subfamily = _MaskView(codec, view.masks - removed, view)
     return (partitions._verify(view, shared, ((frozenset(), first), (removed, second)),
-                               codec, lambda: full),
-            (_alone(view, full[0], codec), _alone(subfamily, full[1], codec)))
+                               lambda: full),
+            (_alone(view, full[0]), _alone(subfamily, full[1])))
 
 
 JOINT_TAMPERINGS = [_bottom_outside_top, _shared_and_own, _repeated_in_shared,
@@ -341,9 +342,9 @@ def test_joint_check_reports_as_two_single_checks(c, data):
     tamper = data.draw(st.sampled_from([None, *JOINT_TAMPERINGS]))
     if tamper:
         parts = tamper(parts, data.draw(st.integers(0, 60)))
-    view = result.extender._view
-    codec = view.reading(itertools.chain(*itertools.chain(*itertools.chain(*parts))))
-    joint, alone = _joint_and_alone(view, result.base.faces, parts, codec)
+    view = result.extender._view.reading(
+        itertools.chain(*itertools.chain(*itertools.chain(*parts))))
+    joint, alone = _joint_and_alone(view, result.base.faces, parts)
     assert joint == alone
     families = (result.extender.faces, relative_family(result.extender, result.base).faces)
     for report, members, claim in zip(alone, families, (parts[0] + parts[1],
@@ -368,7 +369,7 @@ def test_joint_check_refuses_claims_of_the_right_size(removed, parts, violations
     # refuses it; the reports are those of each certificate alone.
     codec = _MaskCodec([1, 2])
     view = _MaskView(codec, frozenset(map(codec.mask, ([], [1], [2]))))
-    reports, alone = _joint_and_alone(view, removed, parts, codec)
+    reports, alone = _joint_and_alone(view, removed, parts)
     assert reports == alone
     assert tuple(report.violation for report in reports) == violations
 
@@ -406,7 +407,7 @@ def test_naming_an_offence_is_bounded_by_the_family():
     fam = FaceFamily(fs({top, top - {1}}), 15)
     members, codec = _CountedSet(fam._view.masks), fam._view.codec
     pairs = [(0, codec.mask(top))]
-    report = _alone(_MaskView(codec, members), pairs, codec)
+    report = _alone(_MaskView(codec, members), pairs)
     assert report.violation == (
         f"interval [{{}}, {format_face(top)}] requires {{}}, which is not a member")
     assert members.tests <= len(members) + len(pairs) + 2
@@ -418,7 +419,7 @@ def test_offence_walk_reads_faces_in_label_order_not_bit_order():
     # face_key is {2}, not {3}, which was listed first.
     codec = _MaskCodec([3, 1, 2])
     members = {codec.mask(f) for f in ([], [1], [1, 2, 3])}
-    report = _alone(_MaskView(codec, members), [(0, codec.mask([1, 2, 3]))], codec)
+    report = _alone(_MaskView(codec, members), [(0, codec.mask([1, 2, 3]))])
     assert report.violation == "interval [{}, {1,2,3}] requires {2}, which is not a member"
 
 
@@ -433,10 +434,9 @@ def test_complexs_facet_sizes_serve_its_relative_families(c, data):
     for pairs in itertools.islice(all_partitionings(relative.faces), 4):
         i = data.draw(st.integers(0, max(len(pairs) - 1, 0)))
         for claim in [pairs, *(tamper(pairs, i) for tamper in TAMPERINGS if pairs)]:
-            codec = relative._view.reading(itertools.chain(*itertools.chain(*claim)))
-            masks = [(codec.mask(b), codec.mask(t)) for b, t in claim]
-            assert _alone(relative._view, masks, codec) \
-                == _alone(_MaskView(codec, members), masks, codec)
+            view = relative._view.reading(itertools.chain(*itertools.chain(*claim)))
+            masks = [(view.codec.mask(b), view.codec.mask(t)) for b, t in claim]
+            assert _alone(view, masks) == _alone(_MaskView(view.codec, members), masks)
 
 
 def test_checks_of_one_complex_read_one_facet_size_map(monkeypatch):
@@ -777,14 +777,18 @@ def test_check_shelling_order_rejects_non_permutation():
 def test_restriction_face_is_the_unique_minimal_new_face(c, facet):
     new = {s for s in subsets_of(facet) if s not in c.faces}
     minimal = [s for s in new if not any(t < s for t in new)]
-    codec = c._view.reading(facet)
+    codec = c._view.reading(facet).codec
     top = codec.mask(facet)
+
+    def decode(m):
+        return fs(v for v in codec.labels if codec.bit[v] & m)
+
     bottom = partitions._restriction(top, set(c._view.masks))
     assert (bottom is not None) == (len(minimal) == 1)
     if bottom is not None:
-        assert minimal == [codec.face[bottom]]
-        step = {codec.face[m] for m in partitions._interval(bottom, top)}
-        assert step == cube(codec.face[bottom], facet) == new
+        assert minimal == [decode(bottom)]
+        step = set(map(decode, partitions._interval(bottom, top)))
+        assert step == cube(decode(bottom), facet) == new
 
 
 def test_shelling_reads_no_maximal_faces_and_no_subsets(monkeypatch):
